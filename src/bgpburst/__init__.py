@@ -43,6 +43,7 @@ from .events import (
     build_series,
     build_volume_series,
     parse_event_lines,
+    series_keys,
     write_event_lines,
 )
 from .mrt import MrtParseResult, MrtStats, parse_mrt_updates

@@ -121,12 +121,19 @@ def _parse_time(text: str) -> int:
         raise CliError(f"cannot parse time {text!r}: {exc}") from exc
 
 
+def _decode_utf8(path: Path, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _load_events(path: Path):
     try:
         raw = decompress(path.read_bytes())
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    text = raw.decode("utf-8")
+    text = _decode_utf8(path, raw)
     try:
         return list(parse_event_lines(io.StringIO(text)))
     except EventFormatError as exc:
@@ -176,7 +183,7 @@ def _parse_one_input(path: Path, collector: str | None):
     payload = decompress(raw)
     head = payload.lstrip()[:1]
     if head in (b"{", b""):
-        events = list(parse_event_lines(io.StringIO(payload.decode("utf-8"))))
+        events = list(parse_event_lines(io.StringIO(_decode_utf8(path, payload))))
         stats = {
             "format": "canonical",
             "events_emitted": len(events),
@@ -283,7 +290,8 @@ def cmd_detect(args) -> int:
     manifest.add_input(events_path)
     events = _load_events(events_path)
 
-    keys = series_keys(events)
+    groups = series_keys(events)
+    keys = list(groups)
     if args.collector is not None:
         keys = [k for k in keys if k[1] == args.collector]
     if args.asn is not None:
@@ -294,13 +302,14 @@ def cmd_detect(args) -> int:
         return 0
 
     for asn, collector in keys:
-        series = build_series(events, asn, collector)
+        bucket = groups[asn, collector]
+        series = build_series(bucket, asn, collector)
         span = series.span or (0, 0)
         if args.detector in ("both", "burstiness"):
             report = detect_events(series, config, collect_trace=True)
             _write_report(out, "burstiness", report, span, snapshot, manifest)
         if args.detector in ("both", "volume"):
-            volume = build_volume_series(events, asn, collector)
+            volume = build_volume_series(bucket, asn, collector)
             report = detect_volume(volume, config, collect_trace=True)
             _write_report(out, "volume", report, span, snapshot, manifest)
     manifest.write(out)
@@ -311,25 +320,48 @@ def cmd_detect(args) -> int:
 # ---------------------------------------------------------------- analyze
 
 
+def _load_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CliError(f"{path}: not a JSON document: {exc}") from exc
+
+
+def _null_window(item) -> tuple[int, int]:
+    if isinstance(item, dict):
+        if "start_utc" in item:
+            return parse_utc(item["start_utc"]), parse_utc(item["end_utc"])
+        return int(item["start"]), int(item["end"])
+    if isinstance(item, list) and len(item) == 2:
+        return int(item[0]), int(item[1])
+    raise ValueError("expected an object or a [start, end] pair")
+
+
 def _load_null_windows(path: Path) -> list[tuple[int, int]]:
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw = _load_json(path)
     if not isinstance(raw, list):
         raise CliError(f"{path}: null window file must be a JSON array")
     windows = []
     for item in raw:
-        if isinstance(item, dict):
-            if "start_utc" in item:
-                windows.append((parse_utc(item["start_utc"]), parse_utc(item["end_utc"])))
-            else:
-                windows.append((int(item["start"]), int(item["end"])))
-        elif isinstance(item, (list, tuple)) and len(item) == 2:
-            windows.append((int(item[0]), int(item[1])))
-        else:
-            raise CliError(f"{path}: bad null window entry {item!r}")
+        try:
+            windows.append(_null_window(item))
+        except KeyError as exc:
+            raise CliError(f"{path}: null window entry {item!r} lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{path}: bad null window entry {item!r}: {exc}") from exc
     for start, end in windows:
         if start >= end:
             raise CliError(f"{path}: null window [{start}, {end}) is empty")
     return windows
+
+
+def _load_incident_windows(path: Path) -> list[IncidentWindow]:
+    if not path.is_file():
+        raise CliError(f"unreadable input: {path}")
+    try:
+        return load_incidents(path)
+    except ConfigurationError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _check_null_overlap(
@@ -360,8 +392,8 @@ def cmd_analyze(args) -> int:
     manifest.add_input(events_path)
     events = _load_events(events_path)
 
-    keys = series_keys(events)
-    collectors = sorted({collector for _, collector in keys})
+    groups = series_keys(events)
+    collectors = sorted({collector for _, collector in groups})
     if args.collector is not None:
         if args.collector not in collectors:
             raise CliError(f"collector {args.collector!r} not present in events")
@@ -375,7 +407,9 @@ def cmd_analyze(args) -> int:
     collector = collectors[0]
 
     corpus = [
-        build_series(events, asn, coll) for asn, coll in keys if coll == collector
+        build_series(bucket, asn, coll)
+        for (asn, coll), bucket in groups.items()
+        if coll == collector
     ]
     try:
         table = joint_distribution(corpus, window, min_events=args.min_events)
@@ -401,20 +435,20 @@ def cmd_analyze(args) -> int:
         manifest.add_input(null_path)
         null_windows = _load_null_windows(null_path)
         if args.incidents:
-            incidents = load_incidents(args.incidents)
-            _check_null_overlap(null_windows, incidents)
+            _check_null_overlap(null_windows, _load_incident_windows(Path(args.incidents)))
         null_events_path = Path(args.null_events) if args.null_events else events_path
         if null_events_path != events_path:
             if not null_events_path.is_file():
                 raise CliError(f"unreadable input: {null_events_path}")
             manifest.add_input(null_events_path)
-            null_events = _load_events(null_events_path)
+            null_groups = series_keys(_load_events(null_events_path))
         else:
-            null_events = events
+            null_groups = groups
         for asn in args.target_asn:
-            base = build_series(null_events, asn, collector)
+            key = (asn, collector)
+            base = build_series(null_groups.get(key, []), asn, collector)
             nulls = [base.restrict(start, end) for start, end in null_windows]
-            observed_series = build_series(events, asn, collector).restrict(*window)
+            observed_series = build_series(groups.get(key, []), asn, collector).restrict(*window)
             try:
                 observed = series_burstiness(observed_series, args.min_events)
                 result = monte_carlo_null_test(
@@ -439,7 +473,9 @@ def cmd_analyze(args) -> int:
 
 
 def _load_report(path: Path) -> dict:
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: report must be a JSON object")
     for key in ("detector", "origin_asn", "collector", "span", "anomalous_timestamps"):
         if key not in doc:
             raise CliError(f"{path}: report missing field {key!r}")
@@ -455,13 +491,8 @@ def cmd_evaluate(args) -> int:
             raise CliError(f"unreadable input: {path}")
         manifest.add_input(path)
     incidents_path = Path(args.incidents)
-    if not incidents_path.is_file():
-        raise CliError(f"unreadable input: {incidents_path}")
+    incidents = _load_incident_windows(incidents_path)
     manifest.add_input(incidents_path)
-    try:
-        incidents = load_incidents(incidents_path)
-    except ConfigurationError as exc:
-        raise CliError(str(exc)) from exc
 
     docs = [_load_report(p) for p in report_paths]
     if args.t0 is not None and args.t1 is not None:

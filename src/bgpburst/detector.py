@@ -41,6 +41,9 @@ class DetectorConfig:
     variance_floor: float = DEFAULT_VARIANCE_FLOOR
 
     def __post_init__(self):
+        for name in ("r", "delta", "variance_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.r <= 0:
             raise ValueError("decay factor r must be positive")
         if self.omega < 1:

@@ -58,7 +58,10 @@ def parse_utc(text: str) -> int:
 
 def load_incidents(path: str | Path) -> list[IncidentWindow]:
     """Incident config: JSON array of {name, asn, start_utc, end_utc, kind}."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ConfigurationError(f"incident config {path} is not a JSON document: {exc}") from exc
     if not isinstance(raw, list):
         raise ConfigurationError("incident config must be a JSON array")
     windows = []

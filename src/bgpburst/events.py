@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -88,7 +89,8 @@ class EventSeries:
 
     def restrict(self, start: int, end: int) -> "EventSeries":
         """Sub-series with timestamps in [start, end)."""
-        kept = tuple(t for t in self.timestamps if start <= t < end)
+        ts = self.timestamps
+        kept = ts[bisect_left(ts, start):bisect_left(ts, end)]
         return EventSeries(self.origin_asn, self.collector, kept)
 
 
@@ -179,17 +181,16 @@ def write_event_lines(events: Iterable[AnnouncementEvent], out: IO[str]) -> int:
     return n
 
 
+def _usable(ev: AnnouncementEvent) -> bool:
+    # Withdrawals and ambiguous origins never contribute to statistics.
+    return ev.kind == ANNOUNCEMENT and not ev.ambiguous_origin
+
+
 def _series_events(
     events: Iterable[AnnouncementEvent], origin_asn: int, collector: str
 ) -> Iterator[AnnouncementEvent]:
-    # Withdrawals and ambiguous origins never contribute to statistics.
     for ev in events:
-        if (
-            ev.kind == ANNOUNCEMENT
-            and not ev.ambiguous_origin
-            and ev.origin_asn == origin_asn
-            and ev.collector == collector
-        ):
+        if _usable(ev) and ev.origin_asn == origin_asn and ev.collector == collector:
             yield ev
 
 
@@ -216,14 +217,20 @@ def build_volume_series(
     return VolumeSeries(origin_asn, collector, points)
 
 
-def series_keys(events: Iterable[AnnouncementEvent]) -> list[tuple[int, str]]:
-    """All distinct (origin_asn, collector) pairs with at least one usable announcement."""
-    keys = {
-        (ev.origin_asn, ev.collector)
-        for ev in events
-        if ev.kind == ANNOUNCEMENT and not ev.ambiguous_origin and ev.origin_asn is not None
-    }
-    return sorted(keys)
+def series_keys(
+    events: Iterable[AnnouncementEvent],
+) -> dict[tuple[int, str], list[AnnouncementEvent]]:
+    """Usable announcements grouped by (origin_asn, collector) in one pass.
+
+    Keys come in sorted order and each bucket keeps input order.  Building a
+    series from a key's bucket gives the same result as building it from the
+    whole event list, at the cost of the bucket instead of the list.
+    """
+    groups: dict[tuple[int, str], list[AnnouncementEvent]] = {}
+    for ev in events:
+        if _usable(ev):
+            groups.setdefault((ev.origin_asn, ev.collector), []).append(ev)
+    return {key: groups[key] for key in sorted(groups)}
 
 
 def write_volume_csv(volume: VolumeSeries, out: IO[str]) -> None:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -6,6 +8,8 @@ import pytest
 
 import mrt_golden as golden
 from bgpburst.cli import main
+from bgpburst.events import ANNOUNCEMENT, WITHDRAWAL, AnnouncementEvent, write_event_lines
+from bgpburst.synth import IncidentSpec, inject_incident_events, update_stream
 
 START = 1_400_000_000
 
@@ -41,6 +45,16 @@ def output_digests(out_dir):
         entry["path"].rsplit("/", 1)[-1]: entry["sha256"]
         for entry in manifest_of(out_dir)["outputs"]
     }
+
+
+def assert_input_error(code, capsys):
+    """Exit 2 with a one-line `error:` message and no traceback."""
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+NON_UTF8_EVENTS = b'{"ts":1,"collector":"c\xff","prefix":"10.0.0.0/8","origin_asn":1,"type":"A"}\n'
 
 
 @pytest.fixture()
@@ -131,6 +145,11 @@ class TestIngest:
     def test_unreadable_input_fails(self, tmp_path):
         assert main(["ingest", str(tmp_path / "nope.mrt"), "--out", str(tmp_path / "o")]) == 2
 
+    def test_non_utf8_canonical_input_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(NON_UTF8_EVENTS)
+        assert_input_error(main(["ingest", str(bad), "--out", str(tmp_path / "o")]), capsys)
+
 
 class TestDetect:
     def test_produces_reports_and_traces(self, sim_events, tmp_path):
@@ -179,6 +198,15 @@ class TestDetect:
         out = tmp_path / "detect"
         assert main(["detect", str(sim_events), "--asn", "1", "--out", str(out)]) == 0
         assert manifest_of(out)["outputs"] == []
+
+    def test_non_utf8_events_file_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "events.jsonl"
+        bad.write_bytes(NON_UTF8_EVENTS)
+        assert_input_error(main(["detect", str(bad), "--out", str(tmp_path / "o")]), capsys)
+
+    def test_nan_decay_rejected(self, sim_events, tmp_path, capsys):
+        code = main(["detect", str(sim_events), "--r", "nan", "--out", str(tmp_path / "o")])
+        assert_input_error(code, capsys)
 
 
 class TestEvaluate:
@@ -237,6 +265,26 @@ class TestEvaluate:
         ]
         code, _ = self.run_pipeline(sim_events, tmp_path, incidents)
         assert code == 2
+
+    def test_malformed_incidents_json_is_input_error(self, sim_events, tmp_path, capsys):
+        detect_out = tmp_path / "detect"
+        assert main(["detect", str(sim_events), "--out", str(detect_out)]) == 0
+        capsys.readouterr()
+        bad = tmp_path / "incidents.json"
+        bad.write_text('[{"name": "x",')
+        reports = sorted(str(p) for p in detect_out.glob("report_*.json"))
+        code = main(["evaluate", *reports, "--incidents", str(bad), "--out", str(tmp_path / "e")])
+        assert_input_error(code, capsys)
+
+    def test_malformed_report_is_input_error(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text("{not json")
+        incidents = tmp_path / "incidents.json"
+        incidents.write_text("[]")
+        code = main(
+            ["evaluate", str(report), "--incidents", str(incidents), "--out", str(tmp_path / "e")]
+        )
+        assert_input_error(code, capsys)
 
 
 class TestAnalyze:
@@ -347,3 +395,124 @@ class TestAnalyze:
             ]
         )
         assert code == 0
+
+    def significance_run(self, corpus_events, tmp_path, nulls, *extra):
+        null_path = tmp_path / "nulls.json"
+        null_path.write_text(json.dumps(nulls))
+        return main(
+            [
+                "analyze", str(corpus_events),
+                "--window", str(START), str(START + 86400),
+                "--target-asn", "64500",
+                "--null-windows", str(null_path),
+                *extra,
+                "--out", str(tmp_path / "analyze"),
+            ]
+        )
+
+    def test_null_window_without_end_utc_is_input_error(self, corpus_events, tmp_path, capsys):
+        code = self.significance_run(corpus_events, tmp_path, [{"start_utc": iso(START)}])
+        assert_input_error(code, capsys)
+
+    def test_malformed_incidents_json_is_input_error(self, corpus_events, tmp_path, capsys):
+        bad = tmp_path / "incidents.json"
+        bad.write_text("[{")
+        nulls = [{"start": START, "end": START + 30000}]
+        code = self.significance_run(corpus_events, tmp_path, nulls, "--incidents", str(bad))
+        assert_input_error(code, capsys)
+
+
+def write_golden_corpus(path, seed, days):
+    """Seeded multi-AS, two-collector stream with noise the builders must skip.
+
+    Batched backgrounds for five origins at one collector and two at a
+    second, an injected burst for AS64500, and withdrawals and
+    ambiguous-origin announcements scattered in; the whole list is shuffled
+    so that grouping cannot rely on input order.
+    """
+    rng = random.Random(seed)
+    streams = [
+        update_stream(asn, "rrc00", START, days * 86400, 600.0, seed + i)
+        for i, asn in enumerate(range(64500, 64505))
+    ] + [
+        update_stream(asn, "linx", START, days * 86400, 900.0, seed + 10 + i)
+        for i, asn in enumerate((64500, 64501))
+    ]
+    incident = IncidentSpec(START + 86400, START + 86400 + 3600, burst_gap=2, prefixes_per_second=3)
+    streams[0] = inject_incident_events(streams[0], incident)
+    events = [ev for stream in streams for ev in stream]
+    for ev in rng.sample(events, len(events) // 20):
+        events.append(AnnouncementEvent(ev.timestamp, ev.collector, ev.prefix, WITHDRAWAL))
+        events.append(
+            AnnouncementEvent(
+                ev.timestamp, ev.collector, ev.prefix, ANNOUNCEMENT,
+                origin_asn=ev.origin_asn, ambiguous_origin=True,
+            )
+        )
+    rng.shuffle(events)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        write_event_lines(events, fh)
+    return path
+
+
+def data_digests(out_dir):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(Path(out_dir).iterdir())
+        if p.name != "manifest.json"
+    }
+
+
+def digest_of(digests):
+    return hashlib.sha256(json.dumps(digests, sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenDigests:
+    """Data outputs of detect and analyze on a fixed corpus, pinned byte for byte."""
+
+    DETECT = "eae3fc763cea92ed09717e28eabb0b73fd672fd7ca99bff6fe99b15c8846ce8f"
+    ANALYZE = "ec5413c7e4e7301031e6bd0413bfaf7898ff30ed758510c778bbe390cb23b13f"
+    ANALYZE_SEPARATE_NULLS = "d3a45e7e693c9509d29ecb85bbbdecdd75f8af3b7374ff391f1896ba1b7d8f08"
+
+    @pytest.fixture()
+    def corpus(self, tmp_path):
+        events = write_golden_corpus(tmp_path / "events.jsonl", seed=7, days=4)
+        null_events = write_golden_corpus(tmp_path / "null.jsonl", seed=8, days=6)
+        nulls = tmp_path / "nulls.json"
+        nulls.write_text(json.dumps([
+            {"start": START + k * 12_000, "end": START + k * 12_000 + 10_000}
+            for k in range(25)
+        ]))
+        return events, null_events, nulls
+
+    def analyze(self, tmp_path, events, nulls, name, *extra):
+        out = tmp_path / name
+        code = main([
+            "analyze", str(events), "--collector", "rrc00",
+            "--window", str(START + 80_000), str(START + 100_000),
+            "--target-asn", "64500", "--target-asn", "64502",
+            "--null-windows", str(nulls), *extra, "--out", str(out),
+        ])
+        assert code == 0
+        return data_digests(out)
+
+    def test_detect_outputs_pinned(self, corpus, tmp_path):
+        events, _, _ = corpus
+        out = tmp_path / "detect"
+        assert main(["detect", str(events), "--out", str(out)]) == 0
+        digests = data_digests(out)
+        assert len(digests) == 4 * 7
+        assert digest_of(digests) == self.DETECT
+
+    def test_analyze_outputs_pinned(self, corpus, tmp_path):
+        events, null_events, nulls = corpus
+        digests = self.analyze(tmp_path, events, nulls, "same")
+        assert sorted(digests) == [
+            "joint_rrc00.csv", "joint_rrc00.json",
+            "significance_AS64500.json", "significance_AS64502.json",
+        ]
+        assert digest_of(digests) == self.ANALYZE
+        separate = self.analyze(
+            tmp_path, events, nulls, "separate", "--null-events", str(null_events)
+        )
+        assert digest_of(separate) == self.ANALYZE_SEPARATE_NULLS

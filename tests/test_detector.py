@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -18,6 +19,13 @@ from bgpburst.detector import (
     write_trace_csv,
 )
 from bgpburst.events import EventSeries, VolumeSeries
+
+
+@pytest.mark.parametrize("field", ["r", "delta", "variance_floor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_settings(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DetectorConfig(**{field: value})
 
 
 class TestIntensityUpdate:

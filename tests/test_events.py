@@ -202,4 +202,54 @@ class TestBuildVolumeSeries:
 
 def test_series_keys_sorted_and_deduplicated():
     events = [_ev(1, asn=5, collector="b"), _ev(2, asn=5, collector="a"), _ev(3, asn=5, collector="a")]
-    assert series_keys(events) == [(5, "a"), (5, "b")]
+    groups = series_keys(events)
+    assert list(groups) == [(5, "a"), (5, "b")]
+    assert groups[5, "a"] == events[1:]
+    assert groups[5, "b"] == events[:1]
+
+
+def test_series_keys_skips_unusable_events():
+    events = [_ev(1, kind=WITHDRAWAL), _ev(2, ambiguous=True), _ev(3, asn=7, ambiguous=True)]
+    assert series_keys(events) == {}
+
+
+mixed_events_strategy = st.lists(
+    st.builds(
+        lambda ts, collector, prefix, withdrawal, origin, ambiguous: AnnouncementEvent(
+            ts, collector, prefix, WITHDRAWAL if withdrawal else ANNOUNCEMENT,
+            origin_asn=None if withdrawal and origin == 0 else origin,
+            ambiguous_origin=ambiguous,
+        ),
+        ts=st.integers(min_value=0, max_value=12),
+        collector=st.sampled_from(["rrc00", "linx", "c"]),
+        prefix=st.sampled_from(["10.0.0.0/8", "10.1.0.0/16", "2001:db8::/32"]),
+        withdrawal=st.booleans(),
+        origin=st.integers(min_value=0, max_value=3),
+        ambiguous=st.booleans(),
+    ),
+    max_size=60,
+)
+
+
+@given(mixed_events_strategy)
+def test_grouped_buckets_build_the_same_series(events):
+    groups = series_keys(events)
+    usable = [ev for ev in events if ev.kind == ANNOUNCEMENT and not ev.ambiguous_origin]
+    assert list(groups) == sorted({(ev.origin_asn, ev.collector) for ev in usable})
+    for (asn, collector), bucket in groups.items():
+        assert bucket == [ev for ev in usable if (ev.origin_asn, ev.collector) == (asn, collector)]
+        assert build_series(bucket, asn, collector) == build_series(events, asn, collector)
+        assert build_volume_series(bucket, asn, collector) == build_volume_series(
+            events, asn, collector
+        )
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=50), max_size=40),
+    st.integers(min_value=-5, max_value=55),
+    st.integers(min_value=-5, max_value=55),
+)
+def test_restrict_matches_linear_filter(stamps, start, end):
+    series = EventSeries(1, "c", tuple(sorted(stamps)))
+    expected = tuple(t for t in sorted(stamps) if start <= t < end)
+    assert series.restrict(start, end) == EventSeries(1, "c", expected)
