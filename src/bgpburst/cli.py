@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -210,12 +209,7 @@ def cmd_ingest(args) -> int:
     for path in paths:
         manifest.add_input(path)
 
-    workers = max(1, args.threads)
-    if workers > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parsed = list(pool.map(lambda p: _parse_one_input(p, args.collector), paths))
-    else:
-        parsed = [_parse_one_input(p, args.collector) for p in paths]
+    parsed = [_parse_one_input(p, args.collector) for p in paths]
 
     events = []
     totals = {"events_emitted": 0, "events_dropped": 0, "records_skipped": 0}
@@ -323,7 +317,7 @@ def cmd_detect(args) -> int:
 def _load_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise CliError(f"{path}: not a JSON document: {exc}") from exc
 
 
@@ -552,7 +546,7 @@ def _spec_from_doc(doc: dict, default_seed: int | None) -> tuple[GeneratorSpec, 
         )
     except KeyError as exc:
         raise CliError(f"generator spec missing field {exc.args[0]!r}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError(f"bad generator spec: {exc}") from exc
     incident = None
     if incident_doc is not None:
@@ -565,7 +559,7 @@ def _spec_from_doc(doc: dict, default_seed: int | None) -> tuple[GeneratorSpec, 
             )
         except KeyError as exc:
             raise CliError(f"incident spec missing field {exc.args[0]!r}") from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise CliError(f"bad incident spec: {exc}") from exc
     return spec, incident
 
@@ -578,7 +572,9 @@ def cmd_simulate(args) -> int:
         if not spec_path.is_file():
             raise CliError(f"unreadable input: {spec_path}")
         manifest.add_input(spec_path)
-        doc = json.loads(spec_path.read_text(encoding="utf-8"))
+        doc = _load_json(spec_path)
+        if not isinstance(doc, dict):
+            raise CliError(f"{spec_path}: spec must be a JSON object")
         spec, incident = _spec_from_doc(doc, args.seed)
         events = generate_stream(spec)
         if incident is not None:
@@ -608,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help=f"detector config file (or ${CONFIG_ENV_VAR})")
     common.add_argument("--out", default="bgpburst-out", help="output directory")
     common.add_argument("--seed", type=int, default=None, help="default RNG seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for file parsing")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", parents=[common], help="normalize MRT or canonical inputs")

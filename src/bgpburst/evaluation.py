@@ -60,7 +60,7 @@ def load_incidents(path: str | Path) -> list[IncidentWindow]:
     """Incident config: JSON array of {name, asn, start_utc, end_utc, kind}."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise ConfigurationError(f"incident config {path} is not a JSON document: {exc}") from exc
     if not isinstance(raw, list):
         raise ConfigurationError("incident config must be a JSON array")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
@@ -25,7 +26,16 @@ class EventFormatError(ValueError):
     """A canonical event line is missing fields or cannot be parsed."""
 
 
+# Dotted-quad IPv4 prefixes in the form every writer emits: octets 0-255
+# without leading zeros, length 0-32.  Each match is also accepted by
+# ipaddress; anything else is left to ipaddress, which owns the error text.
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4_PREFIX = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}/(?:3[0-2]|[12]?[0-9])")
+
+
 def _check_prefix(prefix: str) -> None:
+    if _IPV4_PREFIX.fullmatch(prefix):
+        return
     try:
         ipaddress.ip_network(prefix, strict=False)
     except ValueError as exc:
@@ -53,16 +63,15 @@ class AnnouncementEvent:
             raise ValueError("announcement without origin_asn")
 
     def to_line(self) -> str:
-        rec: dict = {"ts": self.timestamp, "collector": self.collector}
-        if self.peer_asn is not None:
-            rec["peer_asn"] = self.peer_asn
-        rec["prefix"] = self.prefix
-        if self.origin_asn is not None:
-            rec["origin_asn"] = self.origin_asn
-        rec["type"] = _KIND_CODE[self.kind]
-        if self.ambiguous_origin:
-            rec["ambiguous_origin"] = True
-        return json.dumps(rec, separators=(",", ":"))
+        """Compact JSON with keys in canonical order; optional keys omitted."""
+        peer = "" if self.peer_asn is None else f',"peer_asn":{self.peer_asn}'
+        origin = "" if self.origin_asn is None else f',"origin_asn":{self.origin_asn}'
+        ambiguous = ',"ambiguous_origin":true' if self.ambiguous_origin else ""
+        return (
+            f'{{"ts":{self.timestamp},"collector":{json.dumps(self.collector)}{peer},'
+            f'"prefix":{json.dumps(self.prefix)}{origin},'
+            f'"type":"{_KIND_CODE[self.kind]}"{ambiguous}}}'
+        )
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,20 @@ class VolumeSeries:
         return tuple(c for _, c in self.points)
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _load_record(line: str):
+    """json.loads for one stripped line, without its per-call overhead."""
+    try:
+        rec, end = _raw_decode(line)
+        if end == len(line):
+            return rec
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)  # fails as well, with json's own message
+
+
 def parse_event_lines(source: Iterable[str] | IO[str]) -> Iterator[AnnouncementEvent]:
     """Parse canonical line-delimited events; blank lines are ignored.
 
@@ -131,8 +154,8 @@ def parse_event_lines(source: Iterable[str] | IO[str]) -> Iterator[AnnouncementE
         if not line:
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+            rec = _load_record(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise EventFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(rec, dict):
             raise EventFormatError(f"line {lineno}: expected an object")
@@ -143,19 +166,28 @@ def parse_event_lines(source: Iterable[str] | IO[str]) -> Iterator[AnnouncementE
             code = rec["type"]
         except KeyError as exc:
             raise EventFormatError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
-        if not isinstance(ts, int) or ts < 0:
+        # type() rather than isinstance(): JSON true/false decode to bool,
+        # which is an int subclass.
+        if type(ts) is not int or ts < 0:
             raise EventFormatError(f"line {lineno}: ts must be a nonnegative integer")
-        if code not in _CODE_KIND:
+        if type(collector) is not str:
+            raise EventFormatError(f"line {lineno}: collector must be a string")
+        if type(prefix) is not str:
+            raise EventFormatError(f"line {lineno}: prefix must be a string")
+        kind = _CODE_KIND.get(code) if type(code) is str else None
+        if kind is None:
             raise EventFormatError(f"line {lineno}: type must be 'A' or 'W', got {code!r}")
-        kind = _CODE_KIND[code]
         origin = rec.get("origin_asn")
         if kind == ANNOUNCEMENT and origin is None:
             raise EventFormatError(f"line {lineno}: missing field 'origin_asn'")
-        if origin is not None and (not isinstance(origin, int) or origin < 0):
+        if origin is not None and (type(origin) is not int or origin < 0):
             raise EventFormatError(f"line {lineno}: origin_asn must be a nonnegative integer")
         peer = rec.get("peer_asn")
-        if peer is not None and (not isinstance(peer, int) or peer < 0):
+        if peer is not None and (type(peer) is not int or peer < 0):
             raise EventFormatError(f"line {lineno}: peer_asn must be a nonnegative integer")
+        ambiguous = rec.get("ambiguous_origin", False)
+        if type(ambiguous) is not bool:
+            raise EventFormatError(f"line {lineno}: ambiguous_origin must be true or false")
         try:
             _check_prefix(prefix)
         except EventFormatError as exc:
@@ -167,7 +199,7 @@ def parse_event_lines(source: Iterable[str] | IO[str]) -> Iterator[AnnouncementE
             kind=kind,
             origin_asn=origin,
             peer_asn=peer,
-            ambiguous_origin=bool(rec.get("ambiguous_origin", False)),
+            ambiguous_origin=ambiguous,
         )
 
 

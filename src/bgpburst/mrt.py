@@ -11,7 +11,9 @@ from __future__ import annotations
 import bz2
 import gzip
 import ipaddress
+import socket
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 from .events import ANNOUNCEMENT, WITHDRAWAL, AnnouncementEvent
@@ -87,18 +89,40 @@ class MrtParseResult:
 
 
 def decompress(raw: bytes) -> bytes:
-    """Transparently undo gzip/bzip2 framing; plain input passes through."""
-    if raw[:2] == b"\x1f\x8b":
-        return gzip.decompress(raw)
-    if raw[:3] == b"BZh":
-        return bz2.decompress(raw)
+    """Transparently undo gzip/bzip2 framing; plain input passes through.
+
+    A corrupt or truncated compressed stream raises MrtParseError.
+    """
+    try:
+        if raw[:2] == b"\x1f\x8b":
+            return gzip.decompress(raw)
+        if raw[:3] == b"BZh":
+            return bz2.decompress(raw)
+    except (OSError, EOFError, ValueError, zlib.error) as exc:
+        raise MrtParseError(f"cannot decompress input: {exc}", 0) from exc
     return raw
 
 
+_V4_MASKS = [(0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF for plen in range(33)]
+_V6_MASKS = [((1 << 128) - 1) ^ ((1 << (128 - plen)) - 1) for plen in range(129)]
+_V6_ZERO_HEAD = bytes(10)
+
+
 def _prefix_str(packed: bytes, plen: int, afi: int) -> str:
-    width = 4 if afi == AFI_IPV4 else 16
-    net = ipaddress.ip_network((packed.ljust(width, b"\x00"), plen), strict=False)
-    return str(net)
+    """Text form of a prefix, host bits cleared, as ipaddress prints it.
+
+    Equal to str(ipaddress.ip_network((packed padded, plen), strict=False)).
+    """
+    if afi == AFI_IPV4:
+        n = int.from_bytes(packed.ljust(4, b"\x00"), "big") & _V4_MASKS[plen]
+        return "%d.%d.%d.%d/%d" % (n >> 24, n >> 16 & 255, n >> 8 & 255, n & 255, plen)
+    n = int.from_bytes(packed.ljust(16, b"\x00"), "big") & _V6_MASKS[plen]
+    addr = n.to_bytes(16, "big")
+    if addr[:10] == _V6_ZERO_HEAD:
+        # inet_ntop prints ::ffff:a.b.c.d and ::a.b.c.d where ipaddress
+        # prints hex groups; these rare addresses keep the slow path.
+        return str(ipaddress.ip_network((addr, plen)))
+    return f"{socket.inet_ntop(socket.AF_INET6, addr)}/{plen}"
 
 
 def _read_nlri(buf: bytes, afi: int) -> list[str]:

@@ -42,6 +42,8 @@ class GeneratorSpec:
             raise ValueError("n_events must be >= 1")
         if self.process == PROCESS_PARETO and self.pareto_alpha <= 1:
             raise ValueError("pareto_alpha must exceed 1 for a finite mean")
+        if not isinstance(self.collector, str):
+            raise ValueError("collector must be a string")
 
 
 @dataclass(frozen=True)

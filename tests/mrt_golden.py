@@ -21,8 +21,13 @@ AS_SEQUENCE = 2
 
 
 def encode_nlri(prefixes):
+    """Prefix texts, or raw (length, bytes) pairs that may carry host bits."""
     out = b""
     for text in prefixes:
+        if isinstance(text, tuple):
+            plen, packed = text
+            out += bytes([plen]) + packed
+            continue
         net = ipaddress.ip_network(text)
         plen = net.prefixlen
         nbytes = (plen + 7) // 8
@@ -51,6 +56,11 @@ def encode_mp_reach(afi, prefixes, next_hop):
     nh = ipaddress.ip_address(next_hop).packed
     body = struct.pack(">HBB", afi, 1, len(nh)) + nh + b"\x00" + encode_nlri(prefixes)
     return encode_attr(14, body, flags=0x80)
+
+
+def encode_mp_unreach(afi, prefixes):
+    body = struct.pack(">HB", afi, 1) + encode_nlri(prefixes)
+    return encode_attr(15, body, flags=0x80)
 
 
 def encode_bgp_update(withdrawn=(), attrs=(), nlri=()):
@@ -83,6 +93,7 @@ def update_record(
     as4=False,
     microseconds=None,
     mp_reach=None,
+    mp_unreach=None,
     raw_as_path=None,
 ):
     """One complete BGP4MP (or _ET) record carrying a single UPDATE."""
@@ -95,6 +106,8 @@ def update_record(
     if mp_reach is not None:
         afi, prefixes, next_hop = mp_reach
         attrs.append(encode_mp_reach(afi, prefixes, next_hop))
+    if mp_unreach is not None:
+        attrs.append(encode_mp_unreach(*mp_unreach))
     msg = encode_bgp_update(withdrawn=withdraw, attrs=attrs, nlri=announce)
     body = encode_bgp4mp(peer_asn, 65000, msg, as4=as4)
     subtype = MESSAGE_AS4 if as4 else MESSAGE
@@ -165,3 +178,37 @@ def golden_file():
     ]
     nlri_entries = 3 + 1 + 1 + 1 + 1
     return b"".join(records), nlri_entries
+
+
+def prefix_forms_file():
+    """Updates whose prefixes cover every text form the parser prints.
+
+    IPv4 and IPv6 (MP_REACH / MP_UNREACH), default routes, host routes,
+    IPv4-mapped and IPv4-compatible IPv6, zero runs in several places, and
+    raw NLRI with host bits set past the prefix length.
+    """
+    v4 = [
+        "10.0.0.0/8", "192.0.2.0/24", "0.0.0.0/0", "255.255.255.255/32",
+        (9, b"\x0a\xff"), (20, b"\xc0\xa8\xff"), (31, bytes([1, 2, 3, 5])),
+        (1, b"\xff"), (7, b"\x0b"),
+    ]
+    v6 = [
+        "2001:db8::/32", "2001:db8:0:1::/64", "::/0", "fe80::/10",
+        "::ffff:0:0/96", "::ffff:192.0.2.0/120", "::192.0.2.0/120", "::1/128",
+        "::ffff:1/128", "1:0:0:2::3/128", "1:0:0:2:0:0:3:4/128", "2001:db8::1:0:0:1/128",
+        "::1:0:0:0:0/64", "0:0:0:0:0:1::/96",
+        (33, b"\x20\x01\x0d\xb8\xff"), (127, bytes(range(1, 17))),
+        (100, bytes(10) + b"\xff\xff\x1f"), (101, bytes(12) + b"\xc7"),
+    ]
+    records = [
+        update_record(
+            1396463200, 2914, [(AS_SEQUENCE, [2914, 64496])],
+            announce=v4, withdraw=["198.51.100.0/24", (23, b"\xc6\x33\x65")], as4=True,
+        ),
+        update_record(
+            1396463201, 2914, [(AS_SEQUENCE, [2914, 64497])],
+            as4=True, mp_reach=(2, v6, "2001:db8::1"),
+        ),
+        update_record(1396463202, 3356, [], as4=True, mp_unreach=(2, v6[::-1])),
+    ]
+    return b"".join(records)

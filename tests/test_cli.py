@@ -93,6 +93,35 @@ class TestSimulate:
         )
         assert main(["simulate", str(spec), "--out", str(tmp_path / "o")]) == 2
 
+    def simulate_bad_spec(self, tmp_path, data):
+        bad = tmp_path / "spec.json"
+        bad.write_bytes(data)
+        return main(["simulate", str(bad), "--out", str(tmp_path / "o")])
+
+    def test_array_spec_is_input_error(self, tmp_path, capsys):
+        assert_input_error(self.simulate_bad_spec(tmp_path, b"[]"), capsys)
+
+    def test_malformed_spec_json_is_input_error(self, tmp_path, capsys):
+        assert_input_error(self.simulate_bad_spec(tmp_path, b'{"generator": '), capsys)
+
+    def test_non_utf8_spec_is_input_error(self, tmp_path, capsys):
+        assert_input_error(self.simulate_bad_spec(tmp_path, b'{"generator": "\xff"}'), capsys)
+
+    def test_deeply_nested_spec_is_input_error(self, tmp_path, capsys):
+        assert_input_error(self.simulate_bad_spec(tmp_path, b"[" * 100_000), capsys)
+
+    def test_non_object_generator_is_input_error(self, tmp_path, capsys):
+        data = json.dumps({"generator": [1, 2], "incident": None}).encode()
+        assert_input_error(self.simulate_bad_spec(tmp_path, data), capsys)
+
+    def test_non_string_collector_is_input_error(self, tmp_path, capsys):
+        spec = write_sim_spec(tmp_path / "spec.json")
+        doc = json.loads(spec.read_text())
+        doc["generator"]["collector"] = 7
+        spec.write_text(json.dumps(doc))
+        code = main(["simulate", str(spec), "--out", str(tmp_path / "o")])
+        assert_input_error(code, capsys)
+
 
 class TestIngest:
     def test_canonical_passthrough_and_filter(self, sim_events, tmp_path):
@@ -129,19 +158,6 @@ class TestIngest:
         assert per_input["events_emitted"] + per_input["events_dropped"] == nlri_entries
         assert summary["events_written"] == per_input["events_emitted"]
 
-    def test_parallel_parsing_keeps_input_order(self, tmp_path):
-        specs = [
-            write_sim_spec(tmp_path / f"s{i}.json", asn=64500 + i, n=200, seed=i)
-            for i in range(4)
-        ]
-        sim = tmp_path / "sim"
-        assert main(["simulate", *[str(s) for s in specs], "--out", str(sim)]) == 0
-        jsonls = sorted(str(p) for p in sim.glob("*.jsonl"))
-        serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-        assert main(["ingest", *jsonls, "--out", str(serial)]) == 0
-        assert main(["ingest", *jsonls, "--threads", "4", "--out", str(threaded)]) == 0
-        assert (serial / "events.jsonl").read_text() == (threaded / "events.jsonl").read_text()
-
     def test_unreadable_input_fails(self, tmp_path):
         assert main(["ingest", str(tmp_path / "nope.mrt"), "--out", str(tmp_path / "o")]) == 2
 
@@ -149,6 +165,13 @@ class TestIngest:
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(NON_UTF8_EVENTS)
         assert_input_error(main(["ingest", str(bad), "--out", str(tmp_path / "o")]), capsys)
+
+    def test_mistyped_canonical_fields_are_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"ts":true,"collector":"a","prefix":5,"origin_asn":true,"type":"A"}\n')
+        out = tmp_path / "o"
+        assert_input_error(main(["ingest", str(bad), "--out", str(out)]), capsys)
+        assert not (out / "events.jsonl").exists()
 
 
 class TestDetect:
@@ -203,6 +226,15 @@ class TestDetect:
         bad = tmp_path / "events.jsonl"
         bad.write_bytes(NON_UTF8_EVENTS)
         assert_input_error(main(["detect", str(bad), "--out", str(tmp_path / "o")]), capsys)
+
+    def test_null_collector_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "events.jsonl"
+        bad.write_text(
+            '{"ts":1,"collector":null,"prefix":"10.0.0.0/8","origin_asn":1,"type":"A"}\n'
+            '{"ts":2,"collector":"a","prefix":"10.0.0.0/8","origin_asn":1,"type":"A"}\n'
+        )
+        code = main(["detect", str(bad), "--out", str(tmp_path / "o")])
+        assert_input_error(code, capsys)
 
     def test_nan_decay_rejected(self, sim_events, tmp_path, capsys):
         code = main(["detect", str(sim_events), "--r", "nan", "--out", str(tmp_path / "o")])
@@ -271,10 +303,11 @@ class TestEvaluate:
         assert main(["detect", str(sim_events), "--out", str(detect_out)]) == 0
         capsys.readouterr()
         bad = tmp_path / "incidents.json"
-        bad.write_text('[{"name": "x",')
         reports = sorted(str(p) for p in detect_out.glob("report_*.json"))
-        code = main(["evaluate", *reports, "--incidents", str(bad), "--out", str(tmp_path / "e")])
-        assert_input_error(code, capsys)
+        for text in ('[{"name": "x",', "[" * 100_000):
+            bad.write_text(text)
+            code = main(["evaluate", *reports, "--incidents", str(bad), "--out", str(tmp_path / "e")])
+            assert_input_error(code, capsys)
 
     def test_malformed_report_is_input_error(self, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -455,6 +488,21 @@ def write_golden_corpus(path, seed, days):
     return path
 
 
+# Canonical lines a reader must take verbatim: other key orders and spacing,
+# escapes, IPv6, netmask and bare-address prefixes, host bits, explicit
+# false, unknown keys and a withdrawal that carries an origin.
+CANONICAL_FORMS = r"""{"ts":1,"collector":"rrc00","prefix":"10.0.0.0/8","origin_asn":1,"type":"A"}
+  {"type": "A", "origin_asn": 2, "prefix": "192.0.2.1/24", "collector": "rrc00", "ts": 2, "peer_asn": 3}
+{"ts":3,"collector":"r\"c\\\u00e9\t","prefix":"2001:db8::/32","origin_asn":4294967295,"type":"A","ambiguous_origin":true}
+{"ts":4,"collector":"\u2603","prefix":"::ffff:1.2.3.0/120","type":"W","peer_asn":0}
+{"ts":5,"collector":"c","prefix":"10.0.0.0/255.0.0.0","origin_asn":5,"type":"A","ambiguous_origin":false}
+{"ts":6,"collector":"c","prefix":"10.0.0.0/08","origin_asn":6,"type":"W"}
+
+{"ts":7,"collector":"c","prefix":"10.1.2.3","origin_asn":7,"type":"A","extra":[1,2]}
+{"ts":8,"collector":"c","prefix":"2001:DB8:0:0::/64","origin_asn":8,"type":"A"}
+"""
+
+
 def data_digests(out_dir):
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -473,6 +521,8 @@ class TestGoldenDigests:
     DETECT = "eae3fc763cea92ed09717e28eabb0b73fd672fd7ca99bff6fe99b15c8846ce8f"
     ANALYZE = "ec5413c7e4e7301031e6bd0413bfaf7898ff30ed758510c778bbe390cb23b13f"
     ANALYZE_SEPARATE_NULLS = "d3a45e7e693c9509d29ecb85bbbdecdd75f8af3b7374ff391f1896ba1b7d8f08"
+    INGEST_MRT = "6e3568d47a444c35677cb24cba78503ec2049440b7ee80019e9a725bbcaa4ad9"
+    INGEST_CANONICAL = "c7bbf1becc217e19051c6f625cba25c03dca45fc3e65d955cca09da9a4ff46db"
 
     @pytest.fixture()
     def corpus(self, tmp_path):
@@ -495,6 +545,23 @@ class TestGoldenDigests:
         ])
         assert code == 0
         return data_digests(out)
+
+    def ingest_digest(self, tmp_path, *argv):
+        out = tmp_path / "ingest"
+        assert main(["ingest", *map(str, argv), "--out", str(out)]) == 0
+        return hashlib.sha256((out / "events.jsonl").read_bytes()).hexdigest()
+
+    def test_ingest_mrt_events_pinned(self, tmp_path):
+        mrt = tmp_path / "updates.mrt"
+        mrt.write_bytes(golden.golden_file()[0] + golden.prefix_forms_file())
+        digest = self.ingest_digest(tmp_path, mrt, "--collector", "route-views.test")
+        assert digest == self.INGEST_MRT
+
+    def test_ingest_canonical_events_pinned(self, corpus, tmp_path):
+        events, _, _ = corpus
+        forms = tmp_path / "forms.jsonl"
+        forms.write_text(CANONICAL_FORMS, encoding="utf-8")
+        assert self.ingest_digest(tmp_path, forms, events) == self.INGEST_CANONICAL
 
     def test_detect_outputs_pinned(self, corpus, tmp_path):
         events, _, _ = corpus

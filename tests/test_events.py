@@ -1,16 +1,20 @@
 import io
+import ipaddress
+import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bgpburst.events import (
+    _KIND_CODE,
     ANNOUNCEMENT,
     WITHDRAWAL,
     AnnouncementEvent,
     EventFormatError,
     EventSeries,
     VolumeSeries,
+    _check_prefix,
     build_series,
     build_volume_series,
     parse_event_lines,
@@ -71,6 +75,152 @@ class TestCanonicalFormat:
     def test_bad_type_code(self):
         with pytest.raises(EventFormatError, match="'A' or 'W'"):
             _parse('{"ts":1,"collector":"c","prefix":"10.0.0.0/8","origin_asn":1,"type":"X"}')
+
+    @pytest.mark.parametrize(
+        "line", ["not json", '{"ts":1} {}', '{"ts":1}x', "\ufeff{}", "{", '{"a":1,}', "[1]]", '"x"y']
+    )
+    def test_bad_json_keeps_json_error_text(self, line):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(line)
+        with pytest.raises(EventFormatError) as err:
+            _parse(line)
+        assert str(err.value) == f"line 1: invalid JSON: {expected.value}"
+
+    def test_deeply_nested_line(self):
+        with pytest.raises(EventFormatError, match="line 2: invalid JSON: maximum recursion"):
+            _parse("\n" + "[" * 100_000)
+
+    def test_unhashable_type_code(self):
+        with pytest.raises(EventFormatError, match="line 1.*'A' or 'W'"):
+            _parse('{"ts":1,"collector":"c","prefix":"10.0.0.0/8","origin_asn":1,"type":["A"]}')
+
+
+GOOD = {"ts": 1, "collector": "c", "prefix": "10.0.0.0/8", "origin_asn": 1, "peer_asn": 2, "type": "A"}
+
+
+def _parse_second_line(**changes):
+    """Parse a good line followed by GOOD with `changes` applied."""
+    return _parse(json.dumps(GOOD) + "\n" + json.dumps({**GOOD, **changes}))
+
+
+class TestTypeContract:
+    """Each field has one JSON type; bool is not an integer here."""
+
+    @pytest.mark.parametrize("field", ["ts", "origin_asn", "peer_asn"])
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1"])
+    def test_non_integer_fields_rejected(self, field, value):
+        with pytest.raises(EventFormatError, match=f"line 2: {field} must be a nonnegative integer"):
+            _parse_second_line(**{field: value})
+
+    @pytest.mark.parametrize("value", [5, None, ["10.0.0.0/8"], {"p": 1}, True])
+    def test_non_string_prefix_rejected(self, value):
+        with pytest.raises(EventFormatError, match="line 2: prefix must be a string"):
+            _parse_second_line(prefix=value)
+
+    @pytest.mark.parametrize("value", [5, None, ["c"], {"c": 1}, False])
+    def test_non_string_collector_rejected(self, value):
+        with pytest.raises(EventFormatError, match="line 2: collector must be a string"):
+            _parse_second_line(collector=value)
+
+    @pytest.mark.parametrize("value", [1, 0, None, "true", [], 1.0])
+    def test_non_boolean_ambiguous_origin_rejected(self, value):
+        with pytest.raises(EventFormatError, match="line 2: ambiguous_origin must be true or false"):
+            _parse_second_line(ambiguous_origin=value)
+
+
+def _ipaddress_verdict(text):
+    try:
+        ipaddress.ip_network(text, strict=False)
+    except ValueError as exc:
+        return f"bad prefix {text!r}: {exc}"
+    return None
+
+
+def _check_verdict(text):
+    try:
+        _check_prefix(text)
+    except EventFormatError as exc:
+        return str(exc)
+    return None
+
+
+_octets = st.lists(st.integers(0, 255), min_size=4, max_size=4)
+_MUTATIONS = [
+    lambda o, n: f"{'.'.join(map(str, o))}/{n}",
+    lambda o, n: f"{'.'.join(map(str, o))}/0{n}",
+    lambda o, n: f"0{'.'.join(map(str, o))}/{n}",
+    lambda o, n: f"{o[0]}.0{o[1]}.{o[2]}.{o[3]}/{n}",
+    lambda o, n: f"{'.'.join(map(str, o))}/{n + 33}",
+    lambda o, n: f"{'.'.join(map(str, o))}/{n}\n",
+    lambda o, n: f" {'.'.join(map(str, o))}/{n} ",
+    lambda o, n: f"{'.'.join(map(str, o))}/{n}".replace("1", "\u0661"),
+    lambda o, n: f"{'.'.join(map(str, o))}/{n}".replace("2", "\uff12"),
+    lambda o, n: f"{'.'.join(map(str, o))}/{ipaddress.IPv4Network((0, n)).netmask}",
+    lambda o, n: f"{'.'.join(map(str, o))}/{ipaddress.IPv4Network((0, n)).hostmask}",
+    lambda o, n: ".".join(map(str, o)),
+    lambda o, n: f"{'.'.join(map(str, o[:3]))}/{n}",
+    lambda o, n: f"{'.'.join(map(str, o))}.{o[0]}/{n}",
+    lambda o, n: f"{o[0] + 256}.{o[1]}.{o[2]}.{o[3]}/{n}",
+    lambda o, n: f"{'.'.join(map(str, o))}/{n}/{n}",
+    lambda o, n: f"::ffff:{'.'.join(map(str, o))}/{n + 96}",
+    lambda o, n: f"{o[0]:x}:{o[1]:x}::{o[2]:X}/{n * 4}",
+]
+_mutated = st.builds(lambda o, n, f: f(o, n), _octets, st.integers(0, 32), st.sampled_from(_MUTATIONS))
+prefix_texts = st.one_of(
+    _mutated,
+    st.builds(
+        lambda text, i, c: text[: i % len(text)] + c + text[i % len(text) + 1 :],
+        _mutated,
+        st.integers(0, 40),
+        st.sampled_from(["\u0661", "\uff12", "\u0663", "0", "9", "/", ".", "\n", " "]),
+    ),
+    st.text(alphabet="0123456789./:abcdefABCDEF \n\t\u0661\uff12x%-", max_size=24),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=1000)
+@given(prefix_texts)
+def test_check_prefix_accepts_what_ipaddress_accepts(text):
+    assert _check_verdict(text) == _ipaddress_verdict(text)
+
+
+def _old_to_line(ev):
+    """The dict-and-json.dumps writer the canonical format was defined by."""
+    rec = {"ts": ev.timestamp, "collector": ev.collector}
+    if ev.peer_asn is not None:
+        rec["peer_asn"] = ev.peer_asn
+    rec["prefix"] = ev.prefix
+    if ev.origin_asn is not None:
+        rec["origin_asn"] = ev.origin_asn
+    rec["type"] = _KIND_CODE[ev.kind]
+    if ev.ambiguous_origin:
+        rec["ambiguous_origin"] = True
+    return json.dumps(rec, separators=(",", ":"))
+
+
+line_events = st.builds(
+    lambda ts, collector, prefix, withdrawal, origin, peer, ambiguous: AnnouncementEvent(
+        ts, collector, prefix, WITHDRAWAL if withdrawal else ANNOUNCEMENT,
+        origin_asn=origin if origin is not None or withdrawal else 0,
+        peer_asn=peer, ambiguous_origin=ambiguous,
+    ),
+    ts=st.integers(min_value=0, max_value=2**40),
+    collector=st.one_of(
+        st.sampled_from(["rrc00", "route-views.linx", "", 'q"uote', "back\\slash", "tab\tnl\n", "\u00e9\u2603\U0001f600", "\x00\x1f\x7f"]),
+        st.text(max_size=8),
+    ),
+    prefix=st.one_of(st.sampled_from(["10.0.0.0/8", "2001:db8::/32", "::ffff:1.2.3.0/120"]), st.text(max_size=8)),
+    withdrawal=st.booleans(),
+    origin=st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)),
+    peer=st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)),
+    ambiguous=st.booleans(),
+)
+
+
+@given(line_events)
+def test_to_line_matches_dict_encoding(ev):
+    assert ev.to_line() == _old_to_line(ev)
 
 
 events_strategy = st.lists(

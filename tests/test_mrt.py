@@ -1,13 +1,15 @@
 import bz2
 import gzip
 import io
+import ipaddress
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mrt_golden as golden
 from bgpburst.events import ANNOUNCEMENT, WITHDRAWAL, AnnouncementEvent, parse_event_lines, write_event_lines
-from bgpburst.mrt import MrtParseError, parse_mrt_updates
+from bgpburst.mrt import AFI_IPV4, AFI_IPV6, MrtParseError, _prefix_str, parse_mrt_updates
 
 COLLECTOR = "route-views.test"
 
@@ -136,3 +138,86 @@ class TestCompression:
     def test_bzip2_input(self):
         data, _ = golden.golden_file()
         assert parse_mrt_updates(bz2.compress(data), COLLECTOR).events == GOLDEN_EXPECTED
+
+
+_ADDRESS_STYLES = {
+    AFI_IPV4: [
+        st.binary(min_size=4, max_size=4),
+        st.lists(st.sampled_from([0, 0, 1, 255]), min_size=4, max_size=4).map(bytes),
+    ],
+    AFI_IPV6: [
+        st.binary(min_size=16, max_size=16),
+        st.lists(st.sampled_from([0, 0, 0, 1, 255]), min_size=16, max_size=16).map(bytes),
+        st.binary(min_size=4, max_size=4).map(lambda b: bytes(10) + b"\xff\xff" + b),
+        st.binary(min_size=4, max_size=4).map(lambda b: bytes(12) + b),
+        st.binary(min_size=6, max_size=6).map(lambda b: bytes(10) + b),
+        st.binary(min_size=2, max_size=2).map(lambda b: bytes(8) + b + bytes(6)),
+    ],
+}
+
+
+@st.composite
+def nlri_entries(draw):
+    afi = draw(st.sampled_from([AFI_IPV4, AFI_IPV6]))
+    width = 4 if afi == AFI_IPV4 else 16
+    plen = draw(st.integers(min_value=0, max_value=8 * width))
+    address = draw(st.one_of(_ADDRESS_STYLES[afi]))
+    return address[: (plen + 7) // 8], plen, afi, width
+
+
+@settings(max_examples=2000)
+@given(nlri_entries())
+def test_prefix_str_matches_ipaddress(entry):
+    packed, plen, afi, width = entry
+    expected = str(ipaddress.ip_network((packed.ljust(width, b"\0"), plen), strict=False))
+    assert _prefix_str(packed, plen, afi) == expected
+
+
+def test_prefix_str_covers_every_length():
+    for afi, width in ((AFI_IPV4, 4), (AFI_IPV6, 16)):
+        for plen in range(8 * width + 1):
+            packed = b"\xff" * ((plen + 7) // 8)
+            net = ipaddress.ip_network((packed.ljust(width, b"\0"), plen), strict=False)
+            assert _prefix_str(packed, plen, afi) == str(net)
+
+
+def _check_parse(data):
+    try:
+        result = parse_mrt_updates(data, COLLECTOR)
+    except MrtParseError:
+        return
+    stats = result.stats
+    assert stats.events_emitted + stats.events_dropped == stats.nlri_seen
+    assert len(result.events) == stats.events_emitted
+
+
+_GOLDEN = golden.golden_file()[0] + golden.prefix_forms_file()
+
+
+class TestFuzz:
+    """Damaged archives raise only MrtParseError and never break conservation."""
+
+    @given(st.lists(st.tuples(st.integers(0, len(_GOLDEN) - 1), st.integers(0, 255)), max_size=8))
+    def test_byte_mutations(self, edits):
+        data = bytearray(_GOLDEN)
+        for pos, value in edits:
+            data[pos] = value
+        _check_parse(bytes(data))
+
+    @given(st.integers(0, len(_GOLDEN)), st.integers(0, len(_GOLDEN)))
+    def test_truncations_and_cuts(self, start, end):
+        _check_parse(_GOLDEN[:end])
+        _check_parse(_GOLDEN[start:])
+        _check_parse(_GOLDEN[:start] + _GOLDEN[end:])
+
+    @given(st.binary(max_size=64), st.sampled_from([b"", b"\x1f\x8b", b"BZh"]))
+    def test_random_bytes_and_compression_magic(self, tail, magic):
+        _check_parse(magic + tail)
+
+    @given(st.integers(0, 200), st.integers(0, 255))
+    def test_damaged_compressed_input(self, pos, value):
+        for packed in (gzip.compress(_GOLDEN), bz2.compress(_GOLDEN)):
+            data = bytearray(packed)
+            data[pos % len(data)] = value
+            _check_parse(bytes(data))
+            _check_parse(packed[: pos % len(packed)])
