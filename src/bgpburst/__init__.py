@@ -18,8 +18,6 @@ from .burstiness import (
 from .detector import (
     AnomalyReport,
     DetectorConfig,
-    EmaPredictor,
-    IntensityState,
     detect_events,
     detect_volume,
     ema_update,

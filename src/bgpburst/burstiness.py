@@ -67,9 +67,8 @@ def inter_arrivals(series: EventSeries) -> InterArrivalSample:
     return InterArrivalSample(gaps, len(ts))
 
 
-def burstiness_raw(sample: InterArrivalSample | Sequence[float]) -> float:
-    """(sigma - mu) / (sigma + mu) of the intervals, population sigma."""
-    intervals = sample.intervals if isinstance(sample, InterArrivalSample) else sample
+def _interval_stats(intervals: Sequence[float]) -> tuple[float, float, float]:
+    """(mu, population sigma, (sigma - mu) / (sigma + mu)) of the intervals."""
     if len(intervals) == 0:
         raise UndefinedStatisticError("no intervals")
     arr = np.asarray(intervals, dtype=float)
@@ -77,7 +76,13 @@ def burstiness_raw(sample: InterArrivalSample | Sequence[float]) -> float:
     sigma = float(arr.std())  # population (divide by count)
     if sigma + mu == 0.0:
         raise UndefinedStatisticError("all intervals are zero")
-    return (sigma - mu) / (sigma + mu)
+    return mu, sigma, (sigma - mu) / (sigma + mu)
+
+
+def burstiness_raw(sample: InterArrivalSample | Sequence[float]) -> float:
+    """(sigma - mu) / (sigma + mu) of the intervals, population sigma."""
+    intervals = sample.intervals if isinstance(sample, InterArrivalSample) else sample
+    return _interval_stats(intervals)[2]
 
 
 def finite_size_correction(b_raw: float, n_events: int) -> float:
@@ -108,14 +113,7 @@ def burstiness_result(
     sample: InterArrivalSample, min_events: int = DEFAULT_MIN_EVENTS
 ) -> BurstinessResult:
     """Full summary for one sample; b_corrected is None below min_events."""
-    arr = np.asarray(sample.intervals, dtype=float)
-    if arr.size == 0:
-        raise UndefinedStatisticError("no intervals")
-    mu = float(arr.mean())
-    sigma = float(arr.std())
-    if sigma + mu == 0.0:
-        raise UndefinedStatisticError("all intervals are zero")
-    b_raw = (sigma - mu) / (sigma + mu)
+    mu, sigma, b_raw = _interval_stats(sample.intervals)
     b_corr = None
     if sample.n_events >= min_events:
         b_corr = finite_size_correction(b_raw, sample.n_events)
@@ -145,7 +143,7 @@ class JointActivityTable:
     rows: tuple[ActivityRow, ...]
     b_p95: float
     count_p95: float
-    skipped: tuple[tuple[int, int], ...] = ()  # (asn, count) below min_events
+    skipped: tuple[tuple[int, int], ...] = ()  # (asn, count) without a coefficient
 
 
 def _quadrant(b: float, count: int, b_p95: float, count_p95: float) -> int:
@@ -169,8 +167,9 @@ def joint_distribution(
     """Quadrant table of corrected burstiness vs announcement count per AS.
 
     All series must come from a single collector.  ASes with fewer than
-    min_events announcements inside the window are excluded from both the
-    rows and the percentile thresholds, and reported in `skipped`.
+    min_events announcements inside the window, or with all of them in one
+    second (no burstiness is defined), are excluded from both the rows and
+    the percentile thresholds, and reported in `skipped`.
     """
     start, end = window
     if start >= end:
@@ -191,11 +190,16 @@ def joint_distribution(
         seen.add(series.origin_asn)
         windowed = series.restrict(start, end)
         count = len(windowed)
-        if count < min_events:
+        b = None
+        if count >= min_events:
+            try:
+                b = burstiness_corrected(inter_arrivals(windowed), min_events)
+            except UndefinedStatisticError:  # every announcement in one second
+                pass
+        if b is None:
             skipped.append((series.origin_asn, count))
-            continue
-        b = burstiness_corrected(inter_arrivals(windowed), min_events)
-        qualifying.append((series.origin_asn, b, count))
+        else:
+            qualifying.append((series.origin_asn, b, count))
     if len(qualifying) < 2:
         raise DegenerateTableError(
             f"only {len(qualifying)} ASes with >= {min_events} announcements in window"

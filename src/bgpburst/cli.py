@@ -8,6 +8,7 @@ settings can be shown to yield identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,7 +19,6 @@ from pathlib import Path
 
 from . import __version__
 from .burstiness import (
-    DEFAULT_MIN_EVENTS,
     DegenerateTableError,
     InsufficientDataError,
     InsufficientNullDataError,
@@ -31,6 +31,7 @@ from .burstiness import (
     write_significance_json,
 )
 from .detector import (
+    CONFIG_KEYS,
     AnomalyReport,
     DetectorConfig,
     load_config_file,
@@ -132,6 +133,8 @@ def _load_events(path: Path):
         raw = decompress(path.read_bytes())
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except MrtParseError as exc:
+        raise CliError(f"{path}: {exc}") from exc
     text = _decode_utf8(path, raw)
     try:
         return list(parse_event_lines(io.StringIO(text)))
@@ -152,26 +155,15 @@ def _resolve_detector_config(args) -> tuple[DetectorConfig, dict]:
             settings.update(load_config_file(config_path))
         except (OSError, ValueError) as exc:
             raise CliError(f"config file {config_path}: {exc}") from exc
-    for key in ("r", "omega", "delta", "warmup", "variance_floor"):
+    for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    min_events = int(settings.pop("min_events", DEFAULT_MIN_EVENTS))
-    if getattr(args, "min_events", None) is not None:
-        min_events = args.min_events
     try:
         config = DetectorConfig.from_mapping(settings)
     except ValueError as exc:
         raise CliError(f"bad detector settings: {exc}") from exc
-    snapshot = {
-        "r": config.r,
-        "omega": config.omega,
-        "delta": config.delta,
-        "warmup": config.warmup,
-        "variance_floor": config.variance_floor,
-        "min_events": min_events,
-    }
-    return config, snapshot
+    return config, dataclasses.asdict(config)
 
 
 # ---------------------------------------------------------------- ingest
@@ -179,20 +171,23 @@ def _resolve_detector_config(args) -> tuple[DetectorConfig, dict]:
 
 def _parse_one_input(path: Path, collector: str | None):
     raw = path.read_bytes()
-    payload = decompress(raw)
-    head = payload.lstrip()[:1]
-    if head in (b"{", b""):
-        events = list(parse_event_lines(io.StringIO(_decode_utf8(path, payload))))
-        stats = {
-            "format": "canonical",
-            "events_emitted": len(events),
-            "events_dropped": 0,
-            "records_skipped": 0,
-        }
-    else:
-        result = parse_mrt_updates(raw, collector=collector or "unknown")
-        events = result.events
-        stats = {"format": "mrt", **result.stats.as_dict()}
+    try:
+        payload = decompress(raw)
+        head = payload.lstrip()[:1]
+        if head in (b"{", b""):
+            events = list(parse_event_lines(io.StringIO(_decode_utf8(path, payload))))
+            stats = {
+                "format": "canonical",
+                "events_emitted": len(events),
+                "events_dropped": 0,
+                "records_skipped": 0,
+            }
+        else:
+            result = parse_mrt_updates(raw, collector=collector or "unknown")
+            events = result.events
+            stats = {"format": "mrt", **result.stats.as_dict()}
+    except (MrtParseError, EventFormatError) as exc:
+        raise CliError(f"{path}: {exc}") from exc
     return events, stats
 
 
@@ -374,10 +369,11 @@ def cmd_analyze(args) -> int:
     window = (_parse_time(args.window[0]), _parse_time(args.window[1]))
     if window[0] >= window[1]:
         raise CliError("analysis window start must precede end")
+    min_events = _resolve_detector_config(args)[0].min_events
     manifest = Manifest(
         "analyze",
         sys.argv[1:],
-        {"window": list(window), "min_events": args.min_events, "k": args.k, "alpha_sig": args.alpha_sig},
+        {"window": list(window), "min_events": min_events, "k": args.k, "alpha_sig": args.alpha_sig},
         args.seed,
     )
     events_path = Path(args.events)
@@ -406,7 +402,7 @@ def cmd_analyze(args) -> int:
         if coll == collector
     ]
     try:
-        table = joint_distribution(corpus, window, min_events=args.min_events)
+        table = joint_distribution(corpus, window, min_events=min_events)
     except DegenerateTableError as exc:
         raise CliError(f"joint distribution for {collector!r}: {exc}") from exc
     joint_csv = out / f"joint_{_safe_name(collector)}.csv"
@@ -444,13 +440,13 @@ def cmd_analyze(args) -> int:
             nulls = [base.restrict(start, end) for start, end in null_windows]
             observed_series = build_series(groups.get(key, []), asn, collector).restrict(*window)
             try:
-                observed = series_burstiness(observed_series, args.min_events)
+                observed = series_burstiness(observed_series, min_events)
                 result = monte_carlo_null_test(
                     nulls,
                     observed,
                     k=args.k,
                     alpha_sig=args.alpha_sig,
-                    min_events=args.min_events,
+                    min_events=min_events,
                 )
             except (InsufficientDataError, InsufficientNullDataError, UndefinedStatisticError) as exc:
                 raise CliError(f"significance test for AS{asn}: {exc}") from exc
@@ -636,7 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--null-events", dest="null_events", default=None,
                    help="canonical events file for null windows (default: main events)")
     p.add_argument("--incidents", default=None, help="incident config for overlap validation")
-    p.add_argument("--min-events", dest="min_events", type=int, default=DEFAULT_MIN_EVENTS)
+    p.add_argument("--min-events", dest="min_events", type=int, default=None,
+                   help="announcements required for a burstiness value (default 5)")
     p.add_argument("--k", type=int, default=100, help="null sample count")
     p.add_argument("--alpha-sig", dest="alpha_sig", type=float, default=0.05)
     p.set_defaults(func=cmd_analyze)

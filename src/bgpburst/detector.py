@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, NamedTuple
+from typing import IO, NamedTuple, Sequence
 
+from .burstiness import DEFAULT_MIN_EVENTS
 from .events import EventSeries, VolumeSeries
 
 DEFAULT_DECAY = 1.0 / 300.0
 DEFAULT_WINDOW = 200
 DEFAULT_DELTA = 2.0
 DEFAULT_VARIANCE_FLOOR = 1e-9
-
-CONFIG_KEYS = ("r", "omega", "delta", "warmup", "variance_floor", "min_events")
 
 
 class OutOfOrderError(ValueError):
@@ -33,12 +32,14 @@ class OutOfOrderError(ValueError):
 
 @dataclass(frozen=True)
 class DetectorConfig:
+    """Every detector and burstiness setting; the fields are the config keys."""
+
     r: float = DEFAULT_DECAY
     omega: int = DEFAULT_WINDOW
     delta: float = DEFAULT_DELTA
-    min_series_len: int = 2
     warmup: int = 0
     variance_floor: float = DEFAULT_VARIANCE_FLOOR
+    min_events: int = DEFAULT_MIN_EVENTS
 
     def __post_init__(self):
         for name in ("r", "delta", "variance_floor"):
@@ -52,6 +53,8 @@ class DetectorConfig:
             raise ValueError("band width delta must be positive")
         if self.warmup < 0 or self.variance_floor < 0:
             raise ValueError("warmup and variance_floor must be nonnegative")
+        if self.min_events < 2:
+            raise ValueError("min_events must be >= 2")
 
     @property
     def a(self) -> float:
@@ -60,34 +63,61 @@ class DetectorConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "DetectorConfig":
+        """Build from untrusted settings: keys must be fields, values numbers.
+
+        Integer fields take integral floats (200.0 from a key=value file) but
+        nothing with a fractional part.
+        """
+        unknown = set(mapping) - set(CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}
-        for key in ("r", "delta", "variance_floor"):
-            if key in mapping:
-                kwargs[key] = float(mapping[key])
-        for key in ("omega", "warmup"):
-            if key in mapping:
-                kwargs[key] = int(mapping[key])
+        for field in fields(cls):
+            if field.name not in mapping:
+                continue
+            value = mapping[field.name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{field.name} must be a number, got {value!r}")
+            if field.type in (int, "int"):
+                if isinstance(value, float) and not value.is_integer():
+                    raise ValueError(f"{field.name} must be an integer, got {value!r}")
+                kwargs[field.name] = int(value)
+            else:
+                try:
+                    kwargs[field.name] = float(value)
+                except OverflowError as exc:
+                    raise ValueError(f"{field.name} is out of range") from exc
         return cls(**kwargs)
+
+
+CONFIG_KEYS = tuple(field.name for field in fields(DetectorConfig))
 
 
 def _parse_scalar(text: str) -> float:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        return float(num) / float(den)
+        try:
+            return float(num) / float(den)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"division by zero in {text!r}") from exc
     return float(text)
 
 
 def load_config_file(path: str | Path) -> dict:
     """Read detector settings from JSON or flat key=value lines.
 
-    Recognized keys: r, omega, delta, warmup, variance_floor, min_events.
-    Fractions like r=1/300 are accepted in the flat format.
+    The keys are CONFIG_KEYS; the settings are checked with
+    DetectorConfig.from_mapping before they are returned.  Fractions like
+    r=1/300 are accepted in the flat format.
     """
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError("config JSON is nested too deeply") from exc
         if not isinstance(raw, dict):
             raise ValueError("config JSON must be an object")
     else:
@@ -100,9 +130,7 @@ def load_config_file(path: str | Path) -> dict:
                 raise ValueError(f"config line {lineno}: expected key=value")
             key, value = line.split("=", 1)
             raw[key.strip()] = _parse_scalar(value)
-    unknown = set(raw) - set(CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    DetectorConfig.from_mapping(raw)
     return raw
 
 
@@ -123,48 +151,6 @@ def ema_update(mu: float, var: float, y: float, a: float) -> tuple[float, float,
     return mu_new, var_new, math.sqrt(var_new)
 
 
-@dataclass
-class IntensityState:
-    """Mutable per-series state: intensity plus its moving mean and variance."""
-
-    q: float = 0.0
-    last_ts: int = 0
-    ema_mean: float = 0.0
-    ema_var: float = 0.0
-    events_seen: int = 0
-
-    def observe(self, new_ts: int, config: DetectorConfig) -> tuple[float, float, float]:
-        """Fold in one announcement at new_ts; returns (q, mean, std)."""
-        if self.events_seen > 0 and new_ts < self.last_ts:
-            raise OutOfOrderError(
-                f"timestamp {new_ts} precedes state timestamp {self.last_ts}"
-            )
-        gap = new_ts - self.last_ts if self.events_seen > 0 else 0.0
-        self.q = intensity_update(self.q, gap, config.r)
-        self.ema_mean, self.ema_var, sigma = ema_update(
-            self.ema_mean, self.ema_var, self.q, config.a
-        )
-        self.last_ts = new_ts
-        self.events_seen += 1
-        return self.q, self.ema_mean, sigma
-
-
-class EmaPredictor:
-    """Default predictor: moving mean and standard deviation of the inputs.
-
-    Anything with an update(y) -> (mean, std) method can stand in for it.
-    """
-
-    def __init__(self, a: float):
-        self.a = a
-        self.mean = 0.0
-        self.var = 0.0
-
-    def update(self, y: float) -> tuple[float, float]:
-        self.mean, self.var, sigma = ema_update(self.mean, self.var, y, self.a)
-        return self.mean, sigma
-
-
 class TraceRow(NamedTuple):
     ts: int
     value: float
@@ -181,43 +167,34 @@ class AnomalyReport:
     trace: tuple[TraceRow, ...] | None = None
 
 
-def detect_events(
-    series: EventSeries,
-    config: DetectorConfig | None = None,
-    collect_trace: bool = False,
-    predictor=None,
+def _band_report(
+    series: EventSeries | VolumeSeries,
+    timestamps: Sequence[int],
+    values: Sequence[float],
+    config: DetectorConfig,
+    collect_trace: bool,
 ) -> AnomalyReport:
-    """Flag announcements whose intensity exceeds the upper moving band.
+    """Flag the values at or above the upper moving band: the shared core.
 
-    The loop starts at the second event (the first only seeds the gap), and
-    the band is compared against the mean and deviation that already include
-    the current observation.  Series shorter than min_series_len produce an
-    empty report.
+    values[0] only seeds the series and is never observed.  The band is
+    compared against the mean and deviation that already include the current
+    value; flags are suppressed while the index is at most config.warmup.
     """
-    if config is None:
-        config = DetectorConfig()
-    ts = series.timestamps
-    n = len(ts)
-    trace: list[TraceRow] | None = [] if collect_trace else None
+    a = config.a
+    delta = config.delta
+    floor = config.variance_floor
+    warmup = config.warmup
+    mean = var = 0.0
     flagged: set[int] = set()
-    if n >= max(2, config.min_series_len):
-        r = config.r
-        a = config.a
-        delta = config.delta
-        floor = config.variance_floor
-        warmup = config.warmup
-        q = 0.0
-        if predictor is None:
-            predictor = EmaPredictor(a)
-        for t in range(1, n):
-            gap = ts[t] - ts[t - 1]
-            q = 1.0 + 2.0 ** (-r * gap) * q
-            mean, sigma = predictor.update(q)
-            flag = t > warmup and q >= mean + delta * max(sigma, floor)
-            if flag:
-                flagged.add(ts[t])
-            if trace is not None:
-                trace.append(TraceRow(ts[t], q, mean, sigma, flag))
+    trace: list[TraceRow] | None = [] if collect_trace else None
+    for t in range(1, len(values)):
+        y = values[t]
+        mean, var, sigma = ema_update(mean, var, y, a)
+        flag = t > warmup and y >= mean + delta * max(sigma, floor)
+        if flag:
+            flagged.add(timestamps[t])
+        if trace is not None:
+            trace.append(TraceRow(timestamps[t], y, mean, sigma, flag))
     return AnomalyReport(
         origin_asn=series.origin_asn,
         collector=series.collector,
@@ -226,40 +203,38 @@ def detect_events(
     )
 
 
+def detect_events(
+    series: EventSeries,
+    config: DetectorConfig | None = None,
+    collect_trace: bool = False,
+) -> AnomalyReport:
+    """Flag announcements whose intensity exceeds the upper moving band.
+
+    The first event only seeds the gap, so a series needs two events to be
+    observed at all; shorter series produce an empty report.
+    """
+    if config is None:
+        config = DetectorConfig()
+    ts = series.timestamps
+    r = config.r
+    q = 0.0
+    intensities = [q]
+    for t in range(1, len(ts)):
+        q = intensity_update(q, ts[t] - ts[t - 1], r)
+        intensities.append(q)
+    return _band_report(series, ts, intensities, config, collect_trace)
+
+
 def detect_volume(
     volume: VolumeSeries,
     config: DetectorConfig | None = None,
     collect_trace: bool = False,
-    predictor=None,
 ) -> AnomalyReport:
     """Apply the same band criterion directly to per-second prefix counts."""
     if config is None:
         config = DetectorConfig()
-    points = volume.points
-    n = len(points)
-    trace: list[TraceRow] | None = [] if collect_trace else None
-    flagged: set[int] = set()
-    if n >= max(2, config.min_series_len):
-        a = config.a
-        delta = config.delta
-        floor = config.variance_floor
-        warmup = config.warmup
-        if predictor is None:
-            predictor = EmaPredictor(a)
-        for t in range(1, n):
-            ts, y = points[t]
-            mean, sigma = predictor.update(float(y))
-            flag = t > warmup and y >= mean + delta * max(sigma, floor)
-            if flag:
-                flagged.add(ts)
-            if trace is not None:
-                trace.append(TraceRow(ts, float(y), mean, sigma, flag))
-    return AnomalyReport(
-        origin_asn=volume.origin_asn,
-        collector=volume.collector,
-        anomalous_timestamps=tuple(sorted(flagged)),
-        trace=tuple(trace) if trace is not None else None,
-    )
+    counts = [float(count) for count in volume.counts()]
+    return _band_report(volume, volume.timestamps(), counts, config, collect_trace)
 
 
 def write_trace_csv(report: AnomalyReport, out: IO[str]) -> None:

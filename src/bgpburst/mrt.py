@@ -11,6 +11,7 @@ from __future__ import annotations
 import bz2
 import gzip
 import ipaddress
+import re
 import socket
 import struct
 import zlib
@@ -88,6 +89,12 @@ class MrtParseResult:
     stats: MrtStats = field(default_factory=MrtStats)
 
 
+# A bzip2 stream opens with "BZh", a block size digit 1-9 and the magic of
+# its first block, or of its end of stream when it is empty.  "BZh" alone
+# is also the first timestamp bytes of plain MRT from 2005-04-11 12:05 UTC.
+_BZ2_HEAD = re.compile(rb"BZh[1-9](?:1AY&SY|\x17rE8P\x90)")
+
+
 def decompress(raw: bytes) -> bytes:
     """Transparently undo gzip/bzip2 framing; plain input passes through.
 
@@ -96,7 +103,7 @@ def decompress(raw: bytes) -> bytes:
     try:
         if raw[:2] == b"\x1f\x8b":
             return gzip.decompress(raw)
-        if raw[:3] == b"BZh":
+        if _BZ2_HEAD.match(raw):
             return bz2.decompress(raw)
     except (OSError, EOFError, ValueError, zlib.error) as exc:
         raise MrtParseError(f"cannot decompress input: {exc}", 0) from exc

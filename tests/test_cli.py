@@ -166,6 +166,24 @@ class TestIngest:
         bad.write_bytes(NON_UTF8_EVENTS)
         assert_input_error(main(["ingest", str(bad), "--out", str(tmp_path / "o")]), capsys)
 
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("bad.gz", b"\x1f\x8bgarbage"),
+            ("bad.mrt", golden.golden_file()[0][:-3]),
+            ("bad.jsonl", b'{"ts":"1","collector":"a","prefix":"10.0.0.0/8","type":"A"}\n'),
+        ],
+        ids=["gzip", "mrt", "canonical"],
+    )
+    def test_decode_error_names_the_input(self, sim_events, tmp_path, capsys, name, data):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        code = main(["ingest", str(sim_events), str(bad), "--out", str(tmp_path / "o")])
+        assert_input_error(code, capsys)
+        code = main(["ingest", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
     def test_mistyped_canonical_fields_are_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"ts":true,"collector":"a","prefix":5,"origin_asn":true,"type":"A"}\n')
@@ -235,6 +253,35 @@ class TestDetect:
         )
         code = main(["detect", str(bad), "--out", str(tmp_path / "o")])
         assert_input_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("c.json", '{"omega": null}'),
+            ("c.json", '{"r": [1]}'),
+            ("c.json", '{"min_events": "x"}'),
+            ("c.json", '{"omega": true}'),
+            ("c.json", '{"min_events": 1}'),
+            ("c.conf", "omega = 200.9\n"),
+            ("c.conf", "r = 1/0\n"),
+        ],
+    )
+    def test_bad_config_file_is_input_error(self, sim_events, tmp_path, capsys, name, text):
+        config = tmp_path / name
+        config.write_text(text)
+        out = tmp_path / "o"
+        code = main(["detect", str(sim_events), "--config", str(config), "--out", str(out)])
+        assert_input_error(code, capsys)
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_integral_float_config_accepted(self, sim_events, tmp_path):
+        config = tmp_path / "detector.conf"
+        config.write_text("omega = 200.0\nmin_events = 7\n")
+        out = tmp_path / "detect"
+        assert main(["detect", str(sim_events), "--config", str(config), "--out", str(out)]) == 0
+        snapshot = manifest_of(out)["config"]
+        assert (snapshot["omega"], snapshot["min_events"]) == (200, 7)
+        assert sorted(snapshot) == ["delta", "min_events", "omega", "r", "variance_floor", "warmup"]
 
     def test_nan_decay_rejected(self, sim_events, tmp_path, capsys):
         code = main(["detect", str(sim_events), "--r", "nan", "--out", str(tmp_path / "o")])
@@ -442,6 +489,47 @@ class TestAnalyze:
                 "--out", str(tmp_path / "analyze"),
             ]
         )
+
+    def test_same_second_burst_is_skipped_not_a_crash(self, tmp_path):
+        events = [AnnouncementEvent(1000, "c", "10.0.0.0/8", ANNOUNCEMENT, 1) for _ in range(6)]
+        for asn, gap in ((2, 300), (3, 500)):
+            events += [
+                AnnouncementEvent(gap * i, "c", "10.1.0.0/16", ANNOUNCEMENT, asn) for i in range(50)
+            ]
+        path = tmp_path / "ev.jsonl"
+        with path.open("w", encoding="utf-8") as fh:
+            write_event_lines(sorted(events, key=lambda ev: ev.timestamp), fh)
+        out = tmp_path / "analyze"
+        assert main(["analyze", str(path), "--window", "0", "100000", "--out", str(out)]) == 0
+        rows = (out / "joint_c.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "3"]
+        sidecar = json.loads((out / "joint_c.json").read_text())
+        assert sidecar["skipped"] == [{"asn": 1, "count": 6}]
+
+    def analyze_config(self, corpus_events, tmp_path, *extra):
+        out = tmp_path / "analyze"
+        code = main(
+            ["analyze", str(corpus_events), "--window", str(START), str(START + 86400),
+             *extra, "--out", str(out)]
+        )
+        return code, out
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_min_events_below_two_is_input_error(self, corpus_events, tmp_path, capsys, value):
+        code, _ = self.analyze_config(corpus_events, tmp_path, "--min-events", value)
+        assert_input_error(code, capsys)
+
+    def test_min_events_from_config_file_then_flag(self, corpus_events, tmp_path):
+        config = tmp_path / "detector.conf"
+        config.write_text("min_events = 50\n")
+        code, out = self.analyze_config(corpus_events, tmp_path, "--config", str(config))
+        assert code == 0
+        assert manifest_of(out)["config"]["min_events"] == 50
+        code, out = self.analyze_config(
+            corpus_events, tmp_path, "--config", str(config), "--min-events", "7"
+        )
+        assert code == 0
+        assert manifest_of(out)["config"]["min_events"] == 7
 
     def test_null_window_without_end_utc_is_input_error(self, corpus_events, tmp_path, capsys):
         code = self.significance_run(corpus_events, tmp_path, [{"start_utc": iso(START)}])

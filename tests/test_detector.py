@@ -3,13 +3,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ref_detector import ref_detect, ref_detect_values
 from bgpburst.detector import (
+    CONFIG_KEYS,
     DetectorConfig,
-    EmaPredictor,
-    IntensityState,
     OutOfOrderError,
     detect_events,
     detect_volume,
@@ -51,14 +50,6 @@ class TestIntensityUpdate:
     def test_negative_gap_rejected(self):
         with pytest.raises(OutOfOrderError):
             intensity_update(1.0, -1, 1 / 300)
-
-    def test_state_rejects_out_of_order(self):
-        state = IntensityState()
-        config = DetectorConfig()
-        state.observe(100, config)
-        state.observe(100, config)  # ties are fine
-        with pytest.raises(OutOfOrderError):
-            state.observe(99, config)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=3600), min_size=2, max_size=300),
@@ -235,24 +226,32 @@ class TestDetectVolume:
         )
 
 
-class TestPredictorContract:
-    def test_custom_predictor_is_honoured(self):
-        class FixedBand:
-            def update(self, y):
-                return 0.0, 1.0  # flag anything at least delta above zero
+band_settings = st.fixed_dictionaries({
+    "r": st.floats(min_value=1e-5, max_value=2.0),
+    "omega": st.integers(min_value=1, max_value=500),
+    "delta": st.floats(min_value=0.05, max_value=5.0),
+})
 
-        series = EventSeries(1, "c", (0, 300, 600, 900))
-        report = detect_events(series, predictor=FixedBand(), collect_trace=True)
-        # q < 2 = 0 + delta * 1 until it converges towards two; nothing flags
-        assert flags_of(report) == []
 
-    def test_ema_predictor_matches_pure_function(self):
-        predictor = EmaPredictor(0.25)
-        mu, var = 0.0, 0.0
-        for y in (1.0, 4.0, 2.0, 0.5):
-            mean, sigma = predictor.update(y)
-            mu, var, sigma_ref = ema_update(mu, var, y, 0.25)
-            assert (mean, sigma) == (mu, sigma_ref)
+@settings(max_examples=200, deadline=None)
+@given(band_settings, st.lists(st.integers(min_value=0, max_value=2000), max_size=300))
+def test_event_detector_matches_reference_for_any_band(band, gaps):
+    ts = [0]
+    for gap in gaps:
+        ts.append(ts[-1] + gap)
+    config = DetectorConfig(**band, variance_floor=0.0)
+    report = detect_events(EventSeries(1, "c", tuple(ts)), config, collect_trace=True)
+    assert flags_of(report) == ref_detect(ts, **band)
+
+
+@settings(max_examples=200, deadline=None)
+@given(band_settings, st.lists(st.integers(min_value=1, max_value=10**4), max_size=300))
+def test_volume_detector_matches_reference_for_any_band(band, counts):
+    config = DetectorConfig(**band, variance_floor=0.0)
+    volume = VolumeSeries(1, "c", tuple((60 * i, c) for i, c in enumerate(counts)))
+    report = detect_volume(volume, config, collect_trace=True)
+    band.pop("r")
+    assert flags_of(report) == ref_detect_values(counts, **band)
 
 
 class TestConfig:
@@ -290,6 +289,38 @@ class TestConfig:
         path.write_text("# comment\nr = 1/300\nomega = 200\ndelta = 2\n")
         config = DetectorConfig.from_mapping(load_config_file(path))
         assert config.r == pytest.approx(1 / 300)
+
+    def test_keys_are_the_fields(self):
+        assert CONFIG_KEYS == ("r", "omega", "delta", "warmup", "variance_floor", "min_events")
+        assert DetectorConfig().min_events == 5
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {"omega": None},
+            {"r": [1]},
+            {"min_events": "x"},
+            {"omega": True},
+            {"delta": False},
+            {"omega": 200.9},
+            {"warmup": 0.5},
+            {"min_events": 5.5},
+            {"omega": math.inf},
+            {"r": 10**400},
+            {"min_events": 1},
+            {"min_events": 0},
+            {"bogus": 1},
+        ],
+    )
+    def test_from_mapping_rejects_bad_settings(self, mapping):
+        with pytest.raises(ValueError):
+            DetectorConfig.from_mapping(mapping)
+
+    def test_from_mapping_takes_integral_floats(self):
+        config = DetectorConfig.from_mapping({"omega": 100.0, "warmup": 3.0, "min_events": 8.0, "delta": 3})
+        assert (config.omega, config.warmup, config.min_events) == (100, 3, 8)
+        assert all(type(getattr(config, key)) is int for key in ("omega", "warmup", "min_events"))
+        assert type(config.delta) is float
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"

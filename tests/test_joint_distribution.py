@@ -69,6 +69,13 @@ class TestQualification:
         assert all(row.asn != 777 for row in table.rows)
         assert (777, 3) in table.skipped
 
+    def test_same_second_as_skipped_and_reported(self):
+        corpus = [poisson_series(asn, seed=asn) for asn in range(3)]
+        corpus.append(EventSeries(777, "c", (1000,) * 6))  # a one-second burst
+        table = joint_distribution(corpus, WINDOW)
+        assert [row.asn for row in table.rows] == [0, 1, 2]
+        assert table.skipped == ((777, 6),)
+
     def test_window_restriction_counts_only_inside(self):
         series = EventSeries(1, "c", (0, 1, 2, 3, 4, 100_000_000))
         corpus = [series, poisson_series(2, seed=2)]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import mrt_golden as golden
 from bgpburst.events import ANNOUNCEMENT, WITHDRAWAL, AnnouncementEvent, parse_event_lines, write_event_lines
-from bgpburst.mrt import AFI_IPV4, AFI_IPV6, MrtParseError, _prefix_str, parse_mrt_updates
+from bgpburst.mrt import AFI_IPV4, AFI_IPV6, MrtParseError, _prefix_str, decompress, parse_mrt_updates
 
 COLLECTOR = "route-views.test"
 
@@ -138,6 +138,21 @@ class TestCompression:
     def test_bzip2_input(self):
         data, _ = golden.golden_file()
         assert parse_mrt_updates(bz2.compress(data), COLLECTOR).events == GOLDEN_EXPECTED
+
+    # Plain MRT from 2005-04-11 12:05-12:09 UTC starts with the bytes "BZh";
+    # 0x425A6839 even reads "BZh9", a valid bzip2 block size.
+    @pytest.mark.parametrize("timestamp", [0x425A6801, 0x425A6839])
+    def test_plain_mrt_with_bzip2_like_timestamp(self, timestamp):
+        data = golden.update_record(
+            timestamp, 3356, [(golden.AS_SEQUENCE, [3356, 4761])], announce=["10.0.0.0/8"]
+        )
+        assert decompress(data) == data
+        (event,) = parse_mrt_updates(data, COLLECTOR).events
+        assert (event.timestamp, event.prefix, event.origin_asn) == (timestamp, "10.0.0.0/8", 4761)
+
+    @pytest.mark.parametrize("payload", [b"", b"x" * 1000])
+    def test_bzip2_detected_by_block_or_end_magic(self, payload):
+        assert decompress(bz2.compress(payload, compresslevel=1)) == payload
 
 
 _ADDRESS_STYLES = {
