@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-import numpy as np
-
 from .events import EventSeries
 
 DEFAULT_MIN_EVENTS = 5
@@ -71,6 +69,8 @@ def _interval_stats(intervals: Sequence[float]) -> tuple[float, float, float]:
     """(mu, population sigma, (sigma - mu) / (sigma + mu)) of the intervals."""
     if len(intervals) == 0:
         raise UndefinedStatisticError("no intervals")
+    import numpy as np  # here, not at the top: only analyze pays for loading numpy
+
     arr = np.asarray(intervals, dtype=float)
     mu = float(arr.mean())
     sigma = float(arr.std())  # population (divide by count)
@@ -204,6 +204,8 @@ def joint_distribution(
         raise DegenerateTableError(
             f"only {len(qualifying)} ASes with >= {min_events} announcements in window"
         )
+    import numpy as np
+
     b_p95 = float(np.percentile([b for _, b, _ in qualifying], percentile))
     count_p95 = float(np.percentile([c for _, _, c in qualifying], percentile))
     rows = tuple(

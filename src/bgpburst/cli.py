@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import os
+import reprlib
 import sys
 import time
 from pathlib import Path
@@ -37,6 +38,7 @@ from .detector import (
     load_config_file,
     detect_events,
     detect_volume,
+    whole_number,
     write_trace_csv,
 )
 from .evaluation import (
@@ -170,9 +172,8 @@ def _resolve_detector_config(args) -> tuple[DetectorConfig, dict]:
 
 
 def _parse_one_input(path: Path, collector: str | None):
-    raw = path.read_bytes()
     try:
-        payload = decompress(raw)
+        payload = decompress(path.read_bytes())
         head = payload.lstrip()[:1]
         if head in (b"{", b""):
             events = list(parse_event_lines(io.StringIO(_decode_utf8(path, payload))))
@@ -183,7 +184,7 @@ def _parse_one_input(path: Path, collector: str | None):
                 "records_skipped": 0,
             }
         else:
-            result = parse_mrt_updates(raw, collector=collector or "unknown")
+            result = parse_mrt_updates(payload, collector=collector or "unknown")
             events = result.events
             stats = {"format": "mrt", **result.stats.as_dict()}
     except (MrtParseError, EventFormatError) as exc:
@@ -251,10 +252,13 @@ def cmd_ingest(args) -> int:
 def _write_report(
     out: Path, detector: str, report: AnomalyReport, span, config_snapshot: dict, manifest: Manifest
 ) -> None:
+    """Write report_<stem>.json, preceded by trace_<stem>.csv if the report has a trace."""
     stem = f"{detector}_AS{report.origin_asn}_{_safe_name(report.collector)}"
-    trace_path = out / f"trace_{stem}.csv"
-    with trace_path.open("w", encoding="utf-8", newline="\n") as fh:
-        write_trace_csv(report, fh)
+    if report.trace is not None:
+        trace_path = out / f"trace_{stem}.csv"
+        with trace_path.open("w", encoding="utf-8", newline="\n") as fh:
+            write_trace_csv(report, fh)
+        manifest.add_output(trace_path)
     report_path = out / f"report_{stem}.json"
     doc = {
         "detector": detector,
@@ -265,7 +269,6 @@ def _write_report(
         "config": config_snapshot,
     }
     report_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest.add_output(trace_path)
     manifest.add_output(report_path)
 
 
@@ -295,11 +298,11 @@ def cmd_detect(args) -> int:
         series = build_series(bucket, asn, collector)
         span = series.span or (0, 0)
         if args.detector in ("both", "burstiness"):
-            report = detect_events(series, config, collect_trace=True)
+            report = detect_events(series, config, collect_trace=args.trace)
             _write_report(out, "burstiness", report, span, snapshot, manifest)
         if args.detector in ("both", "volume"):
             volume = build_volume_series(bucket, asn, collector)
-            report = detect_volume(volume, config, collect_trace=True)
+            report = detect_volume(volume, config, collect_trace=args.trace)
             _write_report(out, "volume", report, span, snapshot, manifest)
     manifest.write(out)
     print(f"detect: processed {len(keys)} series into {out}")
@@ -320,9 +323,9 @@ def _null_window(item) -> tuple[int, int]:
     if isinstance(item, dict):
         if "start_utc" in item:
             return parse_utc(item["start_utc"]), parse_utc(item["end_utc"])
-        return int(item["start"]), int(item["end"])
+        return whole_number("start", item["start"]), whole_number("end", item["end"])
     if isinstance(item, list) and len(item) == 2:
-        return int(item[0]), int(item[1])
+        return whole_number("start", item[0]), whole_number("end", item[1])
     raise ValueError("expected an object or a [start, end] pair")
 
 
@@ -396,6 +399,26 @@ def cmd_analyze(args) -> int:
         raise CliError("no usable announcements in events file")
     collector = collectors[0]
 
+    # Every input is read and checked before the first output is written.
+    if args.target_asn:
+        if not args.null_windows:
+            raise CliError("significance testing needs --null-windows")
+        null_path = Path(args.null_windows)
+        if not null_path.is_file():
+            raise CliError(f"unreadable input: {null_path}")
+        manifest.add_input(null_path)
+        null_windows = _load_null_windows(null_path)
+        if args.incidents:
+            _check_null_overlap(null_windows, _load_incident_windows(Path(args.incidents)))
+        null_events_path = Path(args.null_events) if args.null_events else events_path
+        if null_events_path != events_path:
+            if not null_events_path.is_file():
+                raise CliError(f"unreadable input: {null_events_path}")
+            manifest.add_input(null_events_path)
+            null_groups = series_keys(_load_events(null_events_path))
+        else:
+            null_groups = groups
+
     corpus = [
         build_series(bucket, asn, coll)
         for (asn, coll), bucket in groups.items()
@@ -417,23 +440,6 @@ def cmd_analyze(args) -> int:
     manifest.add_output(sidecar_path)
 
     if args.target_asn:
-        if not args.null_windows:
-            raise CliError("significance testing needs --null-windows")
-        null_path = Path(args.null_windows)
-        if not null_path.is_file():
-            raise CliError(f"unreadable input: {null_path}")
-        manifest.add_input(null_path)
-        null_windows = _load_null_windows(null_path)
-        if args.incidents:
-            _check_null_overlap(null_windows, _load_incident_windows(Path(args.incidents)))
-        null_events_path = Path(args.null_events) if args.null_events else events_path
-        if null_events_path != events_path:
-            if not null_events_path.is_file():
-                raise CliError(f"unreadable input: {null_events_path}")
-            manifest.add_input(null_events_path)
-            null_groups = series_keys(_load_events(null_events_path))
-        else:
-            null_groups = groups
         for asn in args.target_asn:
             key = (asn, collector)
             base = build_series(null_groups.get(key, []), asn, collector)
@@ -462,13 +468,29 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------- evaluate
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Report field -> (what it must be, its check).
+REPORT_FIELDS = {
+    "detector": ("a string", lambda v: isinstance(v, str)),
+    "origin_asn": ("an integer", _is_int),
+    "collector": ("a string", lambda v: isinstance(v, str)),
+    "span": ("a pair of integers", lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))),
+    "anomalous_timestamps": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+
 def _load_report(path: Path) -> dict:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise CliError(f"{path}: report must be a JSON object")
-    for key in ("detector", "origin_asn", "collector", "span", "anomalous_timestamps"):
+    for key, (kind, valid) in REPORT_FIELDS.items():
         if key not in doc:
             raise CliError(f"{path}: report missing field {key!r}")
+        if not valid(doc[key]):
+            raise CliError(f"{path}: report field {key!r} must be {kind}, got {reprlib.repr(doc[key])}")
     return doc
 
 
@@ -510,8 +532,8 @@ def cmd_evaluate(args) -> int:
                 rows.extend(
                     evaluate_incident(by_collector[collector], incident, bounds, args.m)
                 )
-            except ConfigurationError as exc:
-                raise CliError(str(exc)) from exc
+            except ValueError as exc:
+                raise CliError(f"AS{incident.perpetrator_asn} at {collector!r}: {exc}") from exc
     if not rows:
         raise CliError("no report matches any configured incident perpetrator")
     results_path = out / "results.csv"
@@ -618,6 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None, help="band width in standard deviations (default 2)")
     p.add_argument("--warmup", type=int, default=None, help="suppress flags for the first N events")
     p.add_argument("--variance-floor", dest="variance_floor", type=float, default=None)
+    p.add_argument("--trace", action="store_true",
+                   help="also write a per-event trace_*.csv beside each report")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("analyze", parents=[common], help="joint distribution and significance test")

@@ -30,6 +30,20 @@ class OutOfOrderError(ValueError):
     """An update arrived with a timestamp earlier than the current state."""
 
 
+def _number(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def whole_number(name: str, value) -> int:
+    """An untrusted setting as an int: ints and integral floats (200.0 from a
+    key=value file) pass; booleans, fractions and non-numbers raise ValueError."""
+    if isinstance(_number(name, value), float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Every detector and burstiness setting; the fields are the config keys."""
@@ -65,8 +79,7 @@ class DetectorConfig:
     def from_mapping(cls, mapping: dict) -> "DetectorConfig":
         """Build from untrusted settings: keys must be fields, values numbers.
 
-        Integer fields take integral floats (200.0 from a key=value file) but
-        nothing with a fractional part.
+        Integer fields go through whole_number, so 200.0 passes and 200.9 fails.
         """
         unknown = set(mapping) - set(CONFIG_KEYS)
         if unknown:
@@ -76,15 +89,11 @@ class DetectorConfig:
             if field.name not in mapping:
                 continue
             value = mapping[field.name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{field.name} must be a number, got {value!r}")
             if field.type in (int, "int"):
-                if isinstance(value, float) and not value.is_integer():
-                    raise ValueError(f"{field.name} must be an integer, got {value!r}")
-                kwargs[field.name] = int(value)
+                kwargs[field.name] = whole_number(field.name, value)
             else:
                 try:
-                    kwargs[field.name] = float(value)
+                    kwargs[field.name] = float(_number(field.name, value))
                 except OverflowError as exc:
                     raise ValueError(f"{field.name} is out of range") from exc
         return cls(**kwargs)

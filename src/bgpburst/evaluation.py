@@ -123,12 +123,12 @@ def bin_timestamps(timestamps: Iterable[int], t0: int, t1: int, m: int) -> set[i
 
 def incident_bins(window: IncidentWindow, t0: int, t1: int, m: int) -> set[int]:
     """All bins overlapping [window.start, window.end) by any amount."""
+    n = bin_count(t0, t1, m)  # reversed bounds are reported as such
     if window.start < t0 or window.end > t1:
         raise ConfigurationError(
             f"incident {window.name!r} [{window.start}, {window.end}) "
             f"outside study bounds [{t0}, {t1})"
         )
-    n = bin_count(t0, t1, m)
     first = (window.start - t0) // m
     last = math.ceil((window.end - t0) / m) - 1
     return set(range(max(first, 0), min(last, n - 1) + 1))

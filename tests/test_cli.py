@@ -1,13 +1,20 @@
+import bz2
+import gzip
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
 import mrt_golden as golden
+from bgpburst import mrt
 from bgpburst.cli import main
+from bgpburst.detector import CONFIG_KEYS
 from bgpburst.events import ANNOUNCEMENT, WITHDRAWAL, AnnouncementEvent, write_event_lines
 from bgpburst.synth import IncidentSpec, inject_incident_events, update_stream
 
@@ -191,11 +198,56 @@ class TestIngest:
         assert_input_error(main(["ingest", str(bad), "--out", str(out)]), capsys)
         assert not (out / "events.jsonl").exists()
 
+    def test_mrt_input_decompressed_once(self, tmp_path, monkeypatch):
+        decompress = mrt.decompress
+        calls = []
+
+        def counting(raw):
+            data = decompress(raw)
+            if data is not raw:  # only calls that inflate count
+                calls.append(len(raw))
+            return data
+
+        monkeypatch.setattr(mrt, "decompress", counting)
+        monkeypatch.setattr("bgpburst.cli.decompress", counting)
+        path = tmp_path / "updates.mrt.gz"
+        path.write_bytes(gzip.compress(golden.golden_file()[0]))
+        assert main(["ingest", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "inner, outer", [("gz", "gz"), ("bz2", "gz"), ("gz", "bz2"), ("bz2", "bz2")]
+    )
+    def test_doubly_compressed_input(self, sim_events, tmp_path, capsys, inner, outer):
+        # The format is sniffed after one layer is undone.  A compressed inner
+        # stream is taken for MRT, and the MRT parser undoes its one layer:
+        # MRT inside two layers parses like plain MRT, canonical lines inside
+        # two layers are read as MRT and fail on the first record.
+        compress = {"gz": lambda data: gzip.compress(data, mtime=0), "bz2": bz2.compress}
+        raw = golden.golden_file()[0]
+        plain = tmp_path / "plain.mrt"
+        plain.write_bytes(raw)
+        assert main(["ingest", str(plain), "--out", str(tmp_path / "plain")]) == 0
+        mrt_path = tmp_path / f"updates.{inner}.{outer}"
+        mrt_path.write_bytes(compress[outer](compress[inner](raw)))
+        assert main(["ingest", str(mrt_path), "--out", str(tmp_path / "mrt")]) == 0
+        assert (tmp_path / "mrt" / "events.jsonl").read_bytes() == (
+            tmp_path / "plain" / "events.jsonl"
+        ).read_bytes()
+
+        capsys.readouterr()
+        lines_path = tmp_path / f"events.{inner}.{outer}"
+        lines_path.write_bytes(compress[outer](compress[inner](sim_events.read_bytes())))
+        out = tmp_path / "canonical"
+        code = main(["ingest", str(lines_path), "--out", str(out)])
+        assert_input_error(code, capsys)
+        assert not (out / "events.jsonl").exists()
+
 
 class TestDetect:
     def test_produces_reports_and_traces(self, sim_events, tmp_path):
         out = tmp_path / "detect"
-        assert main(["detect", str(sim_events), "--out", str(out)]) == 0
+        assert main(["detect", str(sim_events), "--trace", "--out", str(out)]) == 0
         names = {p.name for p in out.iterdir()}
         assert "report_burstiness_AS64500_synth-collector.json" in names
         assert "report_volume_AS64500_synth-collector.json" in names
@@ -205,6 +257,25 @@ class TestDetect:
         )
         burst = range(START + 86400, START + 86400 + 3600)
         assert any(ts in burst for ts in report["anomalous_timestamps"])
+
+    def test_default_writes_only_reports(self, sim_events, tmp_path):
+        out = tmp_path / "detect"
+        assert main(["detect", str(sim_events), "--out", str(out)]) == 0
+        reports = {
+            "report_burstiness_AS64500_synth-collector.json",
+            "report_volume_AS64500_synth-collector.json",
+        }
+        assert {p.name for p in out.iterdir()} == reports | {"manifest.json"}
+        assert set(output_digests(out)) == reports
+
+    def test_trace_flag_stays_out_of_config(self, sim_events, tmp_path):
+        out = tmp_path / "detect"
+        assert main(["detect", str(sim_events), "--trace", "--out", str(out)]) == 0
+        assert sorted(manifest_of(out)["config"]) == sorted(CONFIG_KEYS)
+        report = json.loads(
+            (out / "report_volume_AS64500_synth-collector.json").read_text()
+        )
+        assert sorted(report["config"]) == sorted(CONFIG_KEYS)
 
     def test_volume_only(self, sim_events, tmp_path):
         out = tmp_path / "detect"
@@ -289,15 +360,20 @@ class TestDetect:
 
 
 class TestEvaluate:
-    def run_pipeline(self, sim_events, tmp_path, incidents):
+    def run_pipeline(self, sim_events, tmp_path, incidents, *extra, edit=None):
+        """detect, then evaluate; `edit` updates the burstiness report first."""
         detect_out = tmp_path / "detect"
         assert main(["detect", str(sim_events), "--out", str(detect_out)]) == 0
+        if edit is not None:
+            path = detect_out / "report_burstiness_AS64500_synth-collector.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
         incidents_path = tmp_path / "incidents.json"
         incidents_path.write_text(json.dumps(incidents))
         eval_out = tmp_path / "eval"
         reports = sorted(str(p) for p in detect_out.glob("report_*.json"))
         code = main(
-            ["evaluate", *reports, "--incidents", str(incidents_path), "--out", str(eval_out)]
+            ["evaluate", *reports, "--incidents", str(incidents_path), *extra,
+             "--out", str(eval_out)]
         )
         return code, eval_out
 
@@ -364,6 +440,55 @@ class TestEvaluate:
         code = main(
             ["evaluate", str(report), "--incidents", str(incidents), "--out", str(tmp_path / "e")]
         )
+        assert_input_error(code, capsys)
+
+    INCIDENT = {
+        "name": "synthetic-burst",
+        "asn": 64500,
+        "start_utc": iso(START + 86400),
+        "end_utc": iso(START + 86400 + 3600),
+        "kind": "large-scale",
+    }
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("detector", 5),
+            ("collector", None),
+            ("origin_asn", True),
+            ("origin_asn", 64500.0),
+            ("origin_asn", "64500"),
+            ("span", [START]),
+            ("span", [START, "x"]),
+            ("span", [False, START]),
+            ("span", "x"),
+            ("anomalous_timestamps", ["x", 5]),
+            ("anomalous_timestamps", [START + 86400.5]),
+            ("anomalous_timestamps", [True]),
+            ("anomalous_timestamps", {"ts": 5}),
+        ],
+    )
+    def test_mistyped_report_field_is_input_error(self, sim_events, tmp_path, capsys, key, value):
+        code, _ = self.run_pipeline(sim_events, tmp_path, [self.INCIDENT], edit={key: value})
+        assert_input_error(code, capsys)
+
+    def test_flags_outside_t0_t1_are_input_error(self, sim_events, tmp_path, capsys):
+        code, _ = self.run_pipeline(
+            sim_events, tmp_path, [self.INCIDENT],
+            "--t0", str(START + 80_000), "--t1", str(START + 100_000),
+        )
+        assert_input_error(code, capsys)
+
+    def test_reversed_t0_t1_is_input_error(self, sim_events, tmp_path, capsys):
+        code, _ = self.run_pipeline(
+            sim_events, tmp_path, [self.INCIDENT],
+            "--t0", str(START + 100_000), "--t1", str(START + 80_000),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.endswith(": t0 must precede t1\n")
+
+    def test_nonpositive_bin_length_is_input_error(self, sim_events, tmp_path, capsys):
+        code, _ = self.run_pipeline(sim_events, tmp_path, [self.INCIDENT], "--m", "0")
         assert_input_error(code, capsys)
 
 
@@ -535,12 +660,91 @@ class TestAnalyze:
         code = self.significance_run(corpus_events, tmp_path, [{"start_utc": iso(START)}])
         assert_input_error(code, capsys)
 
+    NULL_STARTS = [START + 200_000 + k * 40_000 for k in range(25)]
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            {"start": True, "end": START + 30000},
+            {"start": START, "end": START + 30000.9},
+            [START + 0.5, START + 30000],
+            ["1400000000", START + 30000],
+        ],
+    )
+    def test_non_integral_null_window_bound_is_input_error(
+        self, corpus_events, tmp_path, capsys, window
+    ):
+        nulls = [[s, s + 30_000] for s in self.NULL_STARTS] + [window]
+        code = self.significance_run(corpus_events, tmp_path, nulls)
+        assert_input_error(code, capsys)
+        assert not list((tmp_path / "analyze").glob("joint_*"))
+
+    def test_integral_float_null_window_bounds_accepted(self, corpus_events, tmp_path):
+        outputs = []
+        for convert in (int, float):
+            nulls = [
+                {"start": convert(s), "end": convert(s + 30_000)} if k % 2 else
+                [convert(s), convert(s + 30_000)]
+                for k, s in enumerate(self.NULL_STARTS)
+            ]
+            assert self.significance_run(corpus_events, tmp_path, nulls) == 0
+            outputs.append((tmp_path / "analyze" / "significance_AS64500.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_malformed_incidents_json_is_input_error(self, corpus_events, tmp_path, capsys):
         bad = tmp_path / "incidents.json"
         bad.write_text("[{")
         nulls = [{"start": START, "end": START + 30000}]
         code = self.significance_run(corpus_events, tmp_path, nulls, "--incidents", str(bad))
         assert_input_error(code, capsys)
+
+
+# Runs the commands in one fresh interpreter and prints, after the import
+# and after each command, whether numpy has been loaded.
+NUMPY_PROBE = """
+import json, sys
+from pathlib import Path
+import bgpburst.cli as cli
+tmp, spec, incidents = (Path(a) for a in sys.argv[1:])
+events = str(tmp / "ingest" / "events.jsonl")
+steps = [("import", 0, "numpy" in sys.modules)]
+
+def run(name, *argv):
+    code = cli.main([name, *map(str, argv), "--out", str(tmp / name)])
+    steps.append((name, code, "numpy" in sys.modules))
+
+run("simulate", spec)
+run("ingest", tmp / "simulate" / "spec.jsonl")
+run("detect", events)
+run("detect", events, "--trace")
+run("evaluate", *(tmp / "detect").glob("report_*.json"), "--incidents", incidents)
+run("analyze", events, "--window", 0, 2_000_000_000)
+print(json.dumps(steps))
+"""
+
+
+class TestStartup:
+    def test_numpy_is_loaded_only_by_analyze(self, tmp_path):
+        spec = write_sim_spec(tmp_path / "spec.json")
+        incidents = tmp_path / "incidents.json"
+        incidents.write_text(json.dumps([{
+            "name": "x", "asn": 64500, "start_utc": iso(START + 86400),
+            "end_utc": iso(START + 90000), "kind": "large-scale",
+        }]))
+        src = Path(mrt.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, str(tmp_path), str(spec), str(incidents)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout.splitlines()[-1])
+        # analyze exits 2 on a one-AS corpus, after computing its burstiness
+        assert steps == [
+            ["import", 0, False], ["simulate", 0, False], ["ingest", 0, False],
+            ["detect", 0, False], ["detect", 0, False], ["evaluate", 0, False],
+            ["analyze", 2, True],
+        ]
 
 
 def write_golden_corpus(path, seed, days):
@@ -607,6 +811,7 @@ class TestGoldenDigests:
     """Data outputs of detect and analyze on a fixed corpus, pinned byte for byte."""
 
     DETECT = "eae3fc763cea92ed09717e28eabb0b73fd672fd7ca99bff6fe99b15c8846ce8f"
+    DETECT_REPORTS = "32b96bbf6a6fe6bbdc10272ccd77406ebf8e3b56c7bbfc9d4461498d802c2040"
     ANALYZE = "ec5413c7e4e7301031e6bd0413bfaf7898ff30ed758510c778bbe390cb23b13f"
     ANALYZE_SEPARATE_NULLS = "d3a45e7e693c9509d29ecb85bbbdecdd75f8af3b7374ff391f1896ba1b7d8f08"
     INGEST_MRT = "6e3568d47a444c35677cb24cba78503ec2049440b7ee80019e9a725bbcaa4ad9"
@@ -654,10 +859,20 @@ class TestGoldenDigests:
     def test_detect_outputs_pinned(self, corpus, tmp_path):
         events, _, _ = corpus
         out = tmp_path / "detect"
-        assert main(["detect", str(events), "--out", str(out)]) == 0
+        assert main(["detect", str(events), "--trace", "--out", str(out)]) == 0
         digests = data_digests(out)
         assert len(digests) == 4 * 7
         assert digest_of(digests) == self.DETECT
+
+    def test_detect_default_outputs_pinned(self, corpus, tmp_path):
+        # The report files of the traced run above, byte for byte, and nothing else.
+        events, _, _ = corpus
+        out = tmp_path / "detect"
+        assert main(["detect", str(events), "--out", str(out)]) == 0
+        digests = data_digests(out)
+        assert len(digests) == 2 * 7
+        assert all(name.startswith("report_") for name in digests)
+        assert digest_of(digests) == self.DETECT_REPORTS
 
     def test_analyze_outputs_pinned(self, corpus, tmp_path):
         events, null_events, nulls = corpus

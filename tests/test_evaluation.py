@@ -79,6 +79,10 @@ class TestIncidentBins:
         with pytest.raises(ConfigurationError):
             incident_bins(self.window(0, 60), 100, 7 * DAY, M)
 
+    def test_reversed_bounds_named_before_window(self):
+        with pytest.raises(ValueError, match="t0 must precede t1"):
+            incident_bins(self.window(M, 2 * M), 7 * DAY, 0, M)
+
 
 class TestScore:
     def test_reference_fixture(self):
