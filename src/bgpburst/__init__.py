@@ -41,7 +41,10 @@ from .events import (
     build_series,
     build_volume_series,
     parse_event_lines,
+    read_groups,
+    series_from_columns,
     series_keys,
+    volume_from_columns,
     write_event_lines,
 )
 from .mrt import MrtParseResult, MrtStats, parse_mrt_updates

@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import io
 import json
 import os
+import re
 import reprlib
 import sys
 import time
@@ -52,14 +52,17 @@ from .evaluation import (
 )
 from .events import (
     ANNOUNCEMENT,
-    WITHDRAWAL,
     EventFormatError,
-    build_series,
-    build_volume_series,
-    parse_event_lines,
-    series_keys,
+    read_groups,
+    scan_event_lines,
+    series_from_columns,
+    volume_from_columns,
     write_event_lines,
 )
+
+# Not called here: benchmarks/traced_cli.py wraps these names in this module
+# until stage records replace it (ROADMAP item 1).
+from .events import build_series, build_volume_series, parse_event_lines, series_keys  # noqa: F401
 from .mrt import MrtParseError, decompress, parse_mrt_updates
 from .synth import GeneratorSpec, IncidentSpec, generate_stream, inject_incident_events
 
@@ -113,9 +116,12 @@ def _out_dir(args) -> Path:
     return out
 
 
+_UNIX_SECONDS = re.compile(r"-?[0-9]+")
+
+
 def _parse_time(text: str) -> int:
     text = text.strip()
-    if text.lstrip("-").isdigit():
+    if _UNIX_SECONDS.fullmatch(text):
         return int(text)
     try:
         return parse_utc(text)
@@ -130,7 +136,8 @@ def _decode_utf8(path: Path, data: bytes) -> str:
         raise CliError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _load_events(path: Path):
+def _load_groups(path: Path) -> dict[tuple[int, str], tuple[list[int], list[str]]]:
+    """The usable announcements of a canonical events file, as read_groups columns."""
     try:
         raw = decompress(path.read_bytes())
     except OSError as exc:
@@ -138,8 +145,9 @@ def _load_events(path: Path):
     except MrtParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
     text = _decode_utf8(path, raw)
+    del raw  # freed before the columns are built
     try:
-        return list(parse_event_lines(io.StringIO(text)))
+        return read_groups(text.split("\n"))
     except EventFormatError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -172,24 +180,33 @@ def _resolve_detector_config(args) -> tuple[DetectorConfig, dict]:
 
 
 def _parse_one_input(path: Path, collector: str | None):
+    """One input's events as (line, collector, origin_asn, kind) rows, and its stats.
+
+    A canonical line already in writer form is its own row line; MRT events
+    are serialised when their rows are read.
+    """
     try:
         payload = decompress(path.read_bytes())
         head = payload.lstrip()[:1]
         if head in (b"{", b""):
-            events = list(parse_event_lines(io.StringIO(_decode_utf8(path, payload))))
+            lines = _decode_utf8(path, payload).split("\n")
+            rows = [
+                (line, coll, origin, kind)
+                for line, _, coll, _, kind, origin, _ in scan_event_lines(lines)
+            ]
             stats = {
                 "format": "canonical",
-                "events_emitted": len(events),
+                "events_emitted": len(rows),
                 "events_dropped": 0,
                 "records_skipped": 0,
             }
         else:
             result = parse_mrt_updates(payload, collector=collector or "unknown")
-            events = result.events
+            rows = ((ev.to_line(), ev.collector, ev.origin_asn, ev.kind) for ev in result.events)
             stats = {"format": "mrt", **result.stats.as_dict()}
     except (MrtParseError, EventFormatError) as exc:
         raise CliError(f"{path}: {exc}") from exc
-    return events, stats
+    return rows, stats
 
 
 def cmd_ingest(args) -> int:
@@ -207,25 +224,27 @@ def cmd_ingest(args) -> int:
 
     parsed = [_parse_one_input(p, args.collector) for p in paths]
 
-    events = []
     totals = {"events_emitted": 0, "events_dropped": 0, "records_skipped": 0}
     per_input = []
-    for path, (evs, stats) in zip(paths, parsed):
-        events.extend(evs)
+    for path, (_, stats) in zip(paths, parsed):
         per_input.append({"path": str(path), **stats})
         for key in totals:
             totals[key] += int(stats.get(key, 0))
 
-    if args.collector is not None:
-        events = [ev for ev in events if ev.collector == args.collector]
-    if args.asn is not None:
-        events = [ev for ev in events if ev.origin_asn == args.asn]
-    announcements = sum(1 for ev in events if ev.kind == ANNOUNCEMENT)
-    withdrawals = sum(1 for ev in events if ev.kind == WITHDRAWAL)
-
+    written = announcements = 0
     events_path = out / "events.jsonl"
     with events_path.open("w", encoding="utf-8", newline="\n") as fh:
-        written = write_event_lines(events, fh)
+        for rows, _ in parsed:
+            for line, collector, origin, kind in rows:
+                if args.collector is not None and collector != args.collector:
+                    continue
+                if args.asn is not None and origin != args.asn:
+                    continue
+                fh.write(line)
+                fh.write("\n")
+                written += 1
+                announcements += kind == ANNOUNCEMENT
+    withdrawals = written - announcements
     summary = {
         "events_written": written,
         "announcements": announcements,
@@ -272,6 +291,18 @@ def _write_report(
     manifest.add_output(report_path)
 
 
+def _check_report_names(keys: list[tuple[int, str]]) -> None:
+    """Refuse series whose report files would overwrite each other."""
+    seen: dict[tuple[int, str], str] = {}
+    for asn, collector in keys:
+        other = seen.setdefault((asn, _safe_name(collector)), collector)
+        if other != collector:
+            raise CliError(
+                f"collectors {other!r} and {collector!r} share the report name "
+                f"{_safe_name(collector)!r} for AS{asn}; pick one with --collector"
+            )
+
+
 def cmd_detect(args) -> int:
     out = _out_dir(args)
     config, snapshot = _resolve_detector_config(args)
@@ -280,9 +311,8 @@ def cmd_detect(args) -> int:
     if not events_path.is_file():
         raise CliError(f"unreadable input: {events_path}")
     manifest.add_input(events_path)
-    events = _load_events(events_path)
+    groups = _load_groups(events_path)
 
-    groups = series_keys(events)
     keys = list(groups)
     if args.collector is not None:
         keys = [k for k in keys if k[1] == args.collector]
@@ -292,16 +322,17 @@ def cmd_detect(args) -> int:
         print("detect: warning: no matching series; nothing to do", file=sys.stderr)
         manifest.write(out)
         return 0
+    _check_report_names(keys)
 
     for asn, collector in keys:
-        bucket = groups[asn, collector]
-        series = build_series(bucket, asn, collector)
+        timestamps, prefixes = groups[asn, collector]
+        series = series_from_columns(asn, collector, timestamps)
         span = series.span or (0, 0)
         if args.detector in ("both", "burstiness"):
             report = detect_events(series, config, collect_trace=args.trace)
             _write_report(out, "burstiness", report, span, snapshot, manifest)
         if args.detector in ("both", "volume"):
-            volume = build_volume_series(bucket, asn, collector)
+            volume = volume_from_columns(asn, collector, timestamps, prefixes)
             report = detect_volume(volume, config, collect_trace=args.trace)
             _write_report(out, "volume", report, span, snapshot, manifest)
     manifest.write(out)
@@ -367,6 +398,12 @@ def _check_null_overlap(
                 )
 
 
+def _series_of(groups: dict, asn: int, collector: str):
+    """A pair's series from read_groups columns; empty if the pair has none."""
+    timestamps, _ = groups.get((asn, collector), ((), ()))
+    return series_from_columns(asn, collector, timestamps)
+
+
 def cmd_analyze(args) -> int:
     out = _out_dir(args)
     window = (_parse_time(args.window[0]), _parse_time(args.window[1]))
@@ -383,9 +420,7 @@ def cmd_analyze(args) -> int:
     if not events_path.is_file():
         raise CliError(f"unreadable input: {events_path}")
     manifest.add_input(events_path)
-    events = _load_events(events_path)
-
-    groups = series_keys(events)
+    groups = _load_groups(events_path)
     collectors = sorted({collector for _, collector in groups})
     if args.collector is not None:
         if args.collector not in collectors:
@@ -415,13 +450,13 @@ def cmd_analyze(args) -> int:
             if not null_events_path.is_file():
                 raise CliError(f"unreadable input: {null_events_path}")
             manifest.add_input(null_events_path)
-            null_groups = series_keys(_load_events(null_events_path))
+            null_groups = _load_groups(null_events_path)
         else:
             null_groups = groups
 
     corpus = [
-        build_series(bucket, asn, coll)
-        for (asn, coll), bucket in groups.items()
+        series_from_columns(asn, coll, timestamps)
+        for (asn, coll), (timestamps, _) in groups.items()
         if coll == collector
     ]
     try:
@@ -441,10 +476,9 @@ def cmd_analyze(args) -> int:
 
     if args.target_asn:
         for asn in args.target_asn:
-            key = (asn, collector)
-            base = build_series(null_groups.get(key, []), asn, collector)
+            base = _series_of(null_groups, asn, collector)
             nulls = [base.restrict(start, end) for start, end in null_windows]
-            observed_series = build_series(groups.get(key, []), asn, collector).restrict(*window)
+            observed_series = _series_of(groups, asn, collector).restrict(*window)
             try:
                 observed = series_burstiness(observed_series, min_events)
                 result = monte_carlo_null_test(
@@ -495,6 +529,8 @@ def _load_report(path: Path) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    if (args.t0 is None) != (args.t1 is None):
+        raise CliError("--t0 and --t1 go together: pass both or neither")
     out = _out_dir(args)
     manifest = Manifest("evaluate", sys.argv[1:], {"m": args.m}, args.seed)
     report_paths = [Path(p) for p in args.reports]
@@ -507,7 +543,7 @@ def cmd_evaluate(args) -> int:
     manifest.add_input(incidents_path)
 
     docs = [_load_report(p) for p in report_paths]
-    if args.t0 is not None and args.t1 is not None:
+    if args.t0 is not None:
         bounds = (_parse_time(args.t0), _parse_time(args.t1))
     else:
         spans = [doc["span"] for doc in docs if doc["span"] != [0, 0]]

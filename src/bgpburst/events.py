@@ -3,7 +3,8 @@
 Every data source (MRT dumps, synthetic streams) is reduced to a flat stream
 of AnnouncementEvent records.  From those we build per-(origin AS, collector)
 timestamp series and per-second unique-prefix volume series, which are the
-inputs to all downstream statistics.
+inputs to all downstream statistics.  Canonical lines can also go straight
+to per-series columns (read_groups) without an event object per line.
 """
 
 from __future__ import annotations
@@ -144,6 +145,58 @@ def _load_record(line: str):
     return json.loads(line)  # fails as well, with json's own message
 
 
+def _parse_line(line: str, lineno: int) -> AnnouncementEvent:
+    """The validating reader of one stripped, nonblank canonical line."""
+    try:
+        rec = _load_record(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise EventFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise EventFormatError(f"line {lineno}: expected an object")
+    try:
+        ts = rec["ts"]
+        collector = rec["collector"]
+        prefix = rec["prefix"]
+        code = rec["type"]
+    except KeyError as exc:
+        raise EventFormatError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
+    # type() rather than isinstance(): JSON true/false decode to bool,
+    # which is an int subclass.
+    if type(ts) is not int or ts < 0:
+        raise EventFormatError(f"line {lineno}: ts must be a nonnegative integer")
+    if type(collector) is not str:
+        raise EventFormatError(f"line {lineno}: collector must be a string")
+    if type(prefix) is not str:
+        raise EventFormatError(f"line {lineno}: prefix must be a string")
+    kind = _CODE_KIND.get(code) if type(code) is str else None
+    if kind is None:
+        raise EventFormatError(f"line {lineno}: type must be 'A' or 'W', got {code!r}")
+    origin = rec.get("origin_asn")
+    if kind == ANNOUNCEMENT and origin is None:
+        raise EventFormatError(f"line {lineno}: missing field 'origin_asn'")
+    if origin is not None and (type(origin) is not int or origin < 0):
+        raise EventFormatError(f"line {lineno}: origin_asn must be a nonnegative integer")
+    peer = rec.get("peer_asn")
+    if peer is not None and (type(peer) is not int or peer < 0):
+        raise EventFormatError(f"line {lineno}: peer_asn must be a nonnegative integer")
+    ambiguous = rec.get("ambiguous_origin", False)
+    if type(ambiguous) is not bool:
+        raise EventFormatError(f"line {lineno}: ambiguous_origin must be true or false")
+    try:
+        _check_prefix(prefix)
+    except EventFormatError as exc:
+        raise EventFormatError(f"line {lineno}: {exc}") from exc
+    return AnnouncementEvent(
+        timestamp=ts,
+        collector=collector,
+        prefix=prefix,
+        kind=kind,
+        origin_asn=origin,
+        peer_asn=peer,
+        ambiguous_origin=ambiguous,
+    )
+
+
 def parse_event_lines(source: Iterable[str] | IO[str]) -> Iterator[AnnouncementEvent]:
     """Parse canonical line-delimited events; blank lines are ignored.
 
@@ -151,55 +204,66 @@ def parse_event_lines(source: Iterable[str] | IO[str]) -> Iterator[AnnouncementE
     """
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
+        if line:
+            yield _parse_line(line, lineno)
+
+
+# One line exactly as AnnouncementEvent.to_line writes it.  json.dumps
+# escapes `"`, `\`, control characters and non-ASCII, so an unescaped
+# printable-ASCII string decodes to its own text; integers carry no sign or
+# leading zero.  Groups: ts, collector, prefix, origin_asn, type code,
+# ambiguous flag.
+_INT = r"(?:[1-9][0-9]*|0)"
+_TEXT = r'[ !#-\[\]-~]*'
+_WRITER_LINE = re.compile(
+    rf'\{{"ts":({_INT}),"collector":"({_TEXT})"(?:,"peer_asn":{_INT})?,'
+    rf'"prefix":"({_TEXT})"(?:,"origin_asn":({_INT}))?,'
+    rf'"type":"([AW])"(,"ambiguous_origin":true)?\}}'
+)
+
+
+def scan_event_lines(
+    source: Iterable[str] | IO[str],
+) -> Iterator[tuple[str, int, str, str, str, int | None, bool]]:
+    """Parse canonical lines into plain fields, without event objects.
+
+    Yields (line, timestamp, collector, prefix, kind, origin_asn,
+    ambiguous_origin) per event, where `line` is the event in writer form:
+    the input line itself when it already is its own to_line(), else its
+    re-serialisation.  A writer-form line is matched by one regex; every
+    other line goes through parse_event_lines' per-line reader, so the
+    accepted lines, the values and the errors are the same as there.
+    """
+    match = _WRITER_LINE.fullmatch
+    # Each distinct prefix text is checked once and kept once: the value is
+    # the first instance, which every later event with that prefix shares.
+    known: dict[str, str] = {}
+    for lineno, line in enumerate(source, start=1):
+        line = line.strip()
         if not line:
             continue
-        try:
-            rec = _load_record(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise EventFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise EventFormatError(f"line {lineno}: expected an object")
-        try:
-            ts = rec["ts"]
-            collector = rec["collector"]
-            prefix = rec["prefix"]
-            code = rec["type"]
-        except KeyError as exc:
-            raise EventFormatError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
-        # type() rather than isinstance(): JSON true/false decode to bool,
-        # which is an int subclass.
-        if type(ts) is not int or ts < 0:
-            raise EventFormatError(f"line {lineno}: ts must be a nonnegative integer")
-        if type(collector) is not str:
-            raise EventFormatError(f"line {lineno}: collector must be a string")
-        if type(prefix) is not str:
-            raise EventFormatError(f"line {lineno}: prefix must be a string")
-        kind = _CODE_KIND.get(code) if type(code) is str else None
-        if kind is None:
-            raise EventFormatError(f"line {lineno}: type must be 'A' or 'W', got {code!r}")
-        origin = rec.get("origin_asn")
-        if kind == ANNOUNCEMENT and origin is None:
-            raise EventFormatError(f"line {lineno}: missing field 'origin_asn'")
-        if origin is not None and (type(origin) is not int or origin < 0):
-            raise EventFormatError(f"line {lineno}: origin_asn must be a nonnegative integer")
-        peer = rec.get("peer_asn")
-        if peer is not None and (type(peer) is not int or peer < 0):
-            raise EventFormatError(f"line {lineno}: peer_asn must be a nonnegative integer")
-        ambiguous = rec.get("ambiguous_origin", False)
-        if type(ambiguous) is not bool:
-            raise EventFormatError(f"line {lineno}: ambiguous_origin must be true or false")
-        try:
-            _check_prefix(prefix)
-        except EventFormatError as exc:
-            raise EventFormatError(f"line {lineno}: {exc}") from exc
-        yield AnnouncementEvent(
-            timestamp=ts,
-            collector=collector,
-            prefix=prefix,
-            kind=kind,
-            origin_asn=origin,
-            peer_asn=peer,
-            ambiguous_origin=ambiguous,
+        m = match(line)
+        if m is not None:
+            ts, collector, prefix, origin, code, ambiguous = m.groups()
+            if origin is not None or code == "W":
+                checked = known.get(prefix)
+                if checked is None:
+                    try:
+                        _check_prefix(prefix)
+                    except EventFormatError:
+                        pass  # the per-line reader raises it with the line number
+                    else:
+                        checked = known[prefix] = prefix
+                if checked is not None:
+                    yield (
+                        line, int(ts), collector, checked, _CODE_KIND[code],
+                        None if origin is None else int(origin), ambiguous is not None,
+                    )
+                    continue
+        ev = _parse_line(line, lineno)
+        yield (
+            ev.to_line(), ev.timestamp, ev.collector, ev.prefix, ev.kind,
+            ev.origin_asn, ev.ambiguous_origin,
         )
 
 
@@ -213,40 +277,63 @@ def write_event_lines(events: Iterable[AnnouncementEvent], out: IO[str]) -> int:
     return n
 
 
-def _usable(ev: AnnouncementEvent) -> bool:
+def _usable(kind: str, ambiguous_origin: bool) -> bool:
     # Withdrawals and ambiguous origins never contribute to statistics.
-    return ev.kind == ANNOUNCEMENT and not ev.ambiguous_origin
+    return kind == ANNOUNCEMENT and not ambiguous_origin
 
 
 def _series_events(
     events: Iterable[AnnouncementEvent], origin_asn: int, collector: str
 ) -> Iterator[AnnouncementEvent]:
     for ev in events:
-        if _usable(ev) and ev.origin_asn == origin_asn and ev.collector == collector:
+        if (
+            _usable(ev.kind, ev.ambiguous_origin)
+            and ev.origin_asn == origin_asn
+            and ev.collector == collector
+        ):
             yield ev
+
+
+def series_from_columns(origin_asn: int, collector: str, timestamps: Iterable[int]) -> EventSeries:
+    """The EventSeries of one pair's announcement timestamps, in any order.
+
+    Duplicate timestamps are preserved: each announcement is its own event
+    even when several arrive within the same second.
+    """
+    return EventSeries(origin_asn, collector, tuple(sorted(timestamps)))
+
+
+def volume_from_columns(
+    origin_asn: int, collector: str, timestamps: Iterable[int], prefixes: Iterable[str]
+) -> VolumeSeries:
+    """The VolumeSeries of one pair's announcements, given as parallel columns."""
+    per_second: dict[int, set[str]] = {}
+    for ts, prefix in zip(timestamps, prefixes):
+        seen = per_second.get(ts)
+        if seen is None:
+            per_second[ts] = {prefix}
+        else:
+            seen.add(prefix)
+    points = tuple((ts, len(per_second[ts])) for ts in sorted(per_second))
+    return VolumeSeries(origin_asn, collector, points)
 
 
 def build_series(
     events: Iterable[AnnouncementEvent], origin_asn: int, collector: str
 ) -> EventSeries:
-    """Announcement timestamps for (origin_asn, collector), sorted.
-
-    Duplicate timestamps are preserved: each announcement is its own event
-    even when several arrive within the same second.
-    """
-    ts = sorted(ev.timestamp for ev in _series_events(events, origin_asn, collector))
-    return EventSeries(origin_asn, collector, tuple(ts))
+    """Announcement timestamps for (origin_asn, collector), sorted."""
+    ts = [ev.timestamp for ev in _series_events(events, origin_asn, collector)]
+    return series_from_columns(origin_asn, collector, ts)
 
 
 def build_volume_series(
     events: Iterable[AnnouncementEvent], origin_asn: int, collector: str
 ) -> VolumeSeries:
     """Unique announced prefixes per second for (origin_asn, collector)."""
-    per_second: dict[int, set[str]] = {}
-    for ev in _series_events(events, origin_asn, collector):
-        per_second.setdefault(ev.timestamp, set()).add(ev.prefix)
-    points = tuple((ts, len(per_second[ts])) for ts in sorted(per_second))
-    return VolumeSeries(origin_asn, collector, points)
+    bucket = list(_series_events(events, origin_asn, collector))
+    return volume_from_columns(
+        origin_asn, collector, [ev.timestamp for ev in bucket], [ev.prefix for ev in bucket]
+    )
 
 
 def series_keys(
@@ -260,8 +347,30 @@ def series_keys(
     """
     groups: dict[tuple[int, str], list[AnnouncementEvent]] = {}
     for ev in events:
-        if _usable(ev):
+        if _usable(ev.kind, ev.ambiguous_origin):
             groups.setdefault((ev.origin_asn, ev.collector), []).append(ev)
+    return {key: groups[key] for key in sorted(groups)}
+
+
+def read_groups(
+    source: Iterable[str] | IO[str],
+) -> dict[tuple[int, str], tuple[list[int], list[str]]]:
+    """Canonical lines straight to per-series columns, in one pass.
+
+    Returns what series_keys(parse_event_lines(source)) returns, with each
+    bucket of events replaced by its (timestamps, prefixes) columns: keys
+    sorted, each column in input order.  Pass the columns to
+    series_from_columns and volume_from_columns.  Lines are read, and
+    rejected, as by scan_event_lines.
+    """
+    groups: dict[tuple[int, str], tuple[list[int], list[str]]] = {}
+    for _, ts, collector, prefix, kind, origin, ambiguous in scan_event_lines(source):
+        if _usable(kind, ambiguous):
+            columns = groups.get((origin, collector))
+            if columns is None:
+                columns = groups[origin, collector] = ([], [])
+            columns[0].append(ts)
+            columns[1].append(prefix)
     return {key: groups[key] for key in sorted(groups)}
 
 

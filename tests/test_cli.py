@@ -6,17 +6,26 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mrt_golden as golden
 from bgpburst import mrt
 from bgpburst.cli import main
 from bgpburst.detector import CONFIG_KEYS
-from bgpburst.events import ANNOUNCEMENT, WITHDRAWAL, AnnouncementEvent, write_event_lines
+from bgpburst.events import (
+    ANNOUNCEMENT,
+    WITHDRAWAL,
+    AnnouncementEvent,
+    parse_event_lines,
+    write_event_lines,
+)
 from bgpburst.synth import IncidentSpec, inject_incident_events, update_stream
+from canonical_lines import good_lines
 
 START = 1_400_000_000
 
@@ -243,6 +252,33 @@ class TestIngest:
         assert_input_error(code, capsys)
         assert not (out / "events.jsonl").exists()
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(good_lines, max_size=10),
+        st.sampled_from([None, 0, 1]),
+        st.sampled_from([None, "rrc00", "a b"]),
+    )
+    def test_canonical_output_is_each_line_reserialised(self, lines, asn, collector):
+        expected = [
+            ev for ev in parse_event_lines(lines)
+            if (asn is None or ev.origin_asn == asn)
+            and (collector is None or ev.collector == collector)
+        ]
+        filters = [] if asn is None else ["--asn", str(asn)]
+        filters += [] if collector is None else ["--collector", collector]
+        with tempfile.TemporaryDirectory() as tmp:
+            source, out = Path(tmp) / "in.jsonl", Path(tmp) / "out"
+            source.write_text("\n".join(lines), encoding="utf-8")
+            assert main(["ingest", str(source), *filters, "--out", str(out)]) == 0
+            written = (out / "events.jsonl").read_text(encoding="utf-8")
+            summary = json.loads((out / "ingest_summary.json").read_text())
+        assert written == "".join(ev.to_line() + "\n" for ev in expected)
+        assert summary["events_written"] == len(expected)
+        assert summary["announcements"] == sum(ev.kind == ANNOUNCEMENT for ev in expected)
+        assert summary["withdrawals_excluded_from_statistics"] == sum(
+            ev.kind == WITHDRAWAL for ev in expected
+        )
+
 
 class TestDetect:
     def test_produces_reports_and_traces(self, sim_events, tmp_path):
@@ -315,6 +351,35 @@ class TestDetect:
         bad = tmp_path / "events.jsonl"
         bad.write_bytes(NON_UTF8_EVENTS)
         assert_input_error(main(["detect", str(bad), "--out", str(tmp_path / "o")]), capsys)
+
+    def test_other_line_forms_give_the_same_reports(self, sim_events, tmp_path):
+        # Every other line with spaces and reversed keys: no longer writer form.
+        lines = sim_events.read_text().splitlines()
+        rewritten = tmp_path / "rewritten.jsonl"
+        rewritten.write_text("".join(
+            (json.dumps(dict(reversed(json.loads(line).items()))) if i % 2 else line) + "\n"
+            for i, line in enumerate(lines)
+        ))
+        outs = [tmp_path / "plain", tmp_path / "rewritten"]
+        for events, out in zip((sim_events, rewritten), outs):
+            assert main(["detect", str(events), "--out", str(out)]) == 0
+        assert data_digests(outs[0]) == data_digests(outs[1])
+
+    def test_collectors_sharing_a_report_name_are_input_error(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            AnnouncementEvent(ts, collector, "10.0.0.0/8", ANNOUNCEMENT, origin_asn=1).to_line()
+            + "\n"
+            for collector in ("a b", "a_b") for ts in range(10)
+        ))
+        out = tmp_path / "o"
+        assert main(["detect", str(events), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'a b'" in err and "'a_b'" in err and "--collector" in err
+        assert list(out.iterdir()) == []
+        assert main(["detect", str(events), "--collector", "a b", "--out", str(out)]) == 0
+        assert len(manifest_of(out)["outputs"]) == 2
 
     def test_null_collector_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "events.jsonl"
@@ -491,6 +556,29 @@ class TestEvaluate:
         code, _ = self.run_pipeline(sim_events, tmp_path, [self.INCIDENT], "--m", "0")
         assert_input_error(code, capsys)
 
+    @pytest.mark.parametrize("flag", ["--t0", "--t1"])
+    def test_one_bound_alone_is_input_error(self, sim_events, tmp_path, capsys, flag):
+        code, out = self.run_pipeline(sim_events, tmp_path, [self.INCIDENT], flag, "999999")
+        assert_input_error(code, capsys)
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("digits", ["\u0663", "\u00b2", "\uff11"])
+    @pytest.mark.parametrize("flag", ["--t0", "--t1"])
+    def test_non_ascii_digits_are_not_unix_seconds(
+        self, sim_events, tmp_path, capsys, flag, digits
+    ):
+        bounds = {"--t0": str(START), "--t1": str(START + 30 * 86400)}
+        code, _ = self.run_pipeline(
+            sim_events, tmp_path / "ascii", [self.INCIDENT],
+            *(x for kv in bounds.items() for x in kv),
+        )
+        assert code == 0
+        bounds[flag] = digits
+        code, _ = self.run_pipeline(
+            sim_events, tmp_path, [self.INCIDENT], *(x for kv in bounds.items() for x in kv)
+        )
+        assert_input_error(code, capsys)
+
 
 class TestAnalyze:
     @pytest.fixture()
@@ -589,6 +677,14 @@ class TestAnalyze:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "window", [("\u00b2", "200"), ("0", "\u0663\u0663"), ("\uff11", "2")]
+    )
+    def test_non_ascii_digit_window_is_input_error(self, corpus_events, tmp_path, capsys, window):
+        out = tmp_path / "analyze"
+        code = main(["analyze", str(corpus_events), "--window", *window, "--out", str(out)])
+        assert_input_error(code, capsys)
 
     def test_rfc3339_window_accepted(self, corpus_events, tmp_path):
         out = tmp_path / "analyze"

@@ -18,10 +18,15 @@ from bgpburst.events import (
     build_series,
     build_volume_series,
     parse_event_lines,
+    read_groups,
+    scan_event_lines,
+    series_from_columns,
     series_keys,
+    volume_from_columns,
     write_event_lines,
     write_volume_csv,
 )
+from canonical_lines import event_lines
 
 
 def _parse(text):
@@ -403,3 +408,83 @@ def test_restrict_matches_linear_filter(stamps, start, end):
     series = EventSeries(1, "c", tuple(sorted(stamps)))
     expected = tuple(t for t in sorted(stamps) if start <= t < end)
     assert series.restrict(start, end) == EventSeries(1, "c", expected)
+
+
+def _outcome(read, lines):
+    """What a reader returns for `lines`, or the type and text of its error."""
+    try:
+        return read(lines)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+def _columns_of_parsed(lines):
+    return {
+        key: ([ev.timestamp for ev in bucket], [ev.prefix for ev in bucket])
+        for key, bucket in series_keys(parse_event_lines(lines)).items()
+    }
+
+
+def _fields_of_parsed(lines):
+    return [
+        (ev.to_line(), ev.timestamp, ev.collector, ev.prefix, ev.kind, ev.origin_asn,
+         ev.ambiguous_origin)
+        for ev in parse_event_lines(lines)
+    ]
+
+
+class TestFusedReader:
+    """read_groups and scan_event_lines read every line as parse_event_lines does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(event_lines)
+    def test_readers_equal_parse_event_lines(self, lines):
+        assert _outcome(read_groups, lines) == _outcome(_columns_of_parsed, lines)
+        assert _outcome(lambda ls: list(scan_event_lines(ls)), lines) == _outcome(
+            _fields_of_parsed, lines
+        )
+
+    def test_writer_lines_are_passed_through(self):
+        events = [
+            _ev(1),
+            _ev(2, kind=WITHDRAWAL, prefix="2001:db8::/32"),
+            AnnouncementEvent(3, "c", "10.0.0.0/8", ANNOUNCEMENT, origin_asn=0, peer_asn=0,
+                              ambiguous_origin=True),
+        ]
+        lines = [ev.to_line() for ev in events]
+        rows = list(scan_event_lines(lines))
+        assert len(rows) == len(lines)
+        assert all(row[0] is line for row, line in zip(rows, lines))
+
+    def test_other_forms_are_reserialised(self):
+        lines = ['{"type":"W","prefix":"10.0.0.0/8","collector":"c","ts":5}', "\r", ""]
+        assert [row[0] for row in scan_event_lines(lines)] == [
+            '{"ts":5,"collector":"c","prefix":"10.0.0.0/8","type":"W"}'
+        ]
+
+    def test_error_line_numbers_count_blank_lines(self):
+        lines = [_ev(1).to_line(), "", '{"ts":2,"collector":"c","prefix":"10.0.0.0/8","type":"A"}']
+        with pytest.raises(EventFormatError, match="^line 3: missing field 'origin_asn'$"):
+            read_groups(lines)
+
+    def test_bad_prefix_in_writer_form_keeps_its_error(self):
+        line = _ev(1, prefix="10.0.0.0/33").to_line()
+        with pytest.raises(EventFormatError) as expected:
+            list(parse_event_lines([line]))
+        with pytest.raises(EventFormatError) as err:
+            read_groups([line])
+        assert str(err.value) == str(expected.value)
+
+    def test_each_distinct_prefix_is_stored_once(self):
+        lines = [_ev(ts, prefix="2001:db8::/32").to_line() for ts in range(3)]
+        ((_, prefixes),) = read_groups(lines).values()
+        assert prefixes[0] is prefixes[1] is prefixes[2]
+
+    def test_columns_build_the_same_series(self):
+        events = [_ev(5), _ev(3, prefix="10.1.0.0/16"), _ev(5, prefix="10.1.0.0/16"), _ev(5)]
+        timestamps = [ev.timestamp for ev in events]
+        prefixes = [ev.prefix for ev in events]
+        assert series_from_columns(4761, "linx", timestamps) == build_series(events, 4761, "linx")
+        assert volume_from_columns(4761, "linx", timestamps, prefixes) == build_volume_series(
+            events, 4761, "linx"
+        )
