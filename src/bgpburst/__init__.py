@@ -47,7 +47,7 @@ from .events import (
     volume_from_columns,
     write_event_lines,
 )
-from .mrt import MrtParseResult, MrtStats, parse_mrt_updates
+from .mrt import MrtParseResult, MrtStats, parse_mrt_updates, read_updates
 from .synth import (
     GeneratorSpec,
     IncidentSpec,

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import gt, sub
 from typing import IO, Iterable, Sequence
 
 from .events import EventSeries
@@ -45,7 +47,7 @@ class InterArrivalSample:
     def __post_init__(self):
         if self.n_events >= 1 and len(self.intervals) != self.n_events - 1:
             raise ValueError("expected n_events - 1 intervals")
-        if any(iv < 0 for iv in self.intervals):
+        if any(map(gt, repeat(0), self.intervals)):
             raise ValueError("negative inter-arrival interval")
 
 
@@ -61,7 +63,7 @@ class BurstinessResult:
 def inter_arrivals(series: EventSeries) -> InterArrivalSample:
     """Consecutive timestamp differences; zero gaps are kept."""
     ts = series.timestamps
-    gaps = tuple(float(ts[i + 1] - ts[i]) for i in range(len(ts) - 1))
+    gaps = tuple(map(float, map(sub, islice(ts, 1, None), ts)))
     return InterArrivalSample(gaps, len(ts))
 
 

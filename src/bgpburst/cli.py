@@ -52,19 +52,22 @@ from .evaluation import (
 )
 from .events import (
     ANNOUNCEMENT,
+    WITHDRAWAL,
     EventFormatError,
+    line_parts,
     read_groups,
     scan_event_lines,
     series_from_columns,
     volume_from_columns,
     write_event_lines,
 )
+from .mrt import MrtParseError, MrtStats, decompress, read_updates
+from .synth import GeneratorSpec, IncidentSpec, generate_stream, inject_incident_events
 
 # Not called here: benchmarks/traced_cli.py wraps these names in this module
 # until stage records replace it (ROADMAP item 1).
 from .events import build_series, build_volume_series, parse_event_lines, series_keys  # noqa: F401
-from .mrt import MrtParseError, decompress, parse_mrt_updates
-from .synth import GeneratorSpec, IncidentSpec, generate_stream, inject_incident_events
+from .mrt import parse_mrt_updates  # noqa: F401
 
 CONFIG_ENV_VAR = "BGPBURST_CONFIG"
 
@@ -179,34 +182,78 @@ def _resolve_detector_config(args) -> tuple[DetectorConfig, dict]:
 # ---------------------------------------------------------------- ingest
 
 
-def _parse_one_input(path: Path, collector: str | None):
-    """One input's events as (line, collector, origin_asn, kind) rows, and its stats.
+# Canonical input: its first non-space byte opens a JSON object, or there is
+# none.  Matched in place, where lstrip() would copy the whole payload.
+_CANONICAL_HEAD = re.compile(rb"[ \t\n\r\x0b\x0c]*(?:\{|\Z)")
 
-    A canonical line already in writer form is its own row line; MRT events
-    are serialised when their rows are read.
+
+def _prefix_lines(head: str, prefixes: list[str], tail: str) -> str:
+    """One writer-form line per prefix: the MRT decoder's prefix texts need no escaping."""
+    return f'{head}"' + f'"{tail}\n{head}"'.join(prefixes) + f'"{tail}\n'
+
+
+def _ingest_mrt(payload: bytes, collector: str, asn: int | None, fh) -> tuple[dict, int, int]:
+    """Write the kept events of one MRT input, all at `collector`; its
+    summary entry, lines and announcements."""
+    stats = MrtStats()
+    collector_json = json.dumps(collector)
+    written = announcements = 0
+    for ts, peer_asn, withdrawn, announced, origin, ambiguous in read_updates(payload, stats):
+        if withdrawn and asn is None:
+            head, tail = line_parts(ts, collector_json, peer_asn, WITHDRAWAL, None, False)
+            fh.write(_prefix_lines(head, withdrawn, tail))
+            written += len(withdrawn)
+        if announced and (asn is None or origin == asn):
+            head, tail = line_parts(ts, collector_json, peer_asn, ANNOUNCEMENT, origin, ambiguous)
+            fh.write(_prefix_lines(head, announced, tail))
+            written += len(announced)
+            announcements += len(announced)
+    return {"format": "mrt", **stats.as_dict()}, written, announcements
+
+
+def _ingest_canonical(
+    lines: list[str], collector: str | None, asn: int | None, fh
+) -> tuple[dict, int, int]:
+    """Write the kept events of one canonical input; its summary entry, lines and announcements.
+
+    A line already in writer form is copied through; every other line is
+    re-serialised.
+    """
+    emitted = written = announcements = 0
+    for line, _, coll, _, kind, origin, _ in scan_event_lines(lines):
+        emitted += 1
+        if (collector is None or coll == collector) and (asn is None or origin == asn):
+            fh.write(line)
+            fh.write("\n")
+            written += 1
+            announcements += kind == ANNOUNCEMENT
+    stats = {"format": "canonical", "events_emitted": emitted, "events_dropped": 0, "records_skipped": 0}
+    return stats, written, announcements
+
+
+def _ingest_input(path: Path, args, fh) -> tuple[dict, int, int]:
+    """Decode one input and write the events ingest keeps as they are decoded.
+
+    Returns the input's summary entry, final once its events are written,
+    with the count of lines written and of announcements among them.
     """
     try:
-        payload = decompress(path.read_bytes())
-        head = payload.lstrip()[:1]
-        if head in (b"{", b""):
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+    try:
+        payload = decompress(raw)
+        del raw
+        if _CANONICAL_HEAD.match(payload):
             lines = _decode_utf8(path, payload).split("\n")
-            rows = [
-                (line, coll, origin, kind)
-                for line, _, coll, _, kind, origin, _ in scan_event_lines(lines)
-            ]
-            stats = {
-                "format": "canonical",
-                "events_emitted": len(rows),
-                "events_dropped": 0,
-                "records_skipped": 0,
-            }
-        else:
-            result = parse_mrt_updates(payload, collector=collector or "unknown")
-            rows = ((ev.to_line(), ev.collector, ev.origin_asn, ev.kind) for ev in result.events)
-            stats = {"format": "mrt", **result.stats.as_dict()}
+            del payload  # the lines alone are kept while they are written
+            return _ingest_canonical(lines, args.collector, args.asn, fh)
+        # MRT does not name its collector: --collector does, and so it
+        # filters nothing here.
+        collector = "unknown" if args.collector is None else args.collector
+        return _ingest_mrt(payload, collector, args.asn, fh)
     except (MrtParseError, EventFormatError) as exc:
         raise CliError(f"{path}: {exc}") from exc
-    return rows, stats
 
 
 def cmd_ingest(args) -> int:
@@ -222,35 +269,30 @@ def cmd_ingest(args) -> int:
     for path in paths:
         manifest.add_input(path)
 
-    parsed = [_parse_one_input(p, args.collector) for p in paths]
-
-    totals = {"events_emitted": 0, "events_dropped": 0, "records_skipped": 0}
+    # Events stream into a temporary file that becomes events.jsonl only
+    # when every input has been read, so a failed ingest leaves none.
     per_input = []
-    for path, (_, stats) in zip(paths, parsed):
-        per_input.append({"path": str(path), **stats})
-        for key in totals:
-            totals[key] += int(stats.get(key, 0))
-
     written = announcements = 0
     events_path = out / "events.jsonl"
-    with events_path.open("w", encoding="utf-8", newline="\n") as fh:
-        for rows, _ in parsed:
-            for line, collector, origin, kind in rows:
-                if args.collector is not None and collector != args.collector:
-                    continue
-                if args.asn is not None and origin != args.asn:
-                    continue
-                fh.write(line)
-                fh.write("\n")
-                written += 1
-                announcements += kind == ANNOUNCEMENT
+    partial = out / f".events.jsonl.{os.getpid()}.tmp"
+    try:
+        with partial.open("w", encoding="utf-8", newline="\n") as fh:
+            for path in paths:
+                stats, lines, announced = _ingest_input(path, args, fh)
+                per_input.append({"path": str(path), **stats})
+                written += lines
+                announcements += announced
+        os.replace(partial, events_path)
+    finally:
+        partial.unlink(missing_ok=True)
+
     withdrawals = written - announcements
     summary = {
         "events_written": written,
         "announcements": announcements,
         "withdrawals_excluded_from_statistics": withdrawals,
-        "events_dropped": totals["events_dropped"],
-        "records_skipped": totals["records_skipped"],
+        "events_dropped": sum(item["events_dropped"] for item in per_input),
+        "records_skipped": sum(item["records_skipped"] for item in per_input),
         "inputs": per_input,
     }
     summary_path = out / "ingest_summary.json"

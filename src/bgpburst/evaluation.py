@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
-from .detector import AnomalyReport
+from .detector import AnomalyReport, whole_number
 
 DEFAULT_BIN_SECONDS = 10800  # 3 hours
 
@@ -48,12 +49,42 @@ class IncidentWindow:
             raise ValueError(f"incident {self.name!r}: unknown kind {self.kind!r}")
 
 
+# RFC 3339 date-time (with "T", "t" or a space between date and time), where
+# the time may also end at the minutes or be left out, and a missing offset
+# means UTC.  Matched here rather than by datetime.fromisoformat, whose
+# accepted forms differ between Python versions.  Groups: year, month, day,
+# hour, minute, second, offset sign, offset hours, offset minutes.
+_RFC3339 = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
+    r"(?:[Tt ]([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.[0-9]+)?)?"
+    r"(?:[Zz]|([+-])([0-9]{2}):([0-9]{2}))?)?"
+)
+
+
 def parse_utc(text: str) -> int:
-    """RFC 3339 timestamp to unix seconds; everything is UTC."""
-    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    """RFC 3339 timestamp to unix seconds; everything is UTC.
+
+    Takes YYYY-MM-DD, optionally followed by HH:MM[:SS[.fraction]] and an
+    offset (Z or +HH:MM / -HH:MM), the same on every Python version.  A
+    fraction of a second is dropped.  Other ISO 8601 forms (week and
+    ordinal dates, the basic format without separators) and out-of-range
+    fields raise ValueError; a value that is not a string raises TypeError.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"time must be an RFC 3339 string, got {text!r}")
+    m = _RFC3339.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not an RFC 3339 time: {text!r}")
+    fields = [int(g or 0) for g in m.group(1, 2, 3, 4, 5, 6)]
+    sign, off_hours, off_minutes = m.group(7, 8, 9)
+    offset = timedelta()
+    if sign is not None:
+        if int(off_minutes) > 59:
+            raise ValueError(f"offset minutes out of range in {text!r}")
+        offset = timedelta(hours=int(off_hours), minutes=int(off_minutes))
+        if sign == "-":
+            offset = -offset
+    return int(datetime(*fields, tzinfo=timezone(offset)).timestamp())
 
 
 def load_incidents(path: str | Path) -> list[IncidentWindow]:
@@ -70,7 +101,7 @@ def load_incidents(path: str | Path) -> list[IncidentWindow]:
             windows.append(
                 IncidentWindow(
                     name=item["name"],
-                    perpetrator_asn=int(item["asn"]),
+                    perpetrator_asn=whole_number("asn", item["asn"]),
                     start=parse_utc(item["start_utc"]),
                     end=parse_utc(item["end_utc"]),
                     kind=item["kind"],

@@ -14,6 +14,8 @@ import json
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
+from operator import gt
 from typing import IO, Iterable, Iterator
 
 ANNOUNCEMENT = "announcement"
@@ -65,14 +67,34 @@ class AnnouncementEvent:
 
     def to_line(self) -> str:
         """Compact JSON with keys in canonical order; optional keys omitted."""
-        peer = "" if self.peer_asn is None else f',"peer_asn":{self.peer_asn}'
-        origin = "" if self.origin_asn is None else f',"origin_asn":{self.origin_asn}'
-        ambiguous = ',"ambiguous_origin":true' if self.ambiguous_origin else ""
-        return (
-            f'{{"ts":{self.timestamp},"collector":{json.dumps(self.collector)}{peer},'
-            f'"prefix":{json.dumps(self.prefix)}{origin},'
-            f'"type":"{_KIND_CODE[self.kind]}"{ambiguous}}}'
+        head, tail = line_parts(
+            self.timestamp, json.dumps(self.collector), self.peer_asn,
+            self.kind, self.origin_asn, self.ambiguous_origin,
         )
+        return head + json.dumps(self.prefix) + tail
+
+
+def line_parts(
+    timestamp: int,
+    collector_json: str,
+    peer_asn: int | None,
+    kind: str,
+    origin_asn: int | None,
+    ambiguous_origin: bool,
+) -> tuple[str, str]:
+    """The writer form of an event around its prefix, as (head, tail).
+
+    `collector_json` is json.dumps(collector); the event's line is head +
+    json.dumps(prefix) + tail.  Writers that emit many events of one
+    update or one collector build the parts once and reuse them.
+    """
+    peer = "" if peer_asn is None else f',"peer_asn":{peer_asn}'
+    origin = "" if origin_asn is None else f',"origin_asn":{origin_asn}'
+    ambiguous = ',"ambiguous_origin":true' if ambiguous_origin else ""
+    return (
+        f'{{"ts":{timestamp},"collector":{collector_json}{peer},"prefix":',
+        f'{origin},"type":"{_KIND_CODE[kind]}"{ambiguous}}}',
+    )
 
 
 @dataclass(frozen=True)
@@ -85,7 +107,7 @@ class EventSeries:
 
     def __post_init__(self):
         ts = self.timestamps
-        if any(ts[i] > ts[i + 1] for i in range(len(ts) - 1)):
+        if any(map(gt, ts, islice(ts, 1, None))):
             raise ValueError("timestamps must be nondecreasing")
 
     def __len__(self) -> int:
@@ -113,6 +135,7 @@ class VolumeSeries:
     points: tuple[tuple[int, int], ...]  # (timestamp, unique prefix count)
 
     def __post_init__(self):
+        # A plain loop: unpacking each pair here is as fast as map-based checks.
         prev = None
         for ts, count in self.points:
             if count < 1:

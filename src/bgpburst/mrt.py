@@ -3,7 +3,10 @@
 Only what a route-collector update archive contains is handled: BGP4MP and
 BGP4MP_ET records with MESSAGE / MESSAGE_AS4 subtypes carrying BGP UPDATEs.
 Everything else (state changes, RIB dumps, unknown types) is counted and
-skipped.  One AnnouncementEvent is emitted per NLRI prefix.
+skipped.  One record loop, read_updates, walks the inflated buffer by
+offset and yields the plain fields of each UPDATE; parse_mrt_updates builds
+one AnnouncementEvent per NLRI prefix from them, and `ingest` formats its
+lines from them directly.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import socket
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .events import ANNOUNCEMENT, WITHDRAWAL, AnnouncementEvent
 
@@ -110,8 +114,8 @@ def decompress(raw: bytes) -> bytes:
     return raw
 
 
-_V4_MASKS = [(0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF for plen in range(33)]
-_V6_MASKS = [((1 << 128) - 1) ^ ((1 << (128 - plen)) - 1) for plen in range(129)]
+# The network bits of a prefix's last byte, by prefix length modulo 8.
+_LAST_BYTE_MASKS = [0xFF00 >> bits & 0xFF for bits in range(8)]
 _V6_ZERO_HEAD = bytes(10)
 
 
@@ -120,11 +124,11 @@ def _prefix_str(packed: bytes, plen: int, afi: int) -> str:
 
     Equal to str(ipaddress.ip_network((packed padded, plen), strict=False)).
     """
+    if plen & 7:
+        packed = packed[:-1] + bytes((packed[-1] & _LAST_BYTE_MASKS[plen & 7],))
     if afi == AFI_IPV4:
-        n = int.from_bytes(packed.ljust(4, b"\x00"), "big") & _V4_MASKS[plen]
-        return "%d.%d.%d.%d/%d" % (n >> 24, n >> 16 & 255, n >> 8 & 255, n & 255, plen)
-    n = int.from_bytes(packed.ljust(16, b"\x00"), "big") & _V6_MASKS[plen]
-    addr = n.to_bytes(16, "big")
+        return socket.inet_ntoa(packed.ljust(4, b"\0")) + f"/{plen}"
+    addr = packed.ljust(16, b"\0")
     if addr[:10] == _V6_ZERO_HEAD:
         # inet_ntop prints ::ffff:a.b.c.d and ::a.b.c.d where ipaddress
         # prints hex groups; these rare addresses keep the slow path.
@@ -132,234 +136,222 @@ def _prefix_str(packed: bytes, plen: int, afi: int) -> str:
     return f"{socket.inet_ntop(socket.AF_INET6, addr)}/{plen}"
 
 
-def _read_nlri(buf: bytes, afi: int) -> list[str]:
-    """Decode a run of (length, prefix) NLRI entries covering the whole buffer."""
+# Prefix texts by their NLRI bytes (length byte and address bytes), one
+# table per address family.  A table that reaches the limit starts over, so
+# its size stays bounded whatever the input.
+_PREFIX_CACHE_LIMIT = 1 << 16
+
+
+def _read_nlri(data: bytes, pos: int, end: int, afi: int, cache: dict) -> list[str]:
+    """Decode the (length, prefix) NLRI entries that exactly fill data[pos:end],
+    taking each prefix text from `cache` or adding it there."""
     max_bits = 32 if afi == AFI_IPV4 else 128
     prefixes = []
-    pos = 0
-    while pos < len(buf):
-        plen = buf[pos]
-        pos += 1
+    while pos < end:
+        plen = data[pos]
         if plen > max_bits:
             raise _MalformedUpdate(f"prefix length {plen} exceeds {max_bits}")
-        nbytes = (plen + 7) // 8
-        if pos + nbytes > len(buf):
+        stop = pos + 1 + ((plen + 7) >> 3)
+        if stop > end:
             raise _MalformedUpdate("NLRI truncated")
-        prefixes.append(_prefix_str(buf[pos : pos + nbytes], plen, afi))
-        pos += nbytes
+        key = data[pos:stop]
+        text = cache.get(key)
+        if text is None:
+            if len(cache) >= _PREFIX_CACHE_LIMIT:
+                cache.clear()
+            text = cache[key] = _prefix_str(key[1:], plen, afi)
+        prefixes.append(text)
+        pos = stop
     return prefixes
 
 
-def _read_attributes(buf: bytes) -> list[tuple[int, bytes]]:
-    attrs = []
-    pos = 0
-    while pos < len(buf):
-        if pos + 2 > len(buf):
-            raise _MalformedUpdate("attribute header truncated")
-        flags = buf[pos]
-        atype = buf[pos + 1]
-        pos += 2
-        if flags & ATTR_FLAG_EXT_LEN:
-            if pos + 2 > len(buf):
-                raise _MalformedUpdate("extended attribute length truncated")
-            alen = struct.unpack_from(">H", buf, pos)[0]
-            pos += 2
-        else:
-            if pos + 1 > len(buf):
-                raise _MalformedUpdate("attribute length truncated")
-            alen = buf[pos]
-            pos += 1
-        if pos + alen > len(buf):
-            raise _MalformedUpdate("attribute value truncated")
-        attrs.append((atype, buf[pos : pos + alen]))
-        pos += alen
-    return attrs
+def _origin_from_as_path(data: bytes, pos: int, end: int, asn_size: int) -> tuple[int, bool]:
+    """Origin ASN from the final segment of the AS_PATH in data[pos:end];
+    True when that segment is an AS_SET.
 
-
-def _origin_from_as_path(value: bytes, asn_size: int) -> tuple[int, bool]:
-    """Origin ASN from the final path segment; True when it was an AS_SET.
-
-    Raises _MalformedUpdate for empty paths, unknown segment types, or
-    byte-count mismatches.
+    Raises _MalformedUpdate for empty paths or segments, unknown segment
+    types, or byte-count mismatches.
     """
-    segments = []
-    pos = 0
-    while pos < len(value):
-        if pos + 2 > len(value):
+    seg_type = None
+    while pos < end:
+        if pos + 2 > end:
             raise _MalformedUpdate("AS_PATH segment header truncated")
-        seg_type = value[pos]
-        count = value[pos + 1]
-        pos += 2
-        size = count * asn_size
-        if pos + size > len(value):
+        seg_type = data[pos]
+        count = data[pos + 1]
+        pos += 2 + count * asn_size
+        if pos > end:
             raise _MalformedUpdate("AS_PATH segment truncated")
-        if seg_type not in (SEG_AS_SET, SEG_AS_SEQUENCE):
+        if seg_type != SEG_AS_SEQUENCE and seg_type != SEG_AS_SET:
             raise _MalformedUpdate(f"unsupported AS_PATH segment type {seg_type}")
-        fmt = ">H" if asn_size == 2 else ">I"
-        asns = [
-            struct.unpack_from(fmt, value, pos + i * asn_size)[0] for i in range(count)
-        ]
-        if not asns:
+        if not count:
             raise _MalformedUpdate("empty AS_PATH segment")
-        segments.append((seg_type, asns))
-        pos += size
-    if not segments:
+    if seg_type is None:
         raise _MalformedUpdate("empty AS_PATH")
-    seg_type, asns = segments[-1]
-    return asns[-1], seg_type == SEG_AS_SET
+    return int.from_bytes(data[pos - asn_size : pos], "big"), seg_type == SEG_AS_SET
 
 
-def _parse_update_body(
-    body: bytes, asn_size: int
-) -> tuple[list[str], list[str], bytes | None]:
-    """Split one UPDATE into (withdrawn v4, announced prefixes, AS_PATH bytes)."""
-    if len(body) < 4:
-        raise _MalformedUpdate("update body too short")
-    wlen = struct.unpack_from(">H", body, 0)[0]
-    pos = 2
-    if pos + wlen > len(body):
-        raise _MalformedUpdate("withdrawn routes truncated")
-    withdrawn = _read_nlri(body[pos : pos + wlen], AFI_IPV4)
-    pos += wlen
-    if pos + 2 > len(body):
-        raise _MalformedUpdate("attribute block length truncated")
-    alen = struct.unpack_from(">H", body, pos)[0]
-    pos += 2
-    if pos + alen > len(body):
-        raise _MalformedUpdate("attribute block truncated")
-    attrs = _read_attributes(body[pos : pos + alen])
-    pos += alen
-    announced = _read_nlri(body[pos:], AFI_IPV4)
-
-    as_path = None
-    for atype, value in attrs:
-        if atype == ATTR_AS_PATH:
-            as_path = value
-        elif atype == ATTR_MP_REACH_NLRI:
-            if len(value) < 5:
-                raise _MalformedUpdate("MP_REACH_NLRI truncated")
-            afi, safi, nhlen = struct.unpack_from(">HBB", value, 0)
-            off = 4 + nhlen + 1  # next hop then one reserved byte
-            if off > len(value):
-                raise _MalformedUpdate("MP_REACH_NLRI next hop truncated")
-            if afi in (AFI_IPV4, AFI_IPV6) and safi == SAFI_UNICAST:
-                announced.extend(_read_nlri(value[off:], afi))
-        elif atype == ATTR_MP_UNREACH_NLRI:
-            if len(value) < 3:
-                raise _MalformedUpdate("MP_UNREACH_NLRI truncated")
-            afi, safi = struct.unpack_from(">HB", value, 0)
-            if afi in (AFI_IPV4, AFI_IPV6) and safi == SAFI_UNICAST:
-                withdrawn.extend(_read_nlri(value[3:], afi))
-    return withdrawn, announced, as_path
+_MRT_HEADER = struct.Struct(">IHHI").unpack_from
 
 
-def parse_mrt_updates(raw: bytes, collector: str = "") -> MrtParseResult:
-    """Parse a concatenation of MRT records into announcement events.
+def read_updates(
+    raw: bytes, stats: MrtStats
+) -> Iterator[tuple[int, int, list[str], list[str], int | None, bool]]:
+    """Decode a concatenation of MRT records, one BGP UPDATE at a time.
+
+    Yields (timestamp, peer_asn, withdrawn, announced, origin_asn,
+    ambiguous_origin) for each update that carries prefixes: the prefix
+    texts it withdraws and announces, and the origin of its announcements.
+    When a missing or malformed AS_PATH drops the announcements, `announced`
+    is empty and `origin_asn` None.  Every update is decoded whole before
+    it is yielded, so a malformed one yields nothing and is counted once.
 
     Compressed input (gzip or bzip2) is decompressed first.  Truncation at
     the record level raises MrtParseError; per-update problems only bump
-    counters so one bad update cannot poison a multi-hour dump.
+    counters so one bad update cannot poison a multi-hour dump.  `stats` is
+    filled as records are read and is final once the generator is drained.
+    Records are read in place by offset, never sliced out of the buffer.
     """
     data = decompress(raw)
-    result = MrtParseResult()
-    stats = result.stats
+    v4_cache: dict[bytes, str] = {}
+    caches = {AFI_IPV4: v4_cache, AFI_IPV6: {}}
     pos = 0
     total = len(data)
     while pos < total:
         if pos + MRT_HEADER_LEN > total:
             raise MrtParseError("truncated MRT header", pos)
-        ts, mtype, subtype, length = struct.unpack_from(">IHHI", data, pos)
-        body_start = pos + MRT_HEADER_LEN
-        if body_start + length > total:
+        ts, mtype, subtype, length = _MRT_HEADER(data, pos)
+        start = pos + MRT_HEADER_LEN
+        end = start + length
+        if end > total:
             raise MrtParseError("truncated MRT record body", pos)
-        body = data[body_start : body_start + length]
         stats.records_total += 1
-        record_offset = pos
-        pos = body_start + length
-
-        if mtype not in (MRT_BGP4MP, MRT_BGP4MP_ET):
-            stats.records_skipped += 1
-            continue
         if mtype == MRT_BGP4MP_ET:
             # Extended-timestamp variant: drop the microseconds, keep seconds.
-            if len(body) < 4:
-                raise MrtParseError("truncated BGP4MP_ET microseconds", record_offset)
-            body = body[4:]
-        if subtype not in (BGP4MP_MESSAGE, BGP4MP_MESSAGE_AS4):
+            if length < 4:
+                raise MrtParseError("truncated BGP4MP_ET microseconds", pos)
+            start += 4
+        elif mtype != MRT_BGP4MP:
+            stats.records_skipped += 1
+            pos = end
+            continue
+        pos = end
+        if subtype == BGP4MP_MESSAGE:
+            asn_size = 2
+        elif subtype == BGP4MP_MESSAGE_AS4:
+            asn_size = 4
+        else:
             stats.records_skipped += 1
             continue
-        asn_size = 2 if subtype == BGP4MP_MESSAGE else 4
 
         try:
-            _emit_from_bgp4mp(body, asn_size, ts, collector, result)
+            # BGP4MP: peer AS, local AS, ifindex, AFI, peer and local address.
+            head = asn_size * 2 + 4
+            if end - start < head:
+                raise _MalformedUpdate("BGP4MP header truncated")
+            peer_asn = int.from_bytes(data[start : start + asn_size], "big")
+            afi = data[start + head - 2] << 8 | data[start + head - 1]
+            msg = start + head + (8 if afi == AFI_IPV4 else 32)
+            if end - msg < BGP_HEADER_LEN:
+                raise _MalformedUpdate("BGP message header truncated")
+            msg_len = data[msg + 16] << 8 | data[msg + 17]
+            if msg_len < BGP_HEADER_LEN or msg_len > end - msg:
+                raise _MalformedUpdate("BGP message length out of range")
+            if data[msg + 18] != BGP_MSG_UPDATE:
+                stats.records_skipped += 1
+                continue
+
+            # UPDATE: withdrawn routes, path attributes, announced NLRI.
+            at = msg + BGP_HEADER_LEN
+            end = msg + msg_len
+            if end - at < 4:
+                raise _MalformedUpdate("update body too short")
+            stop = at + 2 + (data[at] << 8 | data[at + 1])
+            if stop > end:
+                raise _MalformedUpdate("withdrawn routes truncated")
+            withdrawn = _read_nlri(data, at + 2, stop, AFI_IPV4, v4_cache) if stop > at + 2 else []
+            at = stop
+            if at + 2 > end:
+                raise _MalformedUpdate("attribute block length truncated")
+            attrs_end = at + 2 + (data[at] << 8 | data[at + 1])
+            if attrs_end > end:
+                raise _MalformedUpdate("attribute block truncated")
+            at += 2
+            announced = _read_nlri(data, attrs_end, end, AFI_IPV4, v4_cache) if end > attrs_end else []
+
+            as_path = None
+            while at < attrs_end:
+                if at + 2 > attrs_end:
+                    raise _MalformedUpdate("attribute header truncated")
+                atype = data[at + 1]
+                if data[at] & ATTR_FLAG_EXT_LEN:
+                    if at + 4 > attrs_end:
+                        raise _MalformedUpdate("extended attribute length truncated")
+                    value = at + 4
+                    at = value + (data[at + 2] << 8 | data[at + 3])
+                else:
+                    if at + 3 > attrs_end:
+                        raise _MalformedUpdate("attribute length truncated")
+                    value = at + 3
+                    at = value + data[at + 2]
+                if at > attrs_end:
+                    raise _MalformedUpdate("attribute value truncated")
+                if atype == ATTR_AS_PATH:
+                    as_path = value
+                    as_path_end = at
+                elif atype == ATTR_MP_REACH_NLRI:
+                    if at - value < 5:
+                        raise _MalformedUpdate("MP_REACH_NLRI truncated")
+                    family = data[value] << 8 | data[value + 1]
+                    nlri = value + 5 + data[value + 3]  # after the next hop and a reserved byte
+                    if nlri > at:
+                        raise _MalformedUpdate("MP_REACH_NLRI next hop truncated")
+                    if family in caches and data[value + 2] == SAFI_UNICAST:
+                        announced += _read_nlri(data, nlri, at, family, caches[family])
+                elif atype == ATTR_MP_UNREACH_NLRI:
+                    if at - value < 3:
+                        raise _MalformedUpdate("MP_UNREACH_NLRI truncated")
+                    family = data[value] << 8 | data[value + 1]
+                    if family in caches and data[value + 2] == SAFI_UNICAST:
+                        withdrawn += _read_nlri(data, value + 3, at, family, caches[family])
         except _MalformedUpdate:
             stats.malformed_updates += 1
+            continue
+
+        stats.updates_parsed += 1
+        stats.nlri_seen += len(withdrawn) + len(announced)
+        stats.withdrawals += len(withdrawn)
+        origin = None
+        ambiguous = False
+        if announced:
+            try:
+                if as_path is None:
+                    raise _MalformedUpdate("no AS_PATH")
+                origin, ambiguous = _origin_from_as_path(data, as_path, as_path_end, asn_size)
+            except _MalformedUpdate:
+                stats.malformed_paths += 1
+                stats.events_dropped += len(announced)
+                announced = []
+            else:
+                stats.announcements += len(announced)
+        stats.events_emitted += len(withdrawn) + len(announced)
+        if withdrawn or announced:
+            yield ts, peer_asn, withdrawn, announced, origin, ambiguous
+
+
+def parse_mrt_updates(raw: bytes, collector: str = "") -> MrtParseResult:
+    """Parse a concatenation of MRT records into announcement events.
+
+    One event per prefix of each update that read_updates yields:
+    withdrawals first, then announcements.  Errors and counters are
+    read_updates'.
+    """
+    result = MrtParseResult()
+    events = result.events
+    for ts, peer_asn, withdrawn, announced, origin, ambiguous in read_updates(raw, result.stats):
+        for prefix in withdrawn:
+            events.append(AnnouncementEvent(ts, collector, prefix, WITHDRAWAL, peer_asn=peer_asn))
+        for prefix in announced:
+            events.append(
+                AnnouncementEvent(ts, collector, prefix, ANNOUNCEMENT, origin, peer_asn, ambiguous)
+            )
     return result
-
-
-def _emit_from_bgp4mp(
-    body: bytes, asn_size: int, ts: int, collector: str, result: MrtParseResult
-) -> None:
-    stats = result.stats
-    head = asn_size * 2 + 4  # peer AS, local AS, ifindex, AFI
-    if len(body) < head:
-        raise _MalformedUpdate("BGP4MP header truncated")
-    fmt = ">HHHH" if asn_size == 2 else ">IIHH"
-    peer_asn, _local_asn, _ifindex, afi = struct.unpack_from(fmt, body, 0)
-    addr_len = 4 if afi == AFI_IPV4 else 16
-    msg_start = head + 2 * addr_len
-    if len(body) < msg_start + BGP_HEADER_LEN:
-        raise _MalformedUpdate("BGP message header truncated")
-    msg = body[msg_start:]
-    msg_len, msg_type = struct.unpack_from(">HB", msg, 16)
-    if msg_len < BGP_HEADER_LEN or msg_len > len(msg):
-        raise _MalformedUpdate("BGP message length out of range")
-    if msg_type != BGP_MSG_UPDATE:
-        stats.records_skipped += 1
-        return
-
-    withdrawn, announced, as_path = _parse_update_body(
-        msg[BGP_HEADER_LEN:msg_len], asn_size
-    )
-    stats.updates_parsed += 1
-    stats.nlri_seen += len(withdrawn) + len(announced)
-
-    for prefix in withdrawn:
-        result.events.append(
-            AnnouncementEvent(
-                timestamp=ts,
-                collector=collector,
-                prefix=prefix,
-                kind=WITHDRAWAL,
-                peer_asn=peer_asn,
-            )
-        )
-        stats.events_emitted += 1
-        stats.withdrawals += 1
-
-    if not announced:
-        return
-    if as_path is None:
-        stats.malformed_paths += 1
-        stats.events_dropped += len(announced)
-        return
-    try:
-        origin, ambiguous = _origin_from_as_path(as_path, asn_size)
-    except _MalformedUpdate:
-        stats.malformed_paths += 1
-        stats.events_dropped += len(announced)
-        return
-    for prefix in announced:
-        result.events.append(
-            AnnouncementEvent(
-                timestamp=ts,
-                collector=collector,
-                prefix=prefix,
-                kind=ANNOUNCEMENT,
-                origin_asn=origin,
-                peer_asn=peer_asn,
-                ambiguous_origin=ambiguous,
-            )
-        )
-        stats.events_emitted += 1
-        stats.announcements += 1

@@ -1,0 +1,251 @@
+"""Differential checks of the MRT decoder and of parse_utc, with or without pytest.
+
+    PYTHONPATH=src python tests/differential.py [CASES]
+
+The MRT check feeds the golden fixtures of mrt_golden.py and a few edge cases,
+and CASES seeded damaged copies of them, to the package's two routes to writer lines
+(`parse_mrt_updates` with `to_line`, and `ingest`) and to the frozen
+reference decoder in ref_mrt.py.  The lines, the counters and the
+MrtParseError text and offset must be equal.  The time check compares
+`parse_utc` with `reference_utc`, an RFC 3339 reader written without
+regular expressions or datetime, on CASES seeded texts, valid and not.
+The script prints the mismatches of each and exits 1 if there are any.
+tests/test_mrt.py and tests/test_evaluation.py run the same comparisons
+under hypothesis; the script needs neither pytest nor numpy, so it runs on
+any interpreter the package supports.
+"""
+
+from __future__ import annotations
+
+import calendar
+import contextlib
+import io
+import json
+import random
+import re
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+import mrt_golden as golden
+import ref_mrt
+from bgpburst.cli import main
+from bgpburst.evaluation import parse_utc
+from bgpburst.mrt import MrtParseError, parse_mrt_updates
+
+COLLECTOR = "route-views.test"
+GOLDEN = golden.golden_file()[0] + golden.prefix_forms_file()
+
+
+def _update(attrs, announce=(), withdraw=(), as4=True):
+    msg = golden.encode_bgp_update(withdrawn=withdraw, attrs=attrs, nlri=announce)
+    body = golden.encode_bgp4mp(64496, 65000, msg, as4=as4)
+    return golden.mrt_record(1396463300, golden.BGP4MP, golden.MESSAGE_AS4 if as4 else golden.MESSAGE, body)
+
+
+def _as_path(*segments, asn_size=4):
+    return golden.encode_attr(2, golden.encode_as_path(segments, asn_size))
+
+
+def _mp(atype, afi, safi, tail):
+    return golden.encode_attr(atype, struct.pack(">HB", afi, safi) + tail, flags=0x80)
+
+
+# Updates the golden files do not hold: two AS_PATHs (the last one counts),
+# an extended-length AS_PATH, IPv4 in MP_REACH / MP_UNREACH, families and
+# SAFIs the decoder skips, and an OPEN message where an UPDATE would be.
+EDGE_UPDATES = b"".join([
+    _update([_as_path((golden.AS_SEQUENCE, [1, 2])), _as_path((golden.AS_SET, [3, 4]))], ["10.0.0.0/8"]),
+    _update([_as_path((golden.AS_SEQUENCE, list(range(1, 80))))], ["10.9.0.0/16"]),
+    _update([
+        _as_path((golden.AS_SEQUENCE, [5])),
+        golden.encode_mp_reach(1, ["10.1.0.0/16"], "192.0.2.1"),
+        golden.encode_mp_unreach(1, ["10.2.0.0/16"]),
+        _mp(14, 2, 2, bytes([16]) + bytes(16) + b"\0" + bytes([32, 32, 1, 13, 184])),
+        _mp(14, 3, 1, bytes([4]) + bytes(4) + b"\0" + bytes([8, 10])),
+        _mp(15, 2, 2, bytes([32, 32, 1, 13, 184])),
+    ]),
+    golden.mrt_record(
+        1396463301, golden.BGP4MP, golden.MESSAGE,
+        golden.encode_bgp4mp(64496, 65000, b"\xff" * 16 + struct.pack(">HB", 29, 1) + bytes(10)),
+    ),
+])
+# Inputs that end in an MrtParseError: BGP4MP_ET records too short for
+# their microseconds, an update or not.
+SHORT_ET = [
+    golden.mrt_record(1, golden.BGP4MP_ET, golden.MESSAGE_AS4, b"\0\1\2"),
+    golden.mrt_record(1, golden.BGP4MP_ET, golden.STATE_CHANGE, b""),
+]
+FIXTURES = [golden.golden_file()[0], golden.prefix_forms_file(), EDGE_UPDATES, *SHORT_ET]
+# What the damaged inputs are made from.
+DAMAGE_BASE = GOLDEN + EDGE_UPDATES
+
+
+def damage(data: bytes, edits, cut: int, start: int, end: int) -> bytes:
+    """`data` with (position, byte) edits, then cut: 0 none, 1 keep the head
+    before `end`, 2 keep the tail from `start`, 3 drop [start, end)."""
+    buf = bytearray(data)
+    for pos, value in edits:
+        buf[pos % len(buf)] = value
+    data = bytes(buf)
+    start, end = sorted((start % (len(data) + 1), end % (len(data) + 1)))
+    return [data, data[:end], data[start:], data[:start] + data[end:]][cut]
+
+
+def reference_outcome(data: bytes):
+    try:
+        lines, stats = ref_mrt.ref_parse(data, COLLECTOR)
+    except ref_mrt.MrtParseError as exc:
+        return "error", str(exc), exc.offset
+    return "ok", lines, stats
+
+
+def library_outcome(data: bytes):
+    try:
+        result = parse_mrt_updates(data, COLLECTOR)
+    except MrtParseError as exc:
+        return "error", str(exc), exc.offset
+    return "ok", [ev.to_line() for ev in result.events], result.stats.as_dict()
+
+
+_OFFSET = re.compile(r"\(at byte offset ([0-9]+)\)\Z")
+
+
+def ingest_outcome(data: bytes):
+    """`ingest` of one MRT file: its lines and counters, or its error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "updates.mrt", Path(tmp) / "out"
+        path.write_bytes(data)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["ingest", str(path), "--collector", COLLECTOR, "--out", str(out)])
+        if code != 0:
+            message = stderr.getvalue().removeprefix(f"error: {path}: ").removesuffix("\n")
+            offset = _OFFSET.search(message)
+            return "error", message, offset and int(offset.group(1))
+        lines = (out / "events.jsonl").read_text(encoding="utf-8").splitlines()
+        (entry,) = json.loads((out / "ingest_summary.json").read_text())["inputs"]
+        return "ok", lines, {k: v for k, v in entry.items() if k not in ("path", "format")}
+
+
+def mrt_mismatches(data: bytes) -> list[str]:
+    """The routes whose outcome on `data` differs from the reference decoder's."""
+    expected = reference_outcome(data)
+    found = []
+    if library_outcome(data) != expected:
+        found.append("parse_mrt_updates")
+    # ingest reads input whose first non-space byte is "{", or that is
+    # blank, as canonical lines, not as MRT.
+    if data.lstrip()[:1] not in (b"{", b"") and ingest_outcome(data) != expected:
+        found.append("ingest")
+    return found
+
+
+def _digits(text: str, width: int) -> int | None:
+    if len(text) == width and text.isascii() and text.isdigit():
+        return int(text)
+    return None
+
+
+def reference_utc(text: str) -> int | None:
+    """Unix seconds of an RFC 3339 time as parse_utc documents it, or None
+    when `text` is not one: read field by field, checked with calendar."""
+    date, sep, clock = text[:10], text[10:11], text[11:]
+    if len(date) != 10 or date[4] != "-" or date[7] != "-":
+        return None
+    year, month, day = _digits(date[:4], 4), _digits(date[5:7], 2), _digits(date[8:], 2)
+    if year is None or month is None or day is None:
+        return None
+    hour = minute = second = offset = 0
+    if sep:
+        if sep not in ("T", "t", " ") or not clock:
+            return None
+        if clock[-1] in "Zz":
+            clock = clock[:-1]
+        elif len(clock) > 6 and clock[-6] in "+-" and clock[-3] == ":":
+            off_hours, off_minutes = _digits(clock[-5:-3], 2), _digits(clock[-2:], 2)
+            if off_hours is None or off_minutes is None or off_hours > 23 or off_minutes > 59:
+                return None
+            offset = (off_hours * 60 + off_minutes) * 60 * (-1 if clock[-6] == "-" else 1)
+            clock = clock[:-6]
+        whole, dot, fraction = clock.partition(".")
+        fields = [_digits(part, 2) for part in whole.split(":")]
+        if len(fields) not in (2, 3) or None in fields:
+            return None
+        if dot and (len(fields) != 3 or not (fraction.isascii() and fraction.isdigit())):
+            return None
+        hour, minute = fields[:2]
+        second = fields[2] if len(fields) == 3 else 0
+    if not (year >= 1 and 1 <= month <= 12) or not 1 <= day <= calendar.monthrange(year, month)[1]:
+        return None
+    if hour > 23 or minute > 59 or second > 59:
+        return None
+    return calendar.timegm((year, month, day, hour, minute, second)) - offset
+
+
+def utc_mismatch(text: str) -> bool:
+    try:
+        value = parse_utc(text)
+    except ValueError:
+        value = None
+    return value != reference_utc(text)
+
+
+def utc_text(rng: random.Random) -> str:
+    """A seeded time text: an RFC 3339 form, another ISO 8601 form, or either
+    with one character replaced, inserted or deleted."""
+    year = rng.choice([1, 1969, 1970, 2000, 2014, 2038, 9999, rng.randrange(10000)])
+    # Fields mostly in range, sometimes just past it.
+    month = rng.choice([rng.randrange(1, 13), rng.randrange(14)])
+    day = rng.randrange(0 if rng.random() < 0.1 else 1, 32)
+    hour, minute, second = (rng.randrange(n if rng.random() < 0.9 else n + 2) for n in (24, 60, 60))
+    date = f"{year:04d}-{month:02d}-{day:02d}"
+    clock = rng.choice([
+        f"{hour:02d}:{minute:02d}",
+        f"{hour:02d}:{minute:02d}:{second:02d}",
+        f"{hour:02d}:{minute:02d}:{second:02d}.{rng.randrange(10 ** rng.randrange(1, 10))}",
+    ])
+    zone = rng.choice(["", "Z", "z", f"{rng.choice('+-')}{rng.randrange(26):02d}:{rng.randrange(62):02d}"])
+    text = rng.choice([
+        date,
+        date + rng.choice("Tt ") + clock + zone,
+        date + rng.choice("Tt ") + clock + zone,
+        f"{year:04d}-W{rng.randrange(54):02d}",
+        f"{year:04d}-W{rng.randrange(54):02d}-{rng.randrange(8)}",
+        f"{year:04d}-{rng.randrange(367):03d}",
+        f"{year:04d}{month:02d}{day:02d}T{hour:02d}{minute:02d}{second:02d}Z",
+        f"{date}T{hour:02d}",
+        f"{date}T{clock}:{second:02d}{zone}",
+    ])
+    if rng.random() < 0.3 and text:
+        pos = rng.randrange(len(text) + 1)
+        char = rng.choice("0123456789-:+.TtZzW _²٣")
+        text = rng.choice([
+            text[:pos] + char + text[pos + 1:],
+            text[:pos] + char + text[pos:],
+            text[:pos] + text[pos + 1:],
+        ])
+    return text
+
+
+def run(cases: int, seed: int = 0) -> int:
+    rng = random.Random(seed)
+    mrt_bad = [data for data in FIXTURES if mrt_mismatches(data)]
+    for _ in range(cases):
+        edits = [(rng.randrange(len(DAMAGE_BASE)), rng.randrange(256)) for _ in range(rng.randrange(9))]
+        data = damage(DAMAGE_BASE, edits, rng.randrange(4), rng.randrange(1 << 16), rng.randrange(1 << 16))
+        if mrt_mismatches(data):
+            mrt_bad.append(data)
+    utc_bad = [text for text in (utc_text(rng) for _ in range(cases)) if utc_mismatch(text)]
+    print(f"mrt: {len(FIXTURES) + cases} inputs, {len(mrt_bad)} mismatches")
+    print(f"parse_utc: {cases} texts, {len(utc_bad)} mismatches")
+    for data in mrt_bad[:3]:
+        print(f"  mrt input {data.hex()}")
+    for text in utc_bad[:10]:
+        print(f"  time text {text!r}")
+    return 1 if mrt_bad or utc_bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(int(sys.argv[1]) if len(sys.argv) > 1 else 1000))

@@ -174,6 +174,22 @@ class TestIngest:
         assert per_input["events_emitted"] + per_input["events_dropped"] == nlri_entries
         assert summary["events_written"] == per_input["events_emitted"]
 
+    @pytest.mark.parametrize("collector", [None, "route-views.test", ""])
+    @pytest.mark.parametrize("asn", [None, 4761, 64513, 1])
+    def test_mrt_events_and_filters(self, tmp_path, collector, asn):
+        data = golden.golden_file()[0] + golden.prefix_forms_file()
+        mrt_path = tmp_path / "updates.mrt"
+        mrt_path.write_bytes(data)
+        named = [] if collector is None else ["--collector", collector]
+        filtered = [] if asn is None else ["--asn", str(asn)]
+        out = tmp_path / "ingest"
+        assert main(["ingest", str(mrt_path), *named, *filtered, "--out", str(out)]) == 0
+        events = mrt.parse_mrt_updates(data, "unknown" if collector is None else collector).events
+        expected = [ev.to_line() + "\n" for ev in events if asn is None or ev.origin_asn == asn]
+        assert (out / "events.jsonl").read_text() == "".join(expected)
+        summary = json.loads((out / "ingest_summary.json").read_text())
+        assert summary["events_written"] == len(expected)
+
     def test_unreadable_input_fails(self, tmp_path):
         assert main(["ingest", str(tmp_path / "nope.mrt"), "--out", str(tmp_path / "o")]) == 2
 
@@ -206,6 +222,30 @@ class TestIngest:
         out = tmp_path / "o"
         assert_input_error(main(["ingest", str(bad), "--out", str(out)]), capsys)
         assert not (out / "events.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [golden.golden_file()[0][:-3], b'{"ts":1,"collector":"c","prefix":"10.0.0.0/8","type":"A"}\n'],
+        ids=["mrt", "canonical"],
+    )
+    def test_corrupt_second_input_leaves_no_events(self, sim_events, tmp_path, capsys, bad):
+        # The first input's events are written before the second fails.
+        second = tmp_path / "second"
+        second.write_bytes(bad)
+        out = tmp_path / "o"
+        assert_input_error(main(["ingest", str(sim_events), str(second), "--out", str(out)]), capsys)
+        assert list(out.iterdir()) == []
+
+    def test_failed_ingest_keeps_earlier_events(self, sim_events, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["ingest", str(sim_events), "--out", str(out)]) == 0
+        before = (out / "events.jsonl").read_bytes()
+        bad = tmp_path / "bad.mrt"
+        bad.write_bytes(golden.golden_file()[0][:-3])
+        assert main(["ingest", str(sim_events), str(bad), "--out", str(out)]) == 2
+        assert (out / "events.jsonl").read_bytes() == before
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["events.jsonl", "ingest_summary.json", "manifest.json"]
 
     def test_mrt_input_decompressed_once(self, tmp_path, monkeypatch):
         decompress = mrt.decompress
@@ -486,6 +526,15 @@ class TestEvaluate:
         code, _ = self.run_pipeline(sim_events, tmp_path, incidents)
         assert code == 2
 
+    @pytest.mark.parametrize("edit", [{"start_utc": START + 86400}, {"asn": 64500.5}])
+    def test_mistyped_incident_field_is_input_error(self, sim_events, tmp_path, capsys, edit):
+        incidents = [{
+            "name": "synthetic-burst", "asn": 64500, "start_utc": iso(START + 86400),
+            "end_utc": iso(START + 90000), "kind": "large-scale", **edit,
+        }]
+        code, _ = self.run_pipeline(sim_events, tmp_path, incidents)
+        assert_input_error(code, capsys)
+
     def test_malformed_incidents_json_is_input_error(self, sim_events, tmp_path, capsys):
         detect_out = tmp_path / "detect"
         assert main(["detect", str(sim_events), "--out", str(detect_out)]) == 0
@@ -754,6 +803,16 @@ class TestAnalyze:
 
     def test_null_window_without_end_utc_is_input_error(self, corpus_events, tmp_path, capsys):
         code = self.significance_run(corpus_events, tmp_path, [{"start_utc": iso(START)}])
+        assert_input_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "window",
+        [{"start_utc": START, "end_utc": iso(START + 30000)}, {"start_utc": iso(START), "end_utc": None}],
+    )
+    def test_non_string_null_window_time_is_input_error(
+        self, corpus_events, tmp_path, capsys, window
+    ):
+        code = self.significance_run(corpus_events, tmp_path, [window])
         assert_input_error(code, capsys)
 
     NULL_STARTS = [START + 200_000 + k * 40_000 for k in range(25)]

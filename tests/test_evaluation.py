@@ -1,8 +1,11 @@
 import io
+import json
 from importlib import resources
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import differential
 
 from bgpburst.detector import AnomalyReport
 from bgpburst.evaluation import (
@@ -241,6 +244,87 @@ class TestIncidentConfig:
         assert parse_utc("1970-01-01T00:00:00Z") == 0
         assert parse_utc("2014-04-02T18:26:00Z") == 1396463160
         assert parse_utc("2014-04-02T18:26:00+00:00") == 1396463160
+
+    def incident_file(self, tmp_path, **fields):
+        entry = {
+            "name": "a", "asn": 1, "start_utc": "2020-01-01T00:00:00Z",
+            "end_utc": "2020-01-01T02:00:00Z", "kind": "large-scale", **fields,
+        }
+        path = tmp_path / "incidents.json"
+        path.write_text(json.dumps([entry]))
+        return path
+
+    def test_fractional_asn_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="asn must be an integer"):
+            load_incidents(self.incident_file(tmp_path, asn=5.9))
+
+    def test_boolean_asn_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="asn must be a number"):
+            load_incidents(self.incident_file(tmp_path, asn=True))
+
+    def test_string_asn_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="asn must be a number"):
+            load_incidents(self.incident_file(tmp_path, asn="5"))
+
+    def test_integral_float_asn_accepted(self, tmp_path):
+        (window,) = load_incidents(self.incident_file(tmp_path, asn=5.0))
+        assert window.perpetrator_asn == 5 and type(window.perpetrator_asn) is int
+
+    @pytest.mark.parametrize("key", ["start_utc", "end_utc"])
+    def test_numeric_time_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigurationError, match="RFC 3339 string"):
+            load_incidents(self.incident_file(tmp_path, **{key: 1577836800}))
+
+
+class TestParseUtc:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("2014-05-14", 1400025600),
+            ("2014-05-14T00:00", 1400025600),
+            ("2014-05-14 00:00:00", 1400025600),
+            ("2014-05-14t00:00:00z", 1400025600),
+            ("2014-05-14T00:00:00.999999999Z", 1400025600),
+            ("2014-05-14T02:30:00+02:30", 1400025600),
+            ("2014-05-13T22:00:00-02:00", 1400025600),
+            ("1969-12-31T23:59:59Z", -1),
+        ],
+    )
+    def test_rfc3339_forms(self, text, expected):
+        assert parse_utc(text) == expected
+
+    # ISO 8601 forms outside RFC 3339 that datetime.fromisoformat takes on
+    # some Python versions, and fields out of range.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2014-W20", "2014-W20-3", "2014-134", "20140514", "20140514T000000Z",
+            "2014-05-14T00", "2014-05-14T0000", "2014-05-14Z", "2014-05-14T00:00:00+0200",
+            "2014-05-14T00:00:00+02", "2014-05-14T00:00:0002:00", "2014-05-14T00:00:00+02:00:30",
+            "2014-05-14T00:00.5",
+            "2014-05-14x00:00:00", "2014-05-14T24:00:00Z", "2014-05-14T00:00:60Z",
+            "2014-02-30", "2014-05-14T00:00+24:00", "2014-05-14T00:00+01:60",
+            "0000-01-01", "２０１４-05-14", " 2014-05-14", "2014-05-14\n", "",
+        ],
+    )
+    def test_other_forms_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_utc(text)
+
+    @pytest.mark.parametrize("value", [1400000000, 1.4e9, None, True, ["2014-05-14"]])
+    def test_non_string_rejected(self, value):
+        with pytest.raises(TypeError, match="RFC 3339 string"):
+            parse_utc(value)
+
+    @settings(max_examples=500)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_reference_on_time_texts(self, rng):
+        text = differential.utc_text(rng)
+        assert not differential.utc_mismatch(text), text
+
+    @given(st.text(alphabet="0123456789-:+.TtZzW _\n²", max_size=32))
+    def test_matches_reference_on_any_text(self, text):
+        assert not differential.utc_mismatch(text), text
 
 
 def test_results_csv_with_null_metrics():

@@ -7,9 +7,12 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import differential
 import mrt_golden as golden
 from bgpburst.events import ANNOUNCEMENT, WITHDRAWAL, AnnouncementEvent, parse_event_lines, write_event_lines
-from bgpburst.mrt import AFI_IPV4, AFI_IPV6, MrtParseError, _prefix_str, decompress, parse_mrt_updates
+from bgpburst.mrt import (
+    AFI_IPV4, AFI_IPV6, MrtParseError, MrtStats, _prefix_str, decompress, parse_mrt_updates, read_updates,
+)
 
 COLLECTOR = "route-views.test"
 
@@ -236,3 +239,60 @@ class TestFuzz:
             data[pos % len(data)] = value
             _check_parse(bytes(data))
             _check_parse(packed[: pos % len(packed)])
+
+
+class TestRecordLoop:
+    def test_plain_fields_per_update(self):
+        data, _ = golden.golden_file()
+        stats = MrtStats()
+        updates = list(read_updates(data, stats))
+        assert updates[0] == (
+            1396463160, 3356, [], ["10.0.0.0/8", "172.16.0.0/12", "192.168.128.0/17"], 4761, False,
+        )
+        assert updates[2] == (1396463162, 3356, ["198.51.100.0/24"], [], None, False)
+        assert updates[3][4:] == (64513, True)
+        assert len(updates) == 5
+        assert stats == parse_mrt_updates(data, COLLECTOR).stats
+
+    def test_dropped_announcements_leave_withdrawals(self):
+        record = golden.update_record(5, 65001, [], announce=["10.0.0.0/8"], withdraw=["10.2.0.0/16"])
+        stats = MrtStats()
+        assert list(read_updates(record, stats)) == [(5, 65001, ["10.2.0.0/16"], [], None, False)]
+        assert (stats.malformed_paths, stats.events_dropped) == (1, 1)
+
+    def test_malformed_update_yields_nothing(self):
+        # The AS_PATH is fine but the trailing NLRI claims a /33.
+        record = bytearray(golden.update_record(
+            5, 65001, [(golden.AS_SEQUENCE, [65001])], announce=["10.0.0.0/8"], withdraw=["10.2.0.0/16"]
+        ))
+        record[-2] = 33
+        stats = MrtStats()
+        assert list(read_updates(bytes(record), stats)) == []
+        assert (stats.malformed_updates, stats.nlri_seen) == (1, 0)
+
+
+_BASE = differential.DAMAGE_BASE
+
+
+class TestReferenceDifferential:
+    """The record loop, through the library and through `ingest`, against the
+    frozen reference decoder in tests/ref_mrt.py."""
+
+    @pytest.mark.parametrize(
+        "data",
+        differential.FIXTURES,
+        ids=["golden", "prefix-forms", "edge-updates", "short-et", "short-et-state"],
+    )
+    def test_fixtures(self, data):
+        assert differential.mrt_mismatches(data) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, len(_BASE) - 1), st.integers(0, 255)), max_size=8),
+        st.integers(0, 3),
+        st.integers(0, len(_BASE)),
+        st.integers(0, len(_BASE)),
+    )
+    def test_damaged_inputs(self, edits, cut, start, end):
+        data = differential.damage(_BASE, edits, cut, start, end)
+        assert differential.mrt_mismatches(data) == []
