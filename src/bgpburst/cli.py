@@ -2,14 +2,18 @@
 
 Every command snapshots its configuration, input digests, and output digests
 into a manifest.json in the output directory, so identical inputs and
-settings can be shown to yield identical outputs.
+settings can be shown to yield identical outputs.  The digests cover the
+bytes read and written, and a command publishes its outputs only when it
+succeeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -17,6 +21,7 @@ import reprlib
 import sys
 import time
 from pathlib import Path
+from typing import IO, Iterator
 
 from . import __version__
 from .burstiness import (
@@ -76,47 +81,101 @@ class CliError(Exception):
     """User-facing failure; message goes to stderr, exit code 2."""
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _sha256_path(path: Path) -> str:
-    return _sha256_bytes(path.read_bytes())
+class _Digesting(io.BufferedIOBase):
+    """A binary file that hashes every byte written through it."""
+
+    def __init__(self, raw: IO[bytes]):
+        self.raw = raw
+        self.sha256 = hashlib.sha256()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        return self.raw.write(data)
+
+    def close(self) -> None:
+        super().close()
+        self.raw.close()
 
 
 class Manifest:
-    def __init__(self, command: str, argv: list[str], config: dict, seed: int | None):
+    """Every file a command reads, and every file it writes under --out.
+
+    Inputs are hashed from the bytes read, outputs from the bytes written.
+    An output goes to a temporary file under --out and takes its name only
+    in write(), once the command has succeeded; discard() removes the rest.
+    """
+
+    def __init__(self, command: str, argv: list[str], out: str, seed: int | None):
         self.started = time.time()
+        self.out = Path(out)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot create output directory {self.out}: {exc}") from exc
+        self.pending: dict[str, Path] = {}  # output name -> its temporary file
         self.doc = {
             "tool": "bgpburst",
             "version": __version__,
             "command": command,
             "argv": argv,
-            "config": config,
+            "config": {},
             "seed": seed,
             "inputs": [],
             "outputs": [],
         }
 
-    def add_input(self, path: Path) -> None:
-        self.doc["inputs"].append({"path": str(path), "sha256": _sha256_path(path)})
+    def read(self, path: Path) -> bytes:
+        """An input's bytes, read once and recorded with their digest."""
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise CliError(f"cannot read {path}: {exc}") from exc
+        self.doc["inputs"].append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
+        return data
 
-    def add_output(self, path: Path) -> None:
-        self.doc["outputs"].append({"path": str(path), "sha256": _sha256_path(path)})
+    @contextlib.contextmanager
+    def output(self, name: str) -> Iterator[IO[str]]:
+        """A UTF-8 text handle, with \\n line endings, for `name` under --out."""
+        target = self.out / name
+        if name in self.pending:
+            raise CliError(f"two outputs would be written to {target}")
+        partial = self.out / f".{name}.{os.getpid()}.tmp"
+        try:
+            raw = partial.open("wb")
+            self.pending[name] = partial  # only once it is ours to remove
+            digesting = _Digesting(raw)
+            with io.TextIOWrapper(digesting, encoding="utf-8", newline="\n") as fh:
+                yield fh
+        except OSError as exc:
+            raise CliError(f"cannot write {target}: {exc}") from exc
+        self.doc["outputs"].append({"path": str(target), "sha256": digesting.sha256.hexdigest()})
 
-    def write(self, out_dir: Path) -> Path:
-        self.doc["duration_s"] = round(time.time() - self.started, 3)
-        target = out_dir / "manifest.json"
-        target.write_text(
-            json.dumps(self.doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        return target
+    def write_json(self, name: str, doc) -> None:
+        with self.output(name) as fh:
+            fh.write(_json_text(doc))
 
+    def write(self) -> None:
+        """Publish the outputs in the order written, then manifest.json."""
+        try:
+            for name, partial in self.pending.items():
+                os.replace(partial, self.out / name)
+            self.pending.clear()
+            self.doc["duration_s"] = round(time.time() - self.started, 3)
+            (self.out / "manifest.json").write_text(_json_text(self.doc), encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"cannot publish outputs in {self.out}: {exc}") from exc
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    def discard(self) -> None:
+        """Remove the temporary files of outputs not published."""
+        for partial in self.pending.values():
+            partial.unlink(missing_ok=True)
 
 
 _UNIX_SECONDS = re.compile(r"-?[0-9]+")
@@ -139,12 +198,12 @@ def _decode_utf8(path: Path, data: bytes) -> str:
         raise CliError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _load_groups(path: Path) -> dict[tuple[int, str], tuple[list[int], list[str]]]:
+def _load_groups(
+    manifest: Manifest, path: Path
+) -> dict[tuple[int, str], tuple[list[int], list[str]]]:
     """The usable announcements of a canonical events file, as read_groups columns."""
     try:
-        raw = decompress(path.read_bytes())
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raw = decompress(manifest.read(path))
     except MrtParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
     text = _decode_utf8(path, raw)
@@ -231,16 +290,13 @@ def _ingest_canonical(
     return stats, written, announcements
 
 
-def _ingest_input(path: Path, args, fh) -> tuple[dict, int, int]:
+def _ingest_input(manifest: Manifest, path: Path, args, fh) -> tuple[dict, int, int]:
     """Decode one input and write the events ingest keeps as they are decoded.
 
     Returns the input's summary entry, final once its events are written,
     with the count of lines written and of announcements among them.
     """
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+    raw = manifest.read(path)
     try:
         payload = decompress(raw)
         del raw
@@ -256,35 +312,16 @@ def _ingest_input(path: Path, args, fh) -> tuple[dict, int, int]:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def cmd_ingest(args) -> int:
-    out = _out_dir(args)
-    manifest = Manifest("ingest", sys.argv[1:], {"asn": args.asn, "collector": args.collector}, args.seed)
-    paths = [Path(p) for p in args.inputs]
-    failures = []
-    for path in paths:
-        if not path.is_file():
-            failures.append(str(path))
-    if failures:
-        raise CliError(f"unreadable inputs: {', '.join(failures)}")
-    for path in paths:
-        manifest.add_input(path)
-
-    # Events stream into a temporary file that becomes events.jsonl only
-    # when every input has been read, so a failed ingest leaves none.
+def cmd_ingest(args, manifest: Manifest) -> int:
+    manifest.doc["config"] = {"asn": args.asn, "collector": args.collector}
     per_input = []
     written = announcements = 0
-    events_path = out / "events.jsonl"
-    partial = out / f".events.jsonl.{os.getpid()}.tmp"
-    try:
-        with partial.open("w", encoding="utf-8", newline="\n") as fh:
-            for path in paths:
-                stats, lines, announced = _ingest_input(path, args, fh)
-                per_input.append({"path": str(path), **stats})
-                written += lines
-                announcements += announced
-        os.replace(partial, events_path)
-    finally:
-        partial.unlink(missing_ok=True)
+    with manifest.output("events.jsonl") as fh:
+        for path in map(Path, args.inputs):
+            stats, lines, announced = _ingest_input(manifest, path, args, fh)
+            per_input.append({"path": str(path), **stats})
+            written += lines
+            announcements += announced
 
     withdrawals = written - announcements
     summary = {
@@ -295,14 +332,11 @@ def cmd_ingest(args) -> int:
         "records_skipped": sum(item["records_skipped"] for item in per_input),
         "inputs": per_input,
     }
-    summary_path = out / "ingest_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest.add_output(events_path)
-    manifest.add_output(summary_path)
-    manifest.write(out)
+    manifest.write_json("ingest_summary.json", summary)
+    manifest.write()
     print(
         f"ingest: wrote {written} events ({announcements} announcements, "
-        f"{withdrawals} withdrawals) to {events_path}"
+        f"{withdrawals} withdrawals) to {manifest.out / 'events.jsonl'}"
     )
     return 0
 
@@ -311,26 +345,21 @@ def cmd_ingest(args) -> int:
 
 
 def _write_report(
-    out: Path, detector: str, report: AnomalyReport, span, config_snapshot: dict, manifest: Manifest
+    manifest: Manifest, detector: str, report: AnomalyReport, span, config_snapshot: dict
 ) -> None:
     """Write report_<stem>.json, preceded by trace_<stem>.csv if the report has a trace."""
     stem = f"{detector}_AS{report.origin_asn}_{_safe_name(report.collector)}"
     if report.trace is not None:
-        trace_path = out / f"trace_{stem}.csv"
-        with trace_path.open("w", encoding="utf-8", newline="\n") as fh:
+        with manifest.output(f"trace_{stem}.csv") as fh:
             write_trace_csv(report, fh)
-        manifest.add_output(trace_path)
-    report_path = out / f"report_{stem}.json"
-    doc = {
+    manifest.write_json(f"report_{stem}.json", {
         "detector": detector,
         "origin_asn": report.origin_asn,
         "collector": report.collector,
         "span": list(span),
         "anomalous_timestamps": list(report.anomalous_timestamps),
         "config": config_snapshot,
-    }
-    report_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest.add_output(report_path)
+    })
 
 
 def _check_report_names(keys: list[tuple[int, str]]) -> None:
@@ -345,15 +374,10 @@ def _check_report_names(keys: list[tuple[int, str]]) -> None:
             )
 
 
-def cmd_detect(args) -> int:
-    out = _out_dir(args)
+def cmd_detect(args, manifest: Manifest) -> int:
     config, snapshot = _resolve_detector_config(args)
-    manifest = Manifest("detect", sys.argv[1:], snapshot, args.seed)
-    events_path = Path(args.events)
-    if not events_path.is_file():
-        raise CliError(f"unreadable input: {events_path}")
-    manifest.add_input(events_path)
-    groups = _load_groups(events_path)
+    manifest.doc["config"] = snapshot
+    groups = _load_groups(manifest, Path(args.events))
 
     keys = list(groups)
     if args.collector is not None:
@@ -362,7 +386,7 @@ def cmd_detect(args) -> int:
         keys = [k for k in keys if k[0] == args.asn]
     if not keys:
         print("detect: warning: no matching series; nothing to do", file=sys.stderr)
-        manifest.write(out)
+        manifest.write()
         return 0
     _check_report_names(keys)
 
@@ -372,22 +396,23 @@ def cmd_detect(args) -> int:
         span = series.span or (0, 0)
         if args.detector in ("both", "burstiness"):
             report = detect_events(series, config, collect_trace=args.trace)
-            _write_report(out, "burstiness", report, span, snapshot, manifest)
+            _write_report(manifest, "burstiness", report, span, snapshot)
         if args.detector in ("both", "volume"):
             volume = volume_from_columns(asn, collector, timestamps, prefixes)
             report = detect_volume(volume, config, collect_trace=args.trace)
-            _write_report(out, "volume", report, span, snapshot, manifest)
-    manifest.write(out)
-    print(f"detect: processed {len(keys)} series into {out}")
+            _write_report(manifest, "volume", report, span, snapshot)
+    manifest.write()
+    print(f"detect: processed {len(keys)} series into {manifest.out}")
     return 0
 
 
 # ---------------------------------------------------------------- analyze
 
 
-def _load_json(path: Path):
+def _load_json(manifest: Manifest, path: Path):
+    data = manifest.read(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise CliError(f"{path}: not a JSON document: {exc}") from exc
 
@@ -402,8 +427,8 @@ def _null_window(item) -> tuple[int, int]:
     raise ValueError("expected an object or a [start, end] pair")
 
 
-def _load_null_windows(path: Path) -> list[tuple[int, int]]:
-    raw = _load_json(path)
+def _load_null_windows(manifest: Manifest, path: Path) -> list[tuple[int, int]]:
+    raw = _load_json(manifest, path)
     if not isinstance(raw, list):
         raise CliError(f"{path}: null window file must be a JSON array")
     windows = []
@@ -420,11 +445,9 @@ def _load_null_windows(path: Path) -> list[tuple[int, int]]:
     return windows
 
 
-def _load_incident_windows(path: Path) -> list[IncidentWindow]:
-    if not path.is_file():
-        raise CliError(f"unreadable input: {path}")
+def _load_incident_windows(manifest: Manifest, path: Path) -> list[IncidentWindow]:
     try:
-        return load_incidents(path)
+        return load_incidents(path, manifest.read)
     except ConfigurationError as exc:
         raise CliError(str(exc)) from exc
 
@@ -446,23 +469,16 @@ def _series_of(groups: dict, asn: int, collector: str):
     return series_from_columns(asn, collector, timestamps)
 
 
-def cmd_analyze(args) -> int:
-    out = _out_dir(args)
+def cmd_analyze(args, manifest: Manifest) -> int:
     window = (_parse_time(args.window[0]), _parse_time(args.window[1]))
     if window[0] >= window[1]:
         raise CliError("analysis window start must precede end")
     min_events = _resolve_detector_config(args)[0].min_events
-    manifest = Manifest(
-        "analyze",
-        sys.argv[1:],
-        {"window": list(window), "min_events": min_events, "k": args.k, "alpha_sig": args.alpha_sig},
-        args.seed,
-    )
+    manifest.doc["config"] = {
+        "window": list(window), "min_events": min_events, "k": args.k, "alpha_sig": args.alpha_sig,
+    }
     events_path = Path(args.events)
-    if not events_path.is_file():
-        raise CliError(f"unreadable input: {events_path}")
-    manifest.add_input(events_path)
-    groups = _load_groups(events_path)
+    groups = _load_groups(manifest, events_path)
     collectors = sorted({collector for _, collector in groups})
     if args.collector is not None:
         if args.collector not in collectors:
@@ -480,19 +496,12 @@ def cmd_analyze(args) -> int:
     if args.target_asn:
         if not args.null_windows:
             raise CliError("significance testing needs --null-windows")
-        null_path = Path(args.null_windows)
-        if not null_path.is_file():
-            raise CliError(f"unreadable input: {null_path}")
-        manifest.add_input(null_path)
-        null_windows = _load_null_windows(null_path)
+        null_windows = _load_null_windows(manifest, Path(args.null_windows))
         if args.incidents:
-            _check_null_overlap(null_windows, _load_incident_windows(Path(args.incidents)))
+            _check_null_overlap(null_windows, _load_incident_windows(manifest, Path(args.incidents)))
         null_events_path = Path(args.null_events) if args.null_events else events_path
         if null_events_path != events_path:
-            if not null_events_path.is_file():
-                raise CliError(f"unreadable input: {null_events_path}")
-            manifest.add_input(null_events_path)
-            null_groups = _load_groups(null_events_path)
+            null_groups = _load_groups(manifest, null_events_path)
         else:
             null_groups = groups
 
@@ -505,16 +514,9 @@ def cmd_analyze(args) -> int:
         table = joint_distribution(corpus, window, min_events=min_events)
     except DegenerateTableError as exc:
         raise CliError(f"joint distribution for {collector!r}: {exc}") from exc
-    joint_csv = out / f"joint_{_safe_name(collector)}.csv"
-    with joint_csv.open("w", encoding="utf-8", newline="\n") as fh:
+    with manifest.output(f"joint_{_safe_name(collector)}.csv") as fh:
         write_joint_csv(table, fh)
-    sidecar_path = out / f"joint_{_safe_name(collector)}.json"
-    sidecar_path.write_text(
-        json.dumps(joint_sidecar(table), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    manifest.add_output(joint_csv)
-    manifest.add_output(sidecar_path)
+    manifest.write_json(f"joint_{_safe_name(collector)}.json", joint_sidecar(table))
 
     if args.target_asn:
         for asn in args.target_asn:
@@ -532,12 +534,10 @@ def cmd_analyze(args) -> int:
                 )
             except (InsufficientDataError, InsufficientNullDataError, UndefinedStatisticError) as exc:
                 raise CliError(f"significance test for AS{asn}: {exc}") from exc
-            sig_path = out / f"significance_AS{asn}.json"
-            with sig_path.open("w", encoding="utf-8", newline="\n") as fh:
+            with manifest.output(f"significance_AS{asn}.json") as fh:
                 write_significance_json(result, fh)
-            manifest.add_output(sig_path)
-    manifest.write(out)
-    print(f"analyze: {len(table.rows)} ASes tabulated for {collector} into {out}")
+    manifest.write()
+    print(f"analyze: {len(table.rows)} ASes tabulated for {collector} into {manifest.out}")
     return 0
 
 
@@ -558,8 +558,8 @@ REPORT_FIELDS = {
 }
 
 
-def _load_report(path: Path) -> dict:
-    doc = _load_json(path)
+def _load_report(manifest: Manifest, path: Path) -> dict:
+    doc = _load_json(manifest, path)
     if not isinstance(doc, dict):
         raise CliError(f"{path}: report must be a JSON object")
     for key, (kind, valid) in REPORT_FIELDS.items():
@@ -570,21 +570,12 @@ def _load_report(path: Path) -> dict:
     return doc
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, manifest: Manifest) -> int:
     if (args.t0 is None) != (args.t1 is None):
         raise CliError("--t0 and --t1 go together: pass both or neither")
-    out = _out_dir(args)
-    manifest = Manifest("evaluate", sys.argv[1:], {"m": args.m}, args.seed)
-    report_paths = [Path(p) for p in args.reports]
-    for path in report_paths:
-        if not path.is_file():
-            raise CliError(f"unreadable input: {path}")
-        manifest.add_input(path)
-    incidents_path = Path(args.incidents)
-    incidents = _load_incident_windows(incidents_path)
-    manifest.add_input(incidents_path)
-
-    docs = [_load_report(p) for p in report_paths]
+    manifest.doc["config"] = {"m": args.m}
+    docs = [_load_report(manifest, Path(p)) for p in args.reports]
+    incidents = _load_incident_windows(manifest, Path(args.incidents))
     if args.t0 is not None:
         bounds = (_parse_time(args.t0), _parse_time(args.t1))
     else:
@@ -614,12 +605,10 @@ def cmd_evaluate(args) -> int:
                 raise CliError(f"AS{incident.perpetrator_asn} at {collector!r}: {exc}") from exc
     if not rows:
         raise CliError("no report matches any configured incident perpetrator")
-    results_path = out / "results.csv"
-    with results_path.open("w", encoding="utf-8", newline="\n") as fh:
+    with manifest.output("results.csv") as fh:
         write_results_csv(rows, fh)
-    manifest.add_output(results_path)
-    manifest.write(out)
-    print(f"evaluate: {len(rows)} rows written to {results_path}")
+    manifest.write()
+    print(f"evaluate: {len(rows)} rows written to {manifest.out / 'results.csv'}")
     return 0
 
 
@@ -660,15 +649,10 @@ def _spec_from_doc(doc: dict, default_seed: int | None) -> tuple[GeneratorSpec, 
     return spec, incident
 
 
-def cmd_simulate(args) -> int:
-    out = _out_dir(args)
-    manifest = Manifest("simulate", sys.argv[1:], {}, args.seed)
-    for spec_arg in args.specs:
-        spec_path = Path(spec_arg)
-        if not spec_path.is_file():
-            raise CliError(f"unreadable input: {spec_path}")
-        manifest.add_input(spec_path)
-        doc = _load_json(spec_path)
+def cmd_simulate(args, manifest: Manifest) -> int:
+    done = []  # printed once every output is published
+    for spec_path in map(Path, args.specs):
+        doc = _load_json(manifest, spec_path)
         if not isinstance(doc, dict):
             raise CliError(f"{spec_path}: spec must be a JSON object")
         spec, incident = _spec_from_doc(doc, args.seed)
@@ -678,12 +662,12 @@ def cmd_simulate(args) -> int:
                 events = inject_incident_events(events, incident)
             except ValueError as exc:
                 raise CliError(f"{spec_path}: {exc}") from exc
-        target = out / f"{spec_path.stem}.jsonl"
-        with target.open("w", encoding="utf-8", newline="\n") as fh:
+        name = f"{spec_path.stem}.jsonl"
+        with manifest.output(name) as fh:
             written = write_event_lines(events, fh)
-        manifest.add_output(target)
-        print(f"simulate: {written} events from {spec_path.name} to {target}")
-    manifest.write(out)
+        done.append(f"simulate: {written} events from {spec_path.name} to {manifest.out / name}")
+    manifest.write()
+    print(*done, sep="\n")
     return 0
 
 
@@ -755,16 +739,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    manifest = None
     try:
-        return args.func(args)
-    except CliError as exc:
+        manifest = Manifest(args.command, sys.argv[1:], args.out, args.seed)
+        return args.func(args, manifest)
+    except (CliError, MrtParseError, EventFormatError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MrtParseError, EventFormatError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        if manifest is not None:
+            manifest.discard()
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Callable, Iterable, Mapping
 
 from .detector import AnomalyReport, whole_number
 
@@ -87,10 +87,16 @@ def parse_utc(text: str) -> int:
     return int(datetime(*fields, tzinfo=timezone(offset)).timestamp())
 
 
-def load_incidents(path: str | Path) -> list[IncidentWindow]:
-    """Incident config: JSON array of {name, asn, start_utc, end_utc, kind}."""
+def load_incidents(
+    path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
+) -> list[IncidentWindow]:
+    """Incident config: JSON array of {name, asn, start_utc, end_utc, kind}.
+
+    `read` returns the file's bytes; a caller that records what it reads
+    passes its own.
+    """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(read(Path(path)).decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise ConfigurationError(f"incident config {path} is not a JSON document: {exc}") from exc
     if not isinstance(raw, list):

@@ -130,6 +130,15 @@ class TestSimulate:
         data = json.dumps({"generator": [1, 2], "incident": None}).encode()
         assert_input_error(self.simulate_bad_spec(tmp_path, data), capsys)
 
+    def test_specs_sharing_a_stem_are_input_error(self, tmp_path, capsys):
+        # Both would write spec.jsonl; the second must not replace the first.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        specs = [write_sim_spec(tmp_path / d / "spec.json", seed=i) for i, d in enumerate("ab")]
+        out = tmp_path / "o"
+        assert_input_error(main(["simulate", *map(str, specs), "--out", str(out)]), capsys)
+        assert list(out.iterdir()) == []
+
     def test_non_string_collector_is_input_error(self, tmp_path, capsys):
         spec = write_sim_spec(tmp_path / "spec.json")
         doc = json.loads(spec.read_text())
@@ -1041,3 +1050,159 @@ class TestGoldenDigests:
             tmp_path, events, nulls, "separate", "--null-events", str(null_events)
         )
         assert digest_of(separate) == self.ANALYZE_SEPARATE_NULLS
+
+
+# One command line per subcommand, naming input files that do not exist.
+EACH_COMMAND = pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "spec.json"],
+        ["ingest", "events.jsonl"],
+        ["detect", "events.jsonl"],
+        ["analyze", "events.jsonl", "--window", "0", "1"],
+        ["evaluate", "report.json", "--incidents", "incidents.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+
+
+class TestManifest:
+    """Each input read once and each output hashed as written; outputs
+    published only when the command succeeds."""
+
+    @EACH_COMMAND
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_naming_a_file_is_input_error(self, tmp_path, monkeypatch, capsys, argv, below):
+        monkeypatch.chdir(tmp_path)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "x" if below else afile
+        assert_input_error(main([*argv, "--out", str(out)]), capsys)
+        assert afile.read_text() == "kept\n"
+
+    @EACH_COMMAND
+    def test_unreadable_input_is_one_error_text(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "o"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {argv[1]}: [Errno 2] No such file or directory: '{argv[1]}'\n"
+        )
+        assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.fixture()
+    def golden(self, tmp_path):
+        """The golden corpus with its null windows, an incident and a spec."""
+        events = write_golden_corpus(tmp_path / "events.jsonl", seed=7, days=4)
+        null_events = write_golden_corpus(tmp_path / "null.jsonl", seed=8, days=6)
+        nulls = tmp_path / "nulls.json"
+        nulls.write_text(json.dumps([
+            {"start": START + k * 12_000, "end": START + k * 12_000 + 10_000}
+            for k in range(25)
+        ]))
+        incidents = tmp_path / "incidents.json"
+        incidents.write_text(json.dumps([{
+            "name": "late-burst", "asn": 64500, "start_utc": iso(START + 300_000),
+            "end_utc": iso(START + 303_600), "kind": "large-scale",
+        }]))
+        forms = tmp_path / "forms.jsonl"
+        forms.write_text(CANONICAL_FORMS, encoding="utf-8")
+        spec = write_sim_spec(tmp_path / "spec.json")
+        return {
+            "events": events, "null_events": null_events, "nulls": nulls,
+            "incidents": incidents, "forms": forms, "spec": spec,
+        }
+
+    def analyze_argv(self, golden, *targets):
+        return [
+            "analyze", str(golden["events"]), "--collector", "rrc00",
+            "--window", str(START + 80_000), str(START + 100_000),
+            "--null-windows", str(golden["nulls"]),
+            *(arg for asn in targets for arg in ("--target-asn", str(asn))),
+        ]
+
+    def test_analyze_lists_its_incidents_file(self, golden, tmp_path):
+        out = tmp_path / "analyze"
+        argv = self.analyze_argv(golden, 64500)
+        assert main([*argv, "--incidents", str(golden["incidents"]), "--out", str(out)]) == 0
+        inputs = [entry["path"] for entry in manifest_of(out)["inputs"]]
+        assert inputs == [str(golden["events"]), str(golden["nulls"]), str(golden["incidents"])]
+
+    def test_digests_are_of_the_files_and_each_input_is_read_once(
+        self, golden, tmp_path, monkeypatch
+    ):
+        opened = []
+        path_open = Path.open
+
+        def counting_open(self, mode="r", *args, **kwargs):
+            opened.append((self.resolve(), mode))
+            return path_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        runs = {
+            "simulate": ["simulate", str(golden["spec"])],
+            "ingest": ["ingest", str(golden["forms"]), str(golden["events"])],
+            "detect": ["detect", str(golden["events"]), "--trace"],
+            "analyze": [
+                *self.analyze_argv(golden, 64500, 64502),
+                "--null-events", str(golden["null_events"]), "--incidents", str(golden["incidents"]),
+            ],
+            "evaluate": None,  # on the reports of detect
+        }
+        for name, argv in runs.items():
+            out = tmp_path / name
+            if argv is None:
+                reports = sorted(str(p) for p in (tmp_path / "detect").glob("report_*.json"))
+                argv = ["evaluate", *reports, "--incidents", str(golden["incidents"])]
+            opened.clear()
+            assert main([*argv, "--out", str(out)]) == 0
+            reads = [path for path, mode in opened if "r" in mode]
+            manifest = manifest_of(out)
+            for entry in manifest["inputs"] + manifest["outputs"]:
+                path = Path(entry["path"])
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"], path
+            for entry in manifest["inputs"]:
+                assert reads.count(Path(entry["path"]).resolve()) == 1, (name, entry["path"])
+            assert not [path for path in reads if path.parent == out.resolve()], name
+            assert len(manifest["inputs"]) == len(set(reads)), name
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                ["manifest.json", *(Path(e["path"]).name for e in manifest["outputs"])]
+            )
+
+    def failing_runs(self, case, golden, tmp_path):
+        """A run into `out` that succeeds, then the argv of a run into it that
+        fails and whose outputs would differ from the first run's.  All but
+        evaluate fail after some of those outputs are written."""
+        out = tmp_path / "out"
+        if case == "simulate":
+            assert main(["simulate", str(golden["spec"]), "--out", str(out)]) == 0
+            write_sim_spec(golden["spec"], seed=4)
+            bad = tmp_path / "bad.json"
+            bad.write_text("[]")
+            return out, ["simulate", str(golden["spec"]), str(bad)]
+        if case == "detect":
+            argv = ["detect", str(golden["events"]), "--trace"]
+            assert main([*argv, "--out", str(out)]) == 0
+            # The temporary file of the last output cannot be created.
+            last = Path(manifest_of(out)["outputs"][-1]["path"]).name
+            (out / f".{last}.{os.getpid()}.tmp").mkdir()
+            return out, [*argv, "--delta", "3"]
+        if case == "analyze":
+            assert main([*self.analyze_argv(golden, 64500), "--out", str(out)]) == 0
+            return out, [*self.analyze_argv(golden, 64500, 1), "--alpha-sig", "0.01"]
+        detected = tmp_path / "detected"
+        assert main(["detect", str(golden["events"]), "--out", str(detected)]) == 0
+        reports = sorted(str(p) for p in detected.glob("report_*.json"))
+        incidents = ["--incidents", str(golden["incidents"])]
+        assert main(["evaluate", *reports, *incidents, "--out", str(out)]) == 0
+        bad = tmp_path / "bad_report.json"
+        bad.write_text('{"detector": 5}')
+        return out, ["evaluate", *reports, str(bad), *incidents, "--m", "3600"]
+
+    @pytest.mark.parametrize("case", ["simulate", "detect", "analyze", "evaluate"])
+    def test_failed_command_keeps_earlier_outputs(self, golden, tmp_path, capsys, case):
+        out, argv = self.failing_runs(case, golden, tmp_path)
+        before = {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert_input_error(main([*argv, "--out", str(out)]), capsys)
+        assert {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()} == before
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp") and p.is_file()]
