@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice, repeat
-from operator import gt, sub
+from operator import add, gt, sub
 from typing import IO, Iterable, Sequence
 
 from .events import EventSeries
@@ -67,15 +68,53 @@ def inter_arrivals(series: EventSeries) -> InterArrivalSample:
     return InterArrivalSample(gaps, len(ts))
 
 
+# NumPy's float64 mean, population deviation and linear percentile, bit for
+# bit, without a third-party package; the outputs read the same on every
+# interpreter.  Floats are added left to right with operator.add, never with
+# sum(): from Python 3.12 sum() compensates float rounding.
+
+
+def _pairwise_sum(values: list[float], start: int, n: int) -> float:
+    """NumPy's pairwise_sum of values[start:start + n]: blocks of at most 128
+    values, each summed by eight stride-8 accumulators plus a left-to-right tail."""
+    if n < 8:
+        return reduce(add, values[start : start + n], 0.0)
+    if n <= 128:
+        stop = start + n - n % 8
+        r = [reduce(add, values[start + j : stop : 8]) for j in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[stop : start + n], head)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
+
+
+def _mean_std(values: list[float]) -> tuple[float, float]:
+    """np.mean and np.std (population) of a non-empty float list."""
+    n = len(values)
+    mu = _pairwise_sum(values, 0, n) / n
+    return mu, math.sqrt(_pairwise_sum([(x - mu) * (x - mu) for x in values], 0, n) / n)
+
+
+def _percentile(values: Sequence[float], q: float) -> float:
+    """np.percentile(values, q) with its default linear method."""
+    if not 0 <= q <= 100:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    v = last * (q / 100)
+    lo = math.floor(v)
+    a, b = ordered[lo], ordered[min(lo + 1, last)]
+    g = v - lo
+    diff = b - a
+    return b - diff * (1 - g) if g >= 0.5 else a + diff * g
+
+
 def _interval_stats(intervals: Sequence[float]) -> tuple[float, float, float]:
     """(mu, population sigma, (sigma - mu) / (sigma + mu)) of the intervals."""
     if len(intervals) == 0:
         raise UndefinedStatisticError("no intervals")
-    import numpy as np  # here, not at the top: only analyze pays for loading numpy
-
-    arr = np.asarray(intervals, dtype=float)
-    mu = float(arr.mean())
-    sigma = float(arr.std())  # population (divide by count)
+    mu, sigma = _mean_std(list(map(float, intervals)))
     if sigma + mu == 0.0:
         raise UndefinedStatisticError("all intervals are zero")
     return mu, sigma, (sigma - mu) / (sigma + mu)
@@ -206,10 +245,8 @@ def joint_distribution(
         raise DegenerateTableError(
             f"only {len(qualifying)} ASes with >= {min_events} announcements in window"
         )
-    import numpy as np
-
-    b_p95 = float(np.percentile([b for _, b, _ in qualifying], percentile))
-    count_p95 = float(np.percentile([c for _, _, c in qualifying], percentile))
+    b_p95 = _percentile([b for _, b, _ in qualifying], percentile)
+    count_p95 = _percentile([c for _, _, c in qualifying], percentile)
     rows = tuple(
         ActivityRow(asn, b, count, _quadrant(b, count, b_p95, count_p95))
         for asn, b, count in sorted(qualifying)

@@ -742,7 +742,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     manifest = None
     try:
-        manifest = Manifest(args.command, sys.argv[1:], args.out, args.seed)
+        manifest = Manifest(
+            args.command, sys.argv[1:] if argv is None else list(argv), args.out, args.seed
+        )
         return args.func(args, manifest)
     except (CliError, MrtParseError, EventFormatError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from operator import gt
+from socket import AF_INET6, inet_ntop, inet_pton
 from typing import IO, Iterable, Iterator
 
 ANNOUNCEMENT = "announcement"
@@ -34,11 +35,23 @@ class EventFormatError(ValueError):
 # ipaddress; anything else is left to ipaddress, which owns the error text.
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _IPV4_PREFIX = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}/(?:3[0-2]|[12]?[0-9])")
+# IPv6 prefixes whose address is its own inet_ntop form (how mrt writes every
+# address but the IPv4-mapped and -compatible ones), length 0-128 without a
+# leading zero.  ipaddress accepts each of them.
+_IPV6_PREFIX = re.compile(r"([0-9a-f:.]+)/(12[0-8]|1[01][0-9]|[1-9]?[0-9])")
 
 
 def _check_prefix(prefix: str) -> None:
     if _IPV4_PREFIX.fullmatch(prefix):
         return
+    v6 = _IPV6_PREFIX.fullmatch(prefix)
+    if v6 is not None:
+        addr = v6[1]
+        try:
+            if inet_ntop(AF_INET6, inet_pton(AF_INET6, addr)) == addr:
+                return
+        except OSError:  # not an IPv6 address; ipaddress words the error
+            pass
     try:
         ipaddress.ip_network(prefix, strict=False)
     except ValueError as exc:

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bgpburst.burstiness import (
     InsufficientDataError,
     InterArrivalSample,
     UndefinedStatisticError,
+    _mean_std,
+    _percentile,
     burstiness_corrected,
     burstiness_raw,
     burstiness_result,
@@ -162,3 +164,56 @@ def test_corrected_defined_whenever_gaps_vary(timestamps):
         return  # constant or empty gap vector is covered elsewhere
     b = burstiness_corrected(arr)
     assert -1.0 <= b <= 1.0
+
+
+# Sizes at and around the pairwise-sum boundaries: the left-to-right cut-off
+# (8), one block (128), the first split (136) and a buffer's worth (8192).
+REPLICA_SIZES = [1, 7, 8, 9, 127, 128, 129, 136, 256, 257, 8193, 100_000]
+
+
+@st.composite
+def replica_values(draw, n):
+    """n ints or n floats, either with many ties or mostly distinct."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["int", "int ties", "float", "float ties"]))
+    if kind == "int":
+        return rng.integers(0, 10**9, n).tolist()
+    if kind == "int ties":
+        return rng.integers(0, 5, n).tolist()
+    if kind == "float":
+        return (rng.pareto(1.2, n) * draw(st.sampled_from([1e-6, 1.0, 300.0, 1e12]))).tolist()
+    return rng.choice([0.0, 0.1, 1.0, 3.5, 1e9], n).tolist()
+
+
+PERCENTILES = st.sampled_from([0, 50, 95, 100]) | st.floats(0, 100)
+
+
+class TestNumpyReplica:
+    """The pure-Python reductions give exactly NumPy's float64 results."""
+
+    def check(self, values, q):
+        floats = [float(x) for x in values]
+        arr = np.asarray(floats)
+        assert _mean_std(floats) == (float(arr.mean()), float(arr.std()))
+        assert _percentile(values, q) == float(np.percentile(values, q))
+
+    @pytest.mark.parametrize("n", REPLICA_SIZES)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), q=PERCENTILES)
+    def test_sizes(self, n, data, q):
+        self.check(data.draw(replica_values(n)), q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 20), min_size=1, max_size=300)
+        | st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=300),
+        q=PERCENTILES,
+    )
+    @example(values=[0.1, 0.7], q=50)  # midway, a + d/2 and b - d/2 round apart
+    def test_drawn_lists(self, values, q):
+        self.check(values, q)
+
+    @pytest.mark.parametrize("q", [-1, 100.5])
+    def test_percentile_out_of_range(self, q):
+        with pytest.raises(ValueError):
+            _percentile([1.0, 2.0], q)

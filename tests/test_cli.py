@@ -888,7 +888,7 @@ print(json.dumps(steps))
 
 
 class TestStartup:
-    def test_numpy_is_loaded_only_by_analyze(self, tmp_path):
+    def test_no_command_loads_numpy(self, tmp_path):
         spec = write_sim_spec(tmp_path / "spec.json")
         incidents = tmp_path / "incidents.json"
         incidents.write_text(json.dumps([{
@@ -907,8 +907,28 @@ class TestStartup:
         assert steps == [
             ["import", 0, False], ["simulate", 0, False], ["ingest", 0, False],
             ["detect", 0, False], ["detect", 0, False], ["evaluate", 0, False],
-            ["analyze", 2, True],
+            ["analyze", 2, False],
         ]
+
+
+# main(argv) in an interpreter in which `import numpy` raises ImportError.
+NO_NUMPY_MAIN = """
+import sys
+sys.modules["numpy"] = None
+from bgpburst.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def main_without_numpy(argv):
+    src = Path(mrt.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_MAIN, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.returncode
 
 
 def write_golden_corpus(path, seed, days):
@@ -992,9 +1012,9 @@ class TestGoldenDigests:
         ]))
         return events, null_events, nulls
 
-    def analyze(self, tmp_path, events, nulls, name, *extra):
+    def analyze(self, tmp_path, events, nulls, name, *extra, run=main):
         out = tmp_path / name
-        code = main([
+        code = run([
             "analyze", str(events), "--collector", "rrc00",
             "--window", str(START + 80_000), str(START + 100_000),
             "--target-asn", "64500", "--target-asn", "64502",
@@ -1051,6 +1071,16 @@ class TestGoldenDigests:
         )
         assert digest_of(separate) == self.ANALYZE_SEPARATE_NULLS
 
+    def test_analyze_outputs_pinned_without_numpy(self, corpus, tmp_path):
+        events, null_events, nulls = corpus
+        same = self.analyze(tmp_path, events, nulls, "same", run=main_without_numpy)
+        assert digest_of(same) == self.ANALYZE
+        separate = self.analyze(
+            tmp_path, events, nulls, "separate", "--null-events", str(null_events),
+            run=main_without_numpy,
+        )
+        assert digest_of(separate) == self.ANALYZE_SEPARATE_NULLS
+
 
 # One command line per subcommand, naming input files that do not exist.
 EACH_COMMAND = pytest.mark.parametrize(
@@ -1088,6 +1118,18 @@ class TestManifest:
             f"error: cannot read {argv[1]}: [Errno 2] No such file or directory: '{argv[1]}'\n"
         )
         assert list((tmp_path / "o").iterdir()) == []
+
+    def test_argv_is_the_one_main_was_given(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["host-program", "--host-flag"])
+        argv = ["simulate", str(write_sim_spec(tmp_path / "s.json")), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert manifest_of(tmp_path / "o")["argv"] == argv
+
+    def test_argv_defaults_to_the_command_line(self, tmp_path, monkeypatch):
+        argv = ["simulate", str(write_sim_spec(tmp_path / "s.json")), "--out", str(tmp_path / "o")]
+        monkeypatch.setattr(sys, "argv", ["bgpburst", *argv])
+        assert main() == 0
+        assert manifest_of(tmp_path / "o")["argv"] == argv
 
     @pytest.fixture()
     def golden(self, tmp_path):

@@ -2,10 +2,12 @@ import io
 import ipaddress
 import json
 import random
+import socket
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bgpburst import events
 from bgpburst.events import (
     _KIND_CODE,
     ANNOUNCEMENT,
@@ -188,6 +190,72 @@ prefix_texts = st.one_of(
 @given(prefix_texts)
 def test_check_prefix_accepts_what_ipaddress_accepts(text):
     assert _check_verdict(text) == _ipaddress_verdict(text)
+
+
+def _v4_tail(a):
+    return ipaddress.IPv4Address(a.packed[12:])
+
+
+_V6_FORMS = [
+    lambda a, n: f"{a.compressed}/{n}",
+    lambda a, n: f"{socket.inet_ntop(socket.AF_INET6, a.packed)}/{n}",
+    lambda a, n: f"{a.exploded}/{n}",
+    lambda a, n: f"{a.compressed.upper()}/{n}",
+    lambda a, n: ":".join(f"{int(g, 16):04x}" if g else "" for g in a.compressed.split(":")) + f"/{n}",
+    lambda a, n: f"0{a.compressed}/{n}",
+    lambda a, n: f"::ffff:{_v4_tail(a)}/{n}",
+    lambda a, n: f"::{_v4_tail(a)}/{n}",
+    lambda a, n: f"64:ff9b::{_v4_tail(a)}/{n}",
+    lambda a, n: f"::ffff:0{_v4_tail(a)}/{n}",
+    lambda a, n: f"{a.compressed}%eth0/{n}",
+    lambda a, n: f"{a.compressed}%{n}/{n}",
+    lambda a, n: f"{a.compressed}/0{n}",
+    lambda a, n: f"{a.compressed}/{n + 129}",
+    lambda a, n: f"{a.compressed}/-{n}",
+    lambda a, n: f"{a.compressed}/",
+    lambda a, n: a.compressed,
+    lambda a, n: f"{a.compressed}:/{n}",
+    lambda a, n: f"{a.compressed}::1/{n}",
+    lambda a, n: f"{a.compressed}/{n}".replace("1", "\u0661"),
+]
+_v6_addresses = st.one_of(
+    st.binary(min_size=16, max_size=16),
+    st.lists(st.sampled_from([0, 0, 0, 1, 0xDB8, 0x2001, 0xFFFF]), min_size=8, max_size=8).map(
+        lambda groups: b"".join(g.to_bytes(2, "big") for g in groups)
+    ),
+    st.binary(min_size=4, max_size=4).map(lambda v4: bytes(10) + b"\xff\xff" + v4),
+    st.binary(min_size=4, max_size=4).map(lambda v4: bytes(12) + v4),
+).map(ipaddress.IPv6Address)
+_v6_mutated = st.builds(
+    lambda a, n, f: f(a, n), _v6_addresses, st.integers(0, 128), st.sampled_from(_V6_FORMS)
+)
+v6_prefix_texts = st.one_of(
+    _v6_mutated,
+    st.builds(
+        lambda text, i, c: text[: i % len(text)] + c + text[i % len(text) + 1 :],
+        _v6_mutated,
+        st.integers(0, 60),
+        st.sampled_from(["0", "f", "F", "g", ":", ".", "/", "%", " ", "\u0661"]),
+    ),
+    st.text(alphabet="0123456789abcdefABCDEF:./%", max_size=48),
+)
+
+
+@settings(max_examples=1000)
+@given(v6_prefix_texts)
+def test_check_prefix_ipv6_accepts_what_ipaddress_accepts(text):
+    assert _check_verdict(text) == _ipaddress_verdict(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["::/0", "2001:db8::/32", "2001:db8:0:1::/64", "::ffff:1.2.3.0/120", "::1/128"]
+)
+def test_check_prefix_takes_inet_ntop_ipv6_without_ipaddress(text, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ipaddress called")
+
+    monkeypatch.setattr(events.ipaddress, "ip_network", refuse)
+    _check_prefix(text)
 
 
 def _old_to_line(ev):
