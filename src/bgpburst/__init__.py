@@ -48,15 +48,28 @@ from .events import (
     write_event_lines,
 )
 from .mrt import MrtParseResult, MrtStats, parse_mrt_updates, read_updates
-from .synth import (
-    GeneratorSpec,
-    IncidentSpec,
-    generate_series,
-    generate_stream,
-    incident_scenario,
-    inject_incident,
-    inject_incident_events,
-    update_stream,
+
+# Only `simulate` needs the generators: the synth module is imported on the
+# first use of one of these names (PEP 562), not with the package.
+_SYNTH_NAMES = (
+    "GeneratorSpec",
+    "IncidentSpec",
+    "generate_series",
+    "generate_stream",
+    "incident_scenario",
+    "inject_incident",
+    "inject_incident_events",
+    "update_stream",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name: str):
+    if name == "synth" or name in _SYNTH_NAMES:
+        import importlib
+
+        synth = importlib.import_module(".synth", __name__)  # binds bgpburst.synth too
+        return synth if name == "synth" else getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["synth", *_SYNTH_NAMES])

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, repeat
 from operator import add, gt, sub
 from typing import IO, Iterable, Sequence
 
-from .events import EventSeries
+from .events import EventSeries, FrozenRecord
 
 DEFAULT_MIN_EVENTS = 5
 
@@ -38,27 +37,31 @@ class InsufficientNullDataError(ValueError):
     """Too few usable null windows to run the significance test."""
 
 
-@dataclass(frozen=True)
-class InterArrivalSample:
+class InterArrivalSample(FrozenRecord):
     """Gaps between consecutive events plus the underlying event count."""
 
-    intervals: tuple[float, ...]
-    n_events: int
+    __slots__ = ("intervals", "n_events")
 
-    def __post_init__(self):
-        if self.n_events >= 1 and len(self.intervals) != self.n_events - 1:
+    def __init__(self, intervals: tuple[float, ...], n_events: int):
+        if n_events >= 1 and len(intervals) != n_events - 1:
             raise ValueError("expected n_events - 1 intervals")
-        if any(map(gt, repeat(0), self.intervals)):
+        if any(map(gt, repeat(0), intervals)):
             raise ValueError("negative inter-arrival interval")
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "n_events", n_events)
 
 
-@dataclass(frozen=True)
-class BurstinessResult:
-    mu: float
-    sigma: float
-    b_raw: float
-    b_corrected: float | None
-    n_events: int
+class BurstinessResult(FrozenRecord):
+    __slots__ = ("mu", "sigma", "b_raw", "b_corrected", "n_events")
+
+    def __init__(
+        self, mu: float, sigma: float, b_raw: float, b_corrected: float | None, n_events: int
+    ):
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "b_raw", b_raw)
+        object.__setattr__(self, "b_corrected", b_corrected)
+        object.__setattr__(self, "n_events", n_events)
 
 
 def inter_arrivals(series: EventSeries) -> InterArrivalSample:
@@ -167,24 +170,35 @@ def series_burstiness(
     return burstiness_result(inter_arrivals(series), min_events)
 
 
-@dataclass(frozen=True)
-class ActivityRow:
-    asn: int
-    b_corrected: float
-    count: int
-    quadrant: int
+class ActivityRow(FrozenRecord):
+    __slots__ = ("asn", "b_corrected", "count", "quadrant")
+
+    def __init__(self, asn: int, b_corrected: float, count: int, quadrant: int):
+        object.__setattr__(self, "asn", asn)
+        object.__setattr__(self, "b_corrected", b_corrected)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "quadrant", quadrant)
 
 
-@dataclass(frozen=True)
-class JointActivityTable:
+class JointActivityTable(FrozenRecord):
     """Per-AS burstiness vs announcement volume over one window, with the
     two 95th-percentile thresholds that cut the plane into quadrants."""
 
-    window: tuple[int, int]
-    rows: tuple[ActivityRow, ...]
-    b_p95: float
-    count_p95: float
-    skipped: tuple[tuple[int, int], ...] = ()  # (asn, count) without a coefficient
+    __slots__ = ("window", "rows", "b_p95", "count_p95", "skipped")
+
+    def __init__(
+        self,
+        window: tuple[int, int],
+        rows: tuple[ActivityRow, ...],
+        b_p95: float,
+        count_p95: float,
+        skipped: tuple[tuple[int, int], ...] = (),  # (asn, count) without a coefficient
+    ):
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "b_p95", b_p95)
+        object.__setattr__(self, "count_p95", count_p95)
+        object.__setattr__(self, "skipped", skipped)
 
 
 def _quadrant(b: float, count: int, b_p95: float, count_p95: float) -> int:
@@ -276,26 +290,39 @@ def joint_sidecar(table: JointActivityTable) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class SignificanceResult:
+class SignificanceResult(FrozenRecord):
     """Rank-based two-sided test of an observed burstiness against null windows."""
 
-    observed_b: float
-    null_samples: tuple[float, ...]
-    empirical_p: float
-    significant: bool
-    alpha_sig: float
-    skipped_windows: int = 0
+    __slots__ = (
+        "observed_b", "null_samples", "empirical_p", "significant", "alpha_sig", "skipped_windows",
+    )
+
+    def __init__(
+        self,
+        observed_b: float,
+        null_samples: tuple[float, ...],
+        empirical_p: float,
+        significant: bool,
+        alpha_sig: float,
+        skipped_windows: int = 0,
+    ):
+        object.__setattr__(self, "observed_b", observed_b)
+        object.__setattr__(self, "null_samples", null_samples)
+        object.__setattr__(self, "empirical_p", empirical_p)
+        object.__setattr__(self, "significant", significant)
+        object.__setattr__(self, "alpha_sig", alpha_sig)
+        object.__setattr__(self, "skipped_windows", skipped_windows)
 
     def as_dict(self) -> dict:
-        return {
-            "observed_b": self.observed_b,
-            "null_samples": list(self.null_samples),
-            "empirical_p": self.empirical_p,
-            "significant": self.significant,
-            "alpha_sig": self.alpha_sig,
-            "skipped_windows": self.skipped_windows,
-        }
+        return {**super().as_dict(), "null_samples": list(self.null_samples)}
+
+
+def check_null_test_settings(k: int, alpha_sig: float) -> None:
+    """Raise ValueError unless k >= 1 and alpha_sig is a finite value in (0, 1)."""
+    if k < 1:
+        raise ValueError(f"null sample count k must be >= 1, got {k}")
+    if not 0.0 < alpha_sig < 1.0:  # NaN fails both comparisons
+        raise ValueError(f"significance level alpha_sig must lie in (0, 1), got {alpha_sig}")
 
 
 def monte_carlo_null_test(
@@ -312,7 +339,9 @@ def monte_carlo_null_test(
     whichever side the observation falls; significance at level alpha_sig
     means the observation sits outside the central 1 - alpha_sig band of the
     null distribution, i.e. the tail p-value is at most alpha_sig / 2.
+    Settings outside check_null_test_settings raise ValueError.
     """
+    check_null_test_settings(k, alpha_sig)
     if observed.b_corrected is None:
         raise InsufficientDataError("observed window lacks a corrected coefficient")
     nulls: list[float] = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -21,7 +20,7 @@ import reprlib
 import sys
 import time
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, TYPE_CHECKING, Iterator
 
 from . import __version__
 from .burstiness import (
@@ -29,6 +28,7 @@ from .burstiness import (
     InsufficientDataError,
     InsufficientNullDataError,
     UndefinedStatisticError,
+    check_null_test_settings,
     joint_distribution,
     joint_sidecar,
     monte_carlo_null_test,
@@ -67,12 +67,14 @@ from .events import (
     write_event_lines,
 )
 from .mrt import MrtParseError, MrtStats, decompress, read_updates
-from .synth import GeneratorSpec, IncidentSpec, generate_stream, inject_incident_events
 
 # Not called here: benchmarks/traced_cli.py wraps these names in this module
 # until stage records replace it (ROADMAP item 1).
 from .events import build_series, build_volume_series, parse_event_lines, series_keys  # noqa: F401
 from .mrt import parse_mrt_updates  # noqa: F401
+
+if TYPE_CHECKING:  # synth is imported by simulate alone
+    from .synth import GeneratorSpec, IncidentSpec
 
 CONFIG_ENV_VAR = "BGPBURST_CONFIG"
 
@@ -199,8 +201,8 @@ def _decode_utf8(path: Path, data: bytes) -> str:
 
 
 def _load_groups(
-    manifest: Manifest, path: Path
-) -> dict[tuple[int, str], tuple[list[int], list[str]]]:
+    manifest: Manifest, path: Path, prefixes: bool = True
+) -> dict[tuple[int, str], tuple[list, ...]]:
     """The usable announcements of a canonical events file, as read_groups columns."""
     try:
         raw = decompress(manifest.read(path))
@@ -209,7 +211,7 @@ def _load_groups(
     text = _decode_utf8(path, raw)
     del raw  # freed before the columns are built
     try:
-        return read_groups(text.split("\n"))
+        return read_groups(text.split("\n"), prefixes)
     except EventFormatError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -235,7 +237,7 @@ def _resolve_detector_config(args) -> tuple[DetectorConfig, dict]:
         config = DetectorConfig.from_mapping(settings)
     except ValueError as exc:
         raise CliError(f"bad detector settings: {exc}") from exc
-    return config, dataclasses.asdict(config)
+    return config, config.as_dict()
 
 
 # ---------------------------------------------------------------- ingest
@@ -464,8 +466,8 @@ def _check_null_overlap(
 
 
 def _series_of(groups: dict, asn: int, collector: str):
-    """A pair's series from read_groups columns; empty if the pair has none."""
-    timestamps, _ = groups.get((asn, collector), ((), ()))
+    """A pair's series from timestamp-only read_groups columns; empty if the pair has none."""
+    (timestamps,) = groups.get((asn, collector), ((),))
     return series_from_columns(asn, collector, timestamps)
 
 
@@ -474,11 +476,15 @@ def cmd_analyze(args, manifest: Manifest) -> int:
     if window[0] >= window[1]:
         raise CliError("analysis window start must precede end")
     min_events = _resolve_detector_config(args)[0].min_events
+    try:
+        check_null_test_settings(args.k, args.alpha_sig)
+    except ValueError as exc:
+        raise CliError(f"bad Monte Carlo settings: {exc}") from exc
     manifest.doc["config"] = {
         "window": list(window), "min_events": min_events, "k": args.k, "alpha_sig": args.alpha_sig,
     }
     events_path = Path(args.events)
-    groups = _load_groups(manifest, events_path)
+    groups = _load_groups(manifest, events_path, prefixes=False)
     collectors = sorted({collector for _, collector in groups})
     if args.collector is not None:
         if args.collector not in collectors:
@@ -501,13 +507,13 @@ def cmd_analyze(args, manifest: Manifest) -> int:
             _check_null_overlap(null_windows, _load_incident_windows(manifest, Path(args.incidents)))
         null_events_path = Path(args.null_events) if args.null_events else events_path
         if null_events_path != events_path:
-            null_groups = _load_groups(manifest, null_events_path)
+            null_groups = _load_groups(manifest, null_events_path, prefixes=False)
         else:
             null_groups = groups
 
     corpus = [
         series_from_columns(asn, coll, timestamps)
-        for (asn, coll), (timestamps, _) in groups.items()
+        for (asn, coll), (timestamps,) in groups.items()
         if coll == collector
     ]
     try:
@@ -616,6 +622,8 @@ def cmd_evaluate(args, manifest: Manifest) -> int:
 
 
 def _spec_from_doc(doc: dict, default_seed: int | None) -> tuple[GeneratorSpec, IncidentSpec | None]:
+    from .synth import GeneratorSpec, IncidentSpec
+
     gen = doc.get("generator", doc)
     incident_doc = doc.get("incident")
     try:
@@ -650,6 +658,8 @@ def _spec_from_doc(doc: dict, default_seed: int | None) -> tuple[GeneratorSpec, 
 
 
 def cmd_simulate(args, manifest: Manifest) -> int:
+    from .synth import generate_stream, inject_incident_events
+
     done = []  # printed once every output is published
     for spec_path in map(Path, args.specs):
         doc = _load_json(manifest, spec_path)

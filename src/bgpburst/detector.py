@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence
 
 from .burstiness import DEFAULT_MIN_EVENTS
-from .events import EventSeries, VolumeSeries
+from .events import EventSeries, FrozenRecord, VolumeSeries
 
 DEFAULT_DECAY = 1.0 / 300.0
 DEFAULT_WINDOW = 200
@@ -44,31 +43,40 @@ def whole_number(name: str, value) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
+class DetectorConfig(FrozenRecord):
     """Every detector and burstiness setting; the fields are the config keys."""
 
-    r: float = DEFAULT_DECAY
-    omega: int = DEFAULT_WINDOW
-    delta: float = DEFAULT_DELTA
-    warmup: int = 0
-    variance_floor: float = DEFAULT_VARIANCE_FLOOR
-    min_events: int = DEFAULT_MIN_EVENTS
+    __slots__ = ("r", "omega", "delta", "warmup", "variance_floor", "min_events")
+    INTEGER_KEYS = ("omega", "warmup", "min_events")  # from_mapping takes whole numbers only
 
-    def __post_init__(self):
-        for name in ("r", "delta", "variance_floor"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(
+        self,
+        r: float = DEFAULT_DECAY,
+        omega: int = DEFAULT_WINDOW,
+        delta: float = DEFAULT_DELTA,
+        warmup: int = 0,
+        variance_floor: float = DEFAULT_VARIANCE_FLOOR,
+        min_events: int = DEFAULT_MIN_EVENTS,
+    ):
+        for name, value in (("r", r), ("delta", delta), ("variance_floor", variance_floor)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.r <= 0:
+        if r <= 0:
             raise ValueError("decay factor r must be positive")
-        if self.omega < 1:
+        if omega < 1:
             raise ValueError("window length omega must be >= 1")
-        if self.delta <= 0:
+        if delta <= 0:
             raise ValueError("band width delta must be positive")
-        if self.warmup < 0 or self.variance_floor < 0:
+        if warmup < 0 or variance_floor < 0:
             raise ValueError("warmup and variance_floor must be nonnegative")
-        if self.min_events < 2:
+        if min_events < 2:
             raise ValueError("min_events must be >= 2")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "warmup", warmup)
+        object.__setattr__(self, "variance_floor", variance_floor)
+        object.__setattr__(self, "min_events", min_events)
 
     @property
     def a(self) -> float:
@@ -85,21 +93,21 @@ class DetectorConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}
-        for field in fields(cls):
-            if field.name not in mapping:
+        for name in CONFIG_KEYS:
+            if name not in mapping:
                 continue
-            value = mapping[field.name]
-            if field.type in (int, "int"):
-                kwargs[field.name] = whole_number(field.name, value)
+            value = mapping[name]
+            if name in cls.INTEGER_KEYS:
+                kwargs[name] = whole_number(name, value)
             else:
                 try:
-                    kwargs[field.name] = float(_number(field.name, value))
+                    kwargs[name] = float(_number(name, value))
                 except OverflowError as exc:
-                    raise ValueError(f"{field.name} is out of range") from exc
+                    raise ValueError(f"{name} is out of range") from exc
         return cls(**kwargs)
 
 
-CONFIG_KEYS = tuple(field.name for field in fields(DetectorConfig))
+CONFIG_KEYS = DetectorConfig.__slots__
 
 
 def _parse_scalar(text: str) -> float:
@@ -168,12 +176,20 @@ class TraceRow(NamedTuple):
     flag: bool
 
 
-@dataclass(frozen=True)
-class AnomalyReport:
-    origin_asn: int
-    collector: str
-    anomalous_timestamps: tuple[int, ...]
-    trace: tuple[TraceRow, ...] | None = None
+class AnomalyReport(FrozenRecord):
+    __slots__ = ("origin_asn", "collector", "anomalous_timestamps", "trace")
+
+    def __init__(
+        self,
+        origin_asn: int,
+        collector: str,
+        anomalous_timestamps: tuple[int, ...],
+        trace: tuple[TraceRow, ...] | None = None,
+    ):
+        object.__setattr__(self, "origin_asn", origin_asn)
+        object.__setattr__(self, "collector", collector)
+        object.__setattr__(self, "anomalous_timestamps", anomalous_timestamps)
+        object.__setattr__(self, "trace", trace)
 
 
 def _band_report(

@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping
 
 from .detector import AnomalyReport, whole_number
+from .events import FrozenRecord
 
 DEFAULT_BIN_SECONDS = 10800  # 3 hours
 
@@ -34,19 +34,19 @@ class ConfigurationError(ValueError):
     """Incident windows and study bounds do not line up."""
 
 
-@dataclass(frozen=True)
-class IncidentWindow:
-    name: str
-    perpetrator_asn: int
-    start: int
-    end: int
-    kind: str
+class IncidentWindow(FrozenRecord):
+    __slots__ = ("name", "perpetrator_asn", "start", "end", "kind")
 
-    def __post_init__(self):
-        if self.start >= self.end:
-            raise ValueError(f"incident {self.name!r}: start must precede end")
-        if self.kind not in (KIND_LARGE_SCALE, KIND_INTERCEPTION):
-            raise ValueError(f"incident {self.name!r}: unknown kind {self.kind!r}")
+    def __init__(self, name: str, perpetrator_asn: int, start: int, end: int, kind: str):
+        if start >= end:
+            raise ValueError(f"incident {name!r}: start must precede end")
+        if kind not in (KIND_LARGE_SCALE, KIND_INTERCEPTION):
+            raise ValueError(f"incident {name!r}: unknown kind {kind!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "perpetrator_asn", perpetrator_asn)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "kind", kind)
 
 
 # RFC 3339 date-time (with "T", "t" or a space between date and time), where
@@ -171,21 +171,41 @@ def incident_bins(window: IncidentWindow, t0: int, t1: int, m: int) -> set[int]:
     return set(range(max(first, 0), min(last, n - 1) + 1))
 
 
-@dataclass(frozen=True)
-class BinnedEvaluation:
-    t0: int
-    t1: int
-    m: int
-    n_bins: int
-    truth_bins: frozenset[int]
-    detected_bins: frozenset[int]
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    precision: float | None
-    recall: float | None
-    f1: float | None
+class BinnedEvaluation(FrozenRecord):
+    __slots__ = (
+        "t0", "t1", "m", "n_bins", "truth_bins", "detected_bins",
+        "tp", "fp", "fn", "tn", "precision", "recall", "f1",
+    )
+
+    def __init__(
+        self,
+        t0: int,
+        t1: int,
+        m: int,
+        n_bins: int,
+        truth_bins: frozenset[int],
+        detected_bins: frozenset[int],
+        tp: int,
+        fp: int,
+        fn: int,
+        tn: int,
+        precision: float | None,
+        recall: float | None,
+        f1: float | None,
+    ):
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "t1", t1)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n_bins", n_bins)
+        object.__setattr__(self, "truth_bins", truth_bins)
+        object.__setattr__(self, "detected_bins", detected_bins)
+        object.__setattr__(self, "tp", tp)
+        object.__setattr__(self, "fp", fp)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "tn", tn)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "recall", recall)
+        object.__setattr__(self, "f1", f1)
 
 
 def score(
@@ -243,12 +263,14 @@ def evaluate_window(
     )
 
 
-@dataclass(frozen=True)
-class EvaluationRow:
-    incident: str
-    collector: str
-    detector: str
-    evaluation: BinnedEvaluation
+class EvaluationRow(FrozenRecord):
+    __slots__ = ("incident", "collector", "detector", "evaluation")
+
+    def __init__(self, incident: str, collector: str, detector: str, evaluation: BinnedEvaluation):
+        object.__setattr__(self, "incident", incident)
+        object.__setattr__(self, "collector", collector)
+        object.__setattr__(self, "detector", detector)
+        object.__setattr__(self, "evaluation", evaluation)
 
 
 def evaluate_incident(

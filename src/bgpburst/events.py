@@ -12,11 +12,12 @@ from __future__ import annotations
 import ipaddress
 import json
 import re
+
+# socket's own functions, from its C module: socket.py builds enums on import.
+from _socket import AF_INET6, inet_ntop, inet_pton
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import islice
 from operator import gt
-from socket import AF_INET6, inet_ntop, inet_pton
 from typing import IO, Iterable, Iterator
 
 ANNOUNCEMENT = "announcement"
@@ -58,25 +59,89 @@ def _check_prefix(prefix: str) -> None:
         raise EventFormatError(f"bad prefix {prefix!r}: {exc}") from exc
 
 
-@dataclass(frozen=True, slots=True)
-class AnnouncementEvent:
+class Record:
+    """Value semantics for the package's record classes, without generated code.
+
+    A subclass names its fields, in order, as __slots__ and writes its own
+    __init__.  Records are equal when they are of the same class with equal
+    fields, and repr shows Name(field=value, ...).  A plain Record is mutable
+    and so unhashable; FrozenRecord is neither.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through __init__ and its checks.
+        return self.__class__, self._values()
+
+    def as_dict(self) -> dict:
+        """The fields by name, in order."""
+        return dict(zip(self.__slots__, self._values()))
+
+
+class FrozenRecord(Record):
+    """A Record whose fields stay as __init__ set them, hashed by their values.
+
+    __init__ writes each field past the __setattr__ here, which refuses every
+    later assignment: with object.__setattr__, or with the field's slot
+    setter in the classes built once per event or series.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AnnouncementEvent(FrozenRecord):
     """One BGP announcement or withdrawal seen at a collector (1 s accuracy)."""
 
-    timestamp: int
-    collector: str
-    prefix: str
-    kind: str
-    origin_asn: int | None = None
-    peer_asn: int | None = None
-    ambiguous_origin: bool = False
+    __slots__ = (
+        "timestamp", "collector", "prefix", "kind", "origin_asn", "peer_asn", "ambiguous_origin",
+    )
 
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp {self.timestamp}")
-        if self.kind not in _KIND_CODE:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.kind == ANNOUNCEMENT and self.origin_asn is None:
+    def __init__(
+        self,
+        timestamp: int,
+        collector: str,
+        prefix: str,
+        kind: str,
+        origin_asn: int | None = None,
+        peer_asn: int | None = None,
+        ambiguous_origin: bool = False,
+    ):
+        if timestamp < 0:
+            raise ValueError(f"negative timestamp {timestamp}")
+        if kind not in _KIND_CODE:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if kind == ANNOUNCEMENT and origin_asn is None:
             raise ValueError("announcement without origin_asn")
+        _set_timestamp(self, timestamp)
+        _set_collector(self, collector)
+        _set_prefix(self, prefix)
+        _set_kind(self, kind)
+        _set_origin_asn(self, origin_asn)
+        _set_peer_asn(self, peer_asn)
+        _set_ambiguous_origin(self, ambiguous_origin)
 
     def to_line(self) -> str:
         """Compact JSON with keys in canonical order; optional keys omitted."""
@@ -85,6 +150,14 @@ class AnnouncementEvent:
             self.kind, self.origin_asn, self.ambiguous_origin,
         )
         return head + json.dumps(self.prefix) + tail
+
+
+# One event is built per canonical line or NLRI prefix.  A field's own slot
+# setter writes it past FrozenRecord.__setattr__, faster than object.__setattr__.
+(
+    _set_timestamp, _set_collector, _set_prefix, _set_kind,
+    _set_origin_asn, _set_peer_asn, _set_ambiguous_origin,
+) = (getattr(AnnouncementEvent, name).__set__ for name in AnnouncementEvent.__slots__)
 
 
 def line_parts(
@@ -110,18 +183,17 @@ def line_parts(
     )
 
 
-@dataclass(frozen=True)
-class EventSeries:
+class EventSeries(FrozenRecord):
     """Announcement timestamps for one (origin AS, collector) pair, sorted."""
 
-    origin_asn: int
-    collector: str
-    timestamps: tuple[int, ...]
+    __slots__ = ("origin_asn", "collector", "timestamps")
 
-    def __post_init__(self):
-        ts = self.timestamps
-        if any(map(gt, ts, islice(ts, 1, None))):
+    def __init__(self, origin_asn: int, collector: str, timestamps: tuple[int, ...]):
+        if any(map(gt, timestamps, islice(timestamps, 1, None))):
             raise ValueError("timestamps must be nondecreasing")
+        _set_series_origin_asn(self, origin_asn)
+        _set_series_collector(self, collector)
+        _set_series_timestamps(self, timestamps)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -139,23 +211,29 @@ class EventSeries:
         return EventSeries(self.origin_asn, self.collector, kept)
 
 
-@dataclass(frozen=True)
-class VolumeSeries:
+# Built once per series and once per window it is restricted to.
+_set_series_origin_asn, _set_series_collector, _set_series_timestamps = (
+    getattr(EventSeries, name).__set__ for name in EventSeries.__slots__
+)
+
+
+class VolumeSeries(FrozenRecord):
     """Per-second unique announced prefix counts for one (origin AS, collector)."""
 
-    origin_asn: int
-    collector: str
-    points: tuple[tuple[int, int], ...]  # (timestamp, unique prefix count)
+    __slots__ = ("origin_asn", "collector", "points")  # points: (timestamp, unique prefix count)
 
-    def __post_init__(self):
+    def __init__(self, origin_asn: int, collector: str, points: tuple[tuple[int, int], ...]):
         # A plain loop: unpacking each pair here is as fast as map-based checks.
         prev = None
-        for ts, count in self.points:
+        for ts, count in points:
             if count < 1:
                 raise ValueError(f"volume count {count} < 1 at ts {ts}")
             if prev is not None and ts <= prev:
                 raise ValueError("volume timestamps must be strictly increasing")
             prev = ts
+        object.__setattr__(self, "origin_asn", origin_asn)
+        object.__setattr__(self, "collector", collector)
+        object.__setattr__(self, "points", points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -389,24 +467,26 @@ def series_keys(
 
 
 def read_groups(
-    source: Iterable[str] | IO[str],
-) -> dict[tuple[int, str], tuple[list[int], list[str]]]:
+    source: Iterable[str] | IO[str], prefixes: bool = True
+) -> dict[tuple[int, str], tuple[list[int], list[str]] | tuple[list[int]]]:
     """Canonical lines straight to per-series columns, in one pass.
 
     Returns what series_keys(parse_event_lines(source)) returns, with each
     bucket of events replaced by its (timestamps, prefixes) columns: keys
     sorted, each column in input order.  Pass the columns to
-    series_from_columns and volume_from_columns.  Lines are read, and
-    rejected, as by scan_event_lines.
+    series_from_columns and volume_from_columns.  With prefixes=False the
+    prefix column is left out and each value is (timestamps,).  Lines are
+    read, and rejected, as by scan_event_lines.
     """
-    groups: dict[tuple[int, str], tuple[list[int], list[str]]] = {}
+    groups: dict = {}
     for _, ts, collector, prefix, kind, origin, ambiguous in scan_event_lines(source):
         if _usable(kind, ambiguous):
             columns = groups.get((origin, collector))
             if columns is None:
-                columns = groups[origin, collector] = ([], [])
+                columns = groups[origin, collector] = ([], []) if prefixes else ([],)
             columns[0].append(ts)
-            columns[1].append(prefix)
+            if prefixes:
+                columns[1].append(prefix)
     return {key: groups[key] for key in sorted(groups)}
 
 

@@ -15,13 +15,14 @@ import bz2
 import gzip
 import ipaddress
 import re
-import socket
 import struct
 import zlib
-from dataclasses import dataclass, field
+
+# socket's own functions, from its C module: socket.py builds enums on import.
+from _socket import AF_INET6, inet_ntoa, inet_ntop
 from typing import Iterator
 
-from .events import ANNOUNCEMENT, WITHDRAWAL, AnnouncementEvent
+from .events import ANNOUNCEMENT, WITHDRAWAL, AnnouncementEvent, Record
 
 MRT_HEADER_LEN = 12
 
@@ -68,29 +69,53 @@ class _MalformedUpdate(Exception):
     """Internal: one BGP update could not be decoded; record is skipped."""
 
 
-@dataclass
-class MrtStats:
+class MrtStats(Record):
     """Counters for one parse run; emitted + dropped always equals nlri_seen."""
 
-    records_total: int = 0
-    records_skipped: int = 0   # non-update MRT records and unknown types
-    updates_parsed: int = 0
-    malformed_updates: int = 0
-    malformed_paths: int = 0
-    nlri_seen: int = 0
-    events_emitted: int = 0
-    events_dropped: int = 0
-    announcements: int = 0
-    withdrawals: int = 0
+    __slots__ = (
+        "records_total",
+        "records_skipped",  # non-update MRT records and unknown types
+        "updates_parsed",
+        "malformed_updates",
+        "malformed_paths",
+        "nlri_seen",
+        "events_emitted",
+        "events_dropped",
+        "announcements",
+        "withdrawals",
+    )
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
+    def __init__(
+        self,
+        records_total: int = 0,
+        records_skipped: int = 0,
+        updates_parsed: int = 0,
+        malformed_updates: int = 0,
+        malformed_paths: int = 0,
+        nlri_seen: int = 0,
+        events_emitted: int = 0,
+        events_dropped: int = 0,
+        announcements: int = 0,
+        withdrawals: int = 0,
+    ):
+        self.records_total = records_total
+        self.records_skipped = records_skipped
+        self.updates_parsed = updates_parsed
+        self.malformed_updates = malformed_updates
+        self.malformed_paths = malformed_paths
+        self.nlri_seen = nlri_seen
+        self.events_emitted = events_emitted
+        self.events_dropped = events_dropped
+        self.announcements = announcements
+        self.withdrawals = withdrawals
 
 
-@dataclass
-class MrtParseResult:
-    events: list[AnnouncementEvent] = field(default_factory=list)
-    stats: MrtStats = field(default_factory=MrtStats)
+class MrtParseResult(Record):
+    __slots__ = ("events", "stats")
+
+    def __init__(self, events: list[AnnouncementEvent] | None = None, stats: MrtStats | None = None):
+        self.events = [] if events is None else events
+        self.stats = MrtStats() if stats is None else stats
 
 
 # A bzip2 stream opens with "BZh", a block size digit 1-9 and the magic of
@@ -127,13 +152,13 @@ def _prefix_str(packed: bytes, plen: int, afi: int) -> str:
     if plen & 7:
         packed = packed[:-1] + bytes((packed[-1] & _LAST_BYTE_MASKS[plen & 7],))
     if afi == AFI_IPV4:
-        return socket.inet_ntoa(packed.ljust(4, b"\0")) + f"/{plen}"
+        return inet_ntoa(packed.ljust(4, b"\0")) + f"/{plen}"
     addr = packed.ljust(16, b"\0")
     if addr[:10] == _V6_ZERO_HEAD:
         # inet_ntop prints ::ffff:a.b.c.d and ::a.b.c.d where ipaddress
         # prints hex groups; these rare addresses keep the slow path.
         return str(ipaddress.ip_network((addr, plen)))
-    return f"{socket.inet_ntop(socket.AF_INET6, addr)}/{plen}"
+    return f"{inet_ntop(AF_INET6, addr)}/{plen}"
 
 
 # Prefix texts by their NLRI bytes (length byte and address bytes), one

@@ -11,9 +11,8 @@ distinct prefixes at a fixed short gap.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .events import ANNOUNCEMENT, AnnouncementEvent, EventSeries
+from .events import ANNOUNCEMENT, AnnouncementEvent, EventSeries, FrozenRecord
 
 PROCESS_REGULAR = "regular"
 PROCESS_POISSON = "poisson"
@@ -22,44 +21,56 @@ PROCESS_PARETO = "pareto"
 _PROCESSES = (PROCESS_REGULAR, PROCESS_POISSON, PROCESS_PARETO)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    process: str
-    mean_gap: float
-    n_events: int
-    start_ts: int
-    asn: int
-    collector: str
-    seed: int
-    pareto_alpha: float = 1.5
+class GeneratorSpec(FrozenRecord):
+    __slots__ = (
+        "process", "mean_gap", "n_events", "start_ts", "asn", "collector", "seed", "pareto_alpha",
+    )
 
-    def __post_init__(self):
-        if self.process not in _PROCESSES:
-            raise ValueError(f"unknown process {self.process!r}")
-        if self.mean_gap <= 0:
+    def __init__(
+        self,
+        process: str,
+        mean_gap: float,
+        n_events: int,
+        start_ts: int,
+        asn: int,
+        collector: str,
+        seed: int,
+        pareto_alpha: float = 1.5,
+    ):
+        if process not in _PROCESSES:
+            raise ValueError(f"unknown process {process!r}")
+        if mean_gap <= 0:
             raise ValueError("mean_gap must be positive")
-        if self.n_events < 1:
+        if n_events < 1:
             raise ValueError("n_events must be >= 1")
-        if self.process == PROCESS_PARETO and self.pareto_alpha <= 1:
+        if process == PROCESS_PARETO and pareto_alpha <= 1:
             raise ValueError("pareto_alpha must exceed 1 for a finite mean")
-        if not isinstance(self.collector, str):
+        if not isinstance(collector, str):
             raise ValueError("collector must be a string")
+        object.__setattr__(self, "process", process)
+        object.__setattr__(self, "mean_gap", mean_gap)
+        object.__setattr__(self, "n_events", n_events)
+        object.__setattr__(self, "start_ts", start_ts)
+        object.__setattr__(self, "asn", asn)
+        object.__setattr__(self, "collector", collector)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "pareto_alpha", pareto_alpha)
 
 
-@dataclass(frozen=True)
-class IncidentSpec:
-    start: int
-    end: int
-    burst_gap: int = 1
-    prefixes_per_second: int = 1
+class IncidentSpec(FrozenRecord):
+    __slots__ = ("start", "end", "burst_gap", "prefixes_per_second")
 
-    def __post_init__(self):
-        if self.start >= self.end:
+    def __init__(self, start: int, end: int, burst_gap: int = 1, prefixes_per_second: int = 1):
+        if start >= end:
             raise ValueError("incident window must have positive length")
-        if self.burst_gap <= 0:
+        if burst_gap <= 0:
             raise ValueError("burst_gap must be positive")
-        if self.prefixes_per_second < 1:
+        if prefixes_per_second < 1:
             raise ValueError("prefixes_per_second must be >= 1")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "burst_gap", burst_gap)
+        object.__setattr__(self, "prefixes_per_second", prefixes_per_second)
 
 
 def stream_prefix(asn: int) -> str:
@@ -212,16 +223,26 @@ def update_stream(
     return events
 
 
-@dataclass(frozen=True)
-class IncidentScenario:
+class IncidentScenario(FrozenRecord):
     """A ready-to-score synthetic study: background + one injected incident."""
 
-    events: list[AnnouncementEvent]
-    asn: int
-    collector: str
-    bounds: tuple[int, int]
-    incident_start: int
-    incident_end: int
+    __slots__ = ("events", "asn", "collector", "bounds", "incident_start", "incident_end")
+
+    def __init__(
+        self,
+        events: list[AnnouncementEvent],
+        asn: int,
+        collector: str,
+        bounds: tuple[int, int],
+        incident_start: int,
+        incident_end: int,
+    ):
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "asn", asn)
+        object.__setattr__(self, "collector", collector)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "incident_start", incident_start)
+        object.__setattr__(self, "incident_end", incident_end)
 
 
 def incident_scenario(

@@ -793,6 +793,22 @@ class TestAnalyze:
         )
         return code, out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", "-3"), ("--k", "0"),
+        ("--alpha-sig", "nan"), ("--alpha-sig", "inf"), ("--alpha-sig", "1.5"),
+        ("--alpha-sig", "1"), ("--alpha-sig", "0"), ("--alpha-sig", "-0.05"),
+    ])
+    def test_bad_monte_carlo_settings_are_input_error(
+        self, corpus_events, tmp_path, capsys, flag, value
+    ):
+        nulls = [
+            {"start": START + 200_000 + k * 40_000, "end": START + 200_000 + k * 40_000 + 30_000}
+            for k in range(25)
+        ]
+        code = self.significance_run(corpus_events, tmp_path, nulls, flag, value)
+        assert_input_error(code, capsys)
+        assert list((tmp_path / "analyze").iterdir()) == []
+
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_min_events_below_two_is_input_error(self, corpus_events, tmp_path, capsys, value):
         code, _ = self.analyze_config(corpus_events, tmp_path, "--min-events", value)
@@ -910,6 +926,61 @@ class TestStartup:
             ["analyze", 2, False],
         ]
 
+
+    def test_only_simulate_loads_class_factories_socket_or_synth(self, tmp_path):
+        mrt_path = tmp_path / "updates.mrt"
+        mrt_path.write_bytes(golden.golden_file()[0] + golden.prefix_forms_file())
+        events = write_golden_corpus(tmp_path / "events.jsonl", seed=7, days=4)
+        nulls = tmp_path / "nulls.json"
+        nulls.write_text(json.dumps([
+            {"start": START + k * 12_000, "end": START + k * 12_000 + 10_000} for k in range(25)
+        ]))
+        incidents = tmp_path / "incidents.json"
+        incidents.write_text(json.dumps([{
+            "name": "x", "asn": 64500, "start_utc": iso(START + 86400),
+            "end_utc": iso(START + 90000), "kind": "large-scale",
+        }]))
+        spec = write_sim_spec(tmp_path / "spec.json")
+        src = Path(mrt.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, str(tmp_path), str(mrt_path), str(events),
+             str(nulls), str(incidents), str(spec)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout.splitlines()[-1])
+        assert steps == [
+            ["import", 0, []], ["ingest-mrt", 0, []], ["ingest", 0, []], ["detect", 0, []],
+            ["evaluate", 0, []], ["analyze", 0, []], ["simulate", 0, ["bgpburst.synth"]],
+        ]
+
+
+# Runs the commands in one fresh interpreter and prints, after the import and
+# after each command, which of the modules a command should not need are loaded.
+STARTUP_PROBE = f"""
+import json, sys
+from pathlib import Path
+import bgpburst.cli as cli
+WATCHED = ("dataclasses", "inspect", "socket", "bgpburst.synth")
+tmp, mrt, events, nulls, incidents, spec = (Path(a) for a in sys.argv[1:])
+steps = []
+
+def run(out, *argv):
+    code = cli.main([*map(str, argv), "--out", str(tmp / out)]) if argv else 0
+    steps.append((out, code, [name for name in WATCHED if name in sys.modules]))
+
+run("import")
+run("ingest-mrt", "ingest", mrt, "--collector", "rrc00")
+run("ingest", "ingest", events)
+ingested = tmp / "ingest" / "events.jsonl"
+run("detect", "detect", ingested, "--trace")
+run("evaluate", "evaluate", *sorted((tmp / "detect").glob("report_*.json")), "--incidents", incidents)
+run("analyze", "analyze", ingested, "--collector", "rrc00", "--window", {START + 80_000},
+    {START + 100_000}, "--target-asn", 64500, "--null-windows", nulls)
+run("simulate", "simulate", spec)
+print(json.dumps(steps))
+"""
 
 # main(argv) in an interpreter in which `import numpy` raises ImportError.
 NO_NUMPY_MAIN = """

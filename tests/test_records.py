@@ -1,0 +1,223 @@
+"""Value semantics of the package's record classes.
+
+Each record is a plain class with __slots__ and its own __init__: equal when
+of the same class with equal fields, repr as Name(field=value, ...), frozen
+records hashable and read-only, MrtStats and MrtParseResult mutable.
+"""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bgpburst
+from bgpburst.burstiness import (
+    ActivityRow,
+    BurstinessResult,
+    InterArrivalSample,
+    JointActivityTable,
+    SignificanceResult,
+)
+from bgpburst.detector import AnomalyReport, DetectorConfig, TraceRow
+from bgpburst.evaluation import BinnedEvaluation, EvaluationRow, IncidentWindow
+from bgpburst.events import AnnouncementEvent, EventSeries, VolumeSeries
+from bgpburst.mrt import MrtParseResult, MrtStats
+from bgpburst.synth import GeneratorSpec, IncidentScenario, IncidentSpec
+
+EVENT = AnnouncementEvent(5, "rrc00", "10.0.0.0/8", "announcement", 64500, 3, True)
+EVALUATION = BinnedEvaluation(
+    0, 30, 10, 3, frozenset({1}), frozenset({1, 2}), 1, 1, 0, 1, 0.5, 1.0, 2 / 3
+)
+
+# Each record class with one set of field values, given in field order.
+FROZEN = [
+    (AnnouncementEvent, {
+        "timestamp": 5, "collector": "rrc00", "prefix": "10.0.0.0/8", "kind": "announcement",
+        "origin_asn": 64500, "peer_asn": 3, "ambiguous_origin": True,
+    }),
+    (EventSeries, {"origin_asn": 64500, "collector": "rrc00", "timestamps": (1, 2, 2)}),
+    (VolumeSeries, {"origin_asn": 64500, "collector": "rrc00", "points": ((1, 2), (3, 1))}),
+    (InterArrivalSample, {"intervals": (1.0, 0.0), "n_events": 3}),
+    (BurstinessResult, {
+        "mu": 1.0, "sigma": 0.5, "b_raw": -1 / 3, "b_corrected": None, "n_events": 3,
+    }),
+    (ActivityRow, {"asn": 64500, "b_corrected": 0.25, "count": 9, "quadrant": 3}),
+    (JointActivityTable, {
+        "window": (0, 10), "rows": (ActivityRow(64500, 0.25, 9, 3),), "b_p95": 0.25,
+        "count_p95": 9.0, "skipped": ((64501, 2),),
+    }),
+    (SignificanceResult, {
+        "observed_b": 0.5, "null_samples": (0.1, -0.2), "empirical_p": 1 / 3,
+        "significant": False, "alpha_sig": 0.05, "skipped_windows": 1,
+    }),
+    (DetectorConfig, {
+        "r": 0.01, "omega": 100, "delta": 3.0, "warmup": 2, "variance_floor": 1e-6,
+        "min_events": 6,
+    }),
+    (AnomalyReport, {
+        "origin_asn": 64500, "collector": "rrc00", "anomalous_timestamps": (7,),
+        "trace": (TraceRow(7, 2.0, 1.0, 0.5, True),),
+    }),
+    (IncidentWindow, {
+        "name": "leak", "perpetrator_asn": 64500, "start": 0, "end": 10, "kind": "interception",
+    }),
+    (BinnedEvaluation, {
+        "t0": 0, "t1": 30, "m": 10, "n_bins": 3, "truth_bins": frozenset({1}),
+        "detected_bins": frozenset({1, 2}), "tp": 1, "fp": 1, "fn": 0, "tn": 1,
+        "precision": 0.5, "recall": 1.0, "f1": 2 / 3,
+    }),
+    (EvaluationRow, {
+        "incident": "leak", "collector": "rrc00", "detector": "burstiness",
+        "evaluation": EVALUATION,
+    }),
+    (GeneratorSpec, {
+        "process": "pareto", "mean_gap": 60.0, "n_events": 10, "start_ts": 0, "asn": 64500,
+        "collector": "rrc00", "seed": 1, "pareto_alpha": 2.5,
+    }),
+    (IncidentSpec, {"start": 0, "end": 10, "burst_gap": 2, "prefixes_per_second": 3}),
+    (IncidentScenario, {
+        "events": [EVENT], "asn": 64500, "collector": "rrc00", "bounds": (0, 10),
+        "incident_start": 2, "incident_end": 4,
+    }),
+]
+MUTABLE = [
+    (MrtStats, {
+        "records_total": 1, "records_skipped": 2, "updates_parsed": 3, "malformed_updates": 4,
+        "malformed_paths": 5, "nlri_seen": 6, "events_emitted": 7, "events_dropped": 8,
+        "announcements": 9, "withdrawals": 10,
+    }),
+    (MrtParseResult, {"events": [EVENT], "stats": MrtStats(nlri_seen=1)}),
+]
+RECORDS = FROZEN + MUTABLE
+ids = [cls.__name__ for cls, _ in RECORDS]
+frozen_ids = [cls.__name__ for cls, _ in FROZEN]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=ids)
+class TestValueSemantics:
+    def test_fields_in_order_positional_and_keyword(self, cls, fields):
+        assert cls.__slots__ == tuple(fields)
+        by_position = cls(*fields.values())
+        by_keyword = cls(**fields)
+        assert [getattr(by_position, name) for name in fields] == list(fields.values())
+        assert by_position == by_keyword
+        assert not hasattr(by_keyword, "__dict__")
+        if cls is not SignificanceResult:  # its as_dict lists the null samples
+            assert by_position.as_dict() == fields
+
+    def test_equality_by_fields_and_exact_class(self, cls, fields):
+        record = cls(**fields)
+        assert record == cls(**fields)
+        assert not record != cls(**fields)
+        assert record != tuple(fields.values())
+        for name in fields:
+            other = copy.copy(record)
+            object.__setattr__(other, name, "other")
+            assert record != other and other != record
+
+        class Sub(cls):
+            __slots__ = ()
+
+        assert record != Sub(**fields)
+        assert Sub(**fields) != record
+
+    def test_repr_text(self, cls, fields):
+        shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
+
+    def test_copy_and_pickle_round_trip(self, cls, fields):
+        record = cls(**fields)
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize("cls, fields", FROZEN, ids=frozen_ids)
+class TestFrozen:
+    def test_equal_instances_hash_equal(self, cls, fields):
+        if cls is IncidentScenario:  # a list field: unhashable, as its value is
+            with pytest.raises(TypeError, match="unhashable type: 'list'"):
+                hash(cls(**fields))
+            return
+        assert hash(cls(**fields)) == hash(cls(**fields))
+        assert len({cls(**fields), cls(**fields)}) == 1
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, fields):
+        record = cls(**fields)
+        for name, value in fields.items():
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == cls(**fields)
+
+
+@pytest.mark.parametrize("cls, fields", MUTABLE, ids=[cls.__name__ for cls, _ in MUTABLE])
+def test_mutable_records_assign_and_are_unhashable(cls, fields):
+    record = cls(**fields)
+    name = list(fields)[0]
+    setattr(record, name, fields[name] * 2)
+    assert getattr(record, name) == fields[name] * 2
+    assert record != cls(**fields)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+
+
+def test_defaults():
+    assert MrtStats().as_dict() == dict.fromkeys(MrtStats.__slots__, 0)
+    result = MrtParseResult()
+    assert result.events == [] and result.stats == MrtStats()
+    assert MrtParseResult().events is not result.events
+    assert repr(AnnouncementEvent(1, "c", "10.0.0.0/8", "withdrawal")) == (
+        "AnnouncementEvent(timestamp=1, collector='c', prefix='10.0.0.0/8', "
+        "kind='withdrawal', origin_asn=None, peer_asn=None, ambiguous_origin=False)"
+    )
+    assert DetectorConfig().as_dict() == {
+        "r": 1 / 300, "omega": 200, "delta": 2.0, "warmup": 0, "variance_floor": 1e-9,
+        "min_events": 5,
+    }
+
+
+SYNTH_NAMES = [
+    "GeneratorSpec", "IncidentSpec", "generate_series", "generate_stream",
+    "incident_scenario", "inject_incident", "inject_incident_events", "update_stream",
+]
+
+
+def test_package_exports_synth_names():
+    from bgpburst import GeneratorSpec as exported
+
+    assert exported is GeneratorSpec
+    assert set(SYNTH_NAMES) | {"synth"} <= set(bgpburst.__all__)
+    assert bgpburst.update_stream is bgpburst.synth.update_stream
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        bgpburst.nothing
+
+
+# A fresh interpreter: importing the package leaves synth unloaded, and the
+# first use of one of its names loads it.
+LAZY_SYNTH_PROBE = """
+import sys
+import bgpburst
+assert "bgpburst.synth" not in sys.modules
+from bgpburst import GeneratorSpec
+from bgpburst.synth import GeneratorSpec as direct
+assert GeneratorSpec is direct
+from bgpburst import *
+assert update_stream is bgpburst.synth.update_stream
+"""
+
+
+def test_synth_loads_on_first_use():
+    src = Path(bgpburst.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SYNTH_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

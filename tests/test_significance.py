@@ -65,6 +65,15 @@ class TestNullWindowHandling:
         result = monte_carlo_null_test(NULLS, series_burstiness(NULLS[0]), k=30)
         assert len(result.null_samples) == 30
 
+    @pytest.mark.parametrize("k, alpha_sig", [
+        (0, 0.05), (-3, 0.05),
+        (100, float("nan")), (100, float("inf")), (100, 1.5), (100, 1.0), (100, 0.0), (100, -0.05),
+    ])
+    def test_bad_settings_rejected(self, k, alpha_sig):
+        observed = series_burstiness(bursty_window())
+        with pytest.raises(ValueError, match=r"^(null sample count k|significance level alpha_sig)"):
+            monte_carlo_null_test(NULLS, observed, k=k, alpha_sig=alpha_sig)
+
     def test_observed_without_corrected_value_rejected(self):
         observed = series_burstiness(EventSeries(1, "c", (1, 5, 9)))
         assert observed.b_corrected is None
