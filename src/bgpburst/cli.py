@@ -59,9 +59,9 @@ from .events import (
     ANNOUNCEMENT,
     WITHDRAWAL,
     EventFormatError,
+    copy_event_text,
     line_parts,
     read_groups,
-    scan_event_lines,
     series_from_columns,
     volume_from_columns,
     write_event_lines,
@@ -142,13 +142,17 @@ class Manifest:
         self.doc["inputs"].append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
         return data
 
-    @contextlib.contextmanager
-    def output(self, name: str) -> Iterator[IO[str]]:
-        """A UTF-8 text handle, with \\n line endings, for `name` under --out."""
+    def _partial(self, name: str) -> tuple[Path, Path]:
+        """The path of output `name`, and of the temporary file it is written to."""
         target = self.out / name
         if name in self.pending:
             raise CliError(f"two outputs would be written to {target}")
-        partial = self.out / f".{name}.{os.getpid()}.tmp"
+        return target, self.out / f".{name}.{os.getpid()}.tmp"
+
+    @contextlib.contextmanager
+    def output(self, name: str) -> Iterator[IO[str]]:
+        """A UTF-8 text handle, with \\n line endings, for `name` under --out."""
+        target, partial = self._partial(name)
         try:
             raw = partial.open("wb")
             self.pending[name] = partial  # only once it is ours to remove
@@ -159,9 +163,20 @@ class Manifest:
             raise CliError(f"cannot write {target}: {exc}") from exc
         self.doc["outputs"].append({"path": str(target), "sha256": digesting.sha256.hexdigest()})
 
+    def write_text(self, name: str, text: str) -> None:
+        """Write the whole of output `name` in one call: encoded, hashed, written."""
+        target, partial = self._partial(name)
+        data = text.encode("utf-8")
+        try:
+            with partial.open("wb") as fh:
+                self.pending[name] = partial
+                fh.write(data)
+        except OSError as exc:
+            raise CliError(f"cannot write {target}: {exc}") from exc
+        self.doc["outputs"].append({"path": str(target), "sha256": hashlib.sha256(data).hexdigest()})
+
     def write_json(self, name: str, doc) -> None:
-        with self.output(name) as fh:
-            fh.write(_json_text(doc))
+        self.write_text(name, _json_text(doc))
 
     def write(self) -> None:
         """Publish the outputs in the order written, then manifest.json."""
@@ -211,7 +226,7 @@ def _load_groups(
     text = _decode_utf8(path, raw)
     del raw  # freed before the columns are built
     try:
-        return read_groups(text.split("\n"), prefixes)
+        return read_groups(text, prefixes)
     except EventFormatError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -272,26 +287,6 @@ def _ingest_mrt(payload: bytes, collector: str, asn: int | None, fh) -> tuple[di
     return {"format": "mrt", **stats.as_dict()}, written, announcements
 
 
-def _ingest_canonical(
-    lines: list[str], collector: str | None, asn: int | None, fh
-) -> tuple[dict, int, int]:
-    """Write the kept events of one canonical input; its summary entry, lines and announcements.
-
-    A line already in writer form is copied through; every other line is
-    re-serialised.
-    """
-    emitted = written = announcements = 0
-    for line, _, coll, _, kind, origin, _ in scan_event_lines(lines):
-        emitted += 1
-        if (collector is None or coll == collector) and (asn is None or origin == asn):
-            fh.write(line)
-            fh.write("\n")
-            written += 1
-            announcements += kind == ANNOUNCEMENT
-    stats = {"format": "canonical", "events_emitted": emitted, "events_dropped": 0, "records_skipped": 0}
-    return stats, written, announcements
-
-
 def _ingest_input(manifest: Manifest, path: Path, args, fh) -> tuple[dict, int, int]:
     """Decode one input and write the events ingest keeps as they are decoded.
 
@@ -303,9 +298,13 @@ def _ingest_input(manifest: Manifest, path: Path, args, fh) -> tuple[dict, int, 
         payload = decompress(raw)
         del raw
         if _CANONICAL_HEAD.match(payload):
-            lines = _decode_utf8(path, payload).split("\n")
-            del payload  # the lines alone are kept while they are written
-            return _ingest_canonical(lines, args.collector, args.asn, fh)
+            text = _decode_utf8(path, payload)
+            del payload  # the text alone is kept while it is written
+            emitted, written, announcements = copy_event_text(text, fh, args.collector, args.asn)
+            entry = {
+                "format": "canonical", "events_emitted": emitted, "events_dropped": 0, "records_skipped": 0,
+            }
+            return entry, written, announcements
         # MRT does not name its collector: --collector does, and so it
         # filters nothing here.
         collector = "unknown" if args.collector is None else args.collector

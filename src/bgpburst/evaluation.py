@@ -11,7 +11,6 @@ are reported as None rather than coerced to zero.
 from __future__ import annotations
 
 import json
-import math
 import re
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -103,6 +102,8 @@ def load_incidents(
         raise ConfigurationError("incident config must be a JSON array")
     windows = []
     for item in raw:
+        if not isinstance(item, dict):
+            raise ConfigurationError(f"bad incident entry {item!r}: expected an object")
         try:
             windows.append(
                 IncidentWindow(
@@ -113,7 +114,11 @@ def load_incidents(
                     kind=item["kind"],
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"bad incident entry {item!r}: missing field {exc.args[0]!r}"
+            ) from exc
+        except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad incident entry {item!r}: {exc}") from exc
     _check_disjoint(windows)
     return windows
@@ -133,7 +138,7 @@ def bin_count(t0: int, t1: int, m: int) -> int:
         raise ValueError("t0 must precede t1")
     if m <= 0:
         raise ValueError("bin length m must be positive")
-    return math.ceil((t1 - t0) / m)
+    return -((t0 - t1) // m)  # exact ceiling: float division rounds spans above 2**53
 
 
 def bin_timestamps(timestamps: Iterable[int], t0: int, t1: int, m: int) -> set[int]:
@@ -167,7 +172,7 @@ def incident_bins(window: IncidentWindow, t0: int, t1: int, m: int) -> set[int]:
             f"outside study bounds [{t0}, {t1})"
         )
     first = (window.start - t0) // m
-    last = math.ceil((window.end - t0) / m) - 1
+    last = -((t0 - window.end) // m) - 1
     return set(range(max(first, 0), min(last, n - 1) + 1))
 
 

@@ -17,7 +17,7 @@ import re
 from _socket import AF_INET6, inet_ntop, inet_pton
 from bisect import bisect_left
 from itertools import islice
-from operator import gt
+from operator import countOf, gt, itemgetter
 from typing import IO, Iterable, Iterator
 
 ANNOUNCEMENT = "announcement"
@@ -329,30 +329,32 @@ def parse_event_lines(source: Iterable[str] | IO[str]) -> Iterator[AnnouncementE
 # ambiguous flag.
 _INT = r"(?:[1-9][0-9]*|0)"
 _TEXT = r'[ !#-\[\]-~]*'
-_WRITER_LINE = re.compile(
+_WRITER_FORM = (
     rf'\{{"ts":({_INT}),"collector":"({_TEXT})"(?:,"peer_asn":{_INT})?,'
     rf'"prefix":"({_TEXT})"(?:,"origin_asn":({_INT}))?,'
     rf'"type":"([AW])"(,"ambiguous_origin":true)?\}}'
 )
+_WRITER_LINE = re.compile(_WRITER_FORM)
+# Every line of a text that is in writer form once stripped: a line ending
+# in "\r\n" is one, and strip() takes nothing else off a writer-form line.
+_WRITER_LINES = re.compile(rf"^{_WRITER_FORM}\r?$", re.MULTILINE)
+# The length of a run of lines before it is extended to the end of its last
+# line: ~600 lines per findall, while a run's rows stay small.
+_CHUNK_CHARS = 1 << 16
+_prefix_of, _origin_of, _code_of = itemgetter(2), itemgetter(3), itemgetter(4)
 
 
-def scan_event_lines(
-    source: Iterable[str] | IO[str],
+def _scan_lines(
+    source: Iterable[str] | IO[str], lineno: int, known: dict[str, str]
 ) -> Iterator[tuple[str, int, str, str, str, int | None, bool]]:
-    """Parse canonical lines into plain fields, without event objects.
+    """scan_event_lines with the first line numbered `lineno`.
 
-    Yields (line, timestamp, collector, prefix, kind, origin_asn,
-    ambiguous_origin) per event, where `line` is the event in writer form:
-    the input line itself when it already is its own to_line(), else its
-    re-serialisation.  A writer-form line is matched by one regex; every
-    other line goes through parse_event_lines' per-line reader, so the
-    accepted lines, the values and the errors are the same as there.
+    `known` maps each prefix text already checked to its first instance,
+    which every later event with that prefix shares; new prefixes that
+    pass the check are added.
     """
     match = _WRITER_LINE.fullmatch
-    # Each distinct prefix text is checked once and kept once: the value is
-    # the first instance, which every later event with that prefix shares.
-    known: dict[str, str] = {}
-    for lineno, line in enumerate(source, start=1):
+    for lineno, line in enumerate(source, start=lineno):
         line = line.strip()
         if not line:
             continue
@@ -379,6 +381,98 @@ def scan_event_lines(
             ev.to_line(), ev.timestamp, ev.collector, ev.prefix, ev.kind,
             ev.origin_asn, ev.ambiguous_origin,
         )
+
+
+def scan_event_lines(
+    source: Iterable[str] | IO[str],
+) -> Iterator[tuple[str, int, str, str, str, int | None, bool]]:
+    """Parse canonical lines into plain fields, without event objects.
+
+    Yields (line, timestamp, collector, prefix, kind, origin_asn,
+    ambiguous_origin) per event, where `line` is the event in writer form:
+    the input line itself when it already is its own to_line(), else its
+    re-serialisation.  A writer-form line is matched by one regex; every
+    other line goes through parse_event_lines' per-line reader, so the
+    accepted lines, the values and the errors are the same as there.
+    """
+    return _scan_lines(source, 1, {})
+
+
+def _rows_accepted(rows: list[tuple], known: dict[str, str]) -> bool:
+    """Whether every row announces with an origin and has a prefix that
+    _check_prefix takes; the new prefixes are added to `known`."""
+    if ("", "A") in zip(map(_origin_of, rows), map(_code_of, rows)):
+        return False
+    for prefix in set(map(_prefix_of, rows)).difference(known):
+        try:
+            _check_prefix(prefix)
+        except EventFormatError:
+            return False
+        known[prefix] = prefix
+    return True
+
+
+def _text_runs(text: str, known: dict[str, str]) -> Iterator[tuple[int, int, int, list | None]]:
+    """Cut canonical text into runs of whole lines of about _CHUNK_CHARS.
+
+    Yields (start, end, lineno, rows) for the run text[start:end], whose
+    first line is line `lineno` of the text.  When every line of the run is
+    in writer form, with an origin if it announces and a prefix that
+    _check_prefix takes, rows are its _WRITER_LINES groups, one per line;
+    otherwise rows is None and the run is for the per-line reader.
+    """
+    findall, head = _WRITER_LINES.findall, _WRITER_LINE.match
+    start, lineno, size = 0, 1, len(text)
+    while start < size:
+        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or size
+        lines = text.count("\n", start, end) + (text[end - 1] != "\n")
+        rows = None
+        # A run whose first line is out of writer form is read line by line,
+        # without a findall that would scan all of it for nothing.
+        if head(text, start) is not None:
+            rows = findall(text, start, end)
+            if len(rows) != lines or not _rows_accepted(rows, known):
+                rows = None
+        yield start, end, lineno, rows
+        start, lineno = end, lineno + lines
+
+
+def copy_event_text(
+    text: str, out: IO[str], collector: str | None = None, asn: int | None = None
+) -> tuple[int, int, int]:
+    """Write the events of canonical text to `out` in writer form, one per line.
+
+    Keeps only the events at `collector` and with origin `asn`, where given.
+    Returns the counts of events read, of events written and of
+    announcements among them.  Without filters, a run of writer-form lines
+    is copied through as it is (without "\r"); every other line, and every
+    line when filtering, is written as scan_event_lines yields it, and is
+    rejected as there, with the same line number.
+    """
+    known: dict[str, str] = {}
+    emitted = written = announcements = 0
+    if collector is None and asn is None:
+        runs = _text_runs(text, known)
+    else:
+        runs = [(0, len(text), 1, None)]  # one run, read line by line
+    for start, end, lineno, rows in runs:
+        if rows is None:
+            for line, _, coll, _, kind, origin, _ in _scan_lines(
+                text[start:end].split("\n"), lineno, known
+            ):
+                emitted += 1
+                if (collector is None or coll == collector) and (asn is None or origin == asn):
+                    out.write(line)
+                    out.write("\n")
+                    written += 1
+                    announcements += kind == ANNOUNCEMENT
+            continue
+        run = text[start:end].replace("\r", "")
+        out.write(run if run[-1] == "\n" else run + "\n")
+        emitted += len(rows)
+        written += len(rows)
+        announcements += countOf(map(_code_of, rows), "A")
+    return emitted, written, announcements
 
 
 def write_event_lines(events: Iterable[AnnouncementEvent], out: IO[str]) -> int:
@@ -466,27 +560,59 @@ def series_keys(
     return {key: groups[key] for key in sorted(groups)}
 
 
-def read_groups(
-    source: Iterable[str] | IO[str], prefixes: bool = True
-) -> dict[tuple[int, str], tuple[list[int], list[str]] | tuple[list[int]]]:
-    """Canonical lines straight to per-series columns, in one pass.
+def _columns(groups: dict, key: tuple[int, str], prefixes: bool) -> tuple[list, ...]:
+    """The columns of series `key`, new and empty if it has none yet."""
+    columns = groups.get(key)
+    if columns is None:
+        columns = groups[key] = ([], []) if prefixes else ([],)
+    return columns
 
-    Returns what series_keys(parse_event_lines(source)) returns, with each
-    bucket of events replaced by its (timestamps, prefixes) columns: keys
-    sorted, each column in input order.  Pass the columns to
-    series_from_columns and volume_from_columns.  With prefixes=False the
-    prefix column is left out and each value is (timestamps,).  Lines are
-    read, and rejected, as by scan_event_lines.
-    """
-    groups: dict = {}
-    for _, ts, collector, prefix, kind, origin, ambiguous in scan_event_lines(source):
+
+def _group_fields(groups: dict, fields: Iterator[tuple], prefixes: bool) -> None:
+    """Add the usable announcements among scan_event_lines fields to their columns."""
+    for _, ts, collector, prefix, kind, origin, ambiguous in fields:
         if _usable(kind, ambiguous):
-            columns = groups.get((origin, collector))
-            if columns is None:
-                columns = groups[origin, collector] = ([], []) if prefixes else ([],)
+            columns = _columns(groups, (origin, collector), prefixes)
             columns[0].append(ts)
             if prefixes:
                 columns[1].append(prefix)
+
+
+def read_groups(
+    source: str | Iterable[str] | IO[str], prefixes: bool = True
+) -> dict[tuple[int, str], tuple[list[int], list[str]] | tuple[list[int]]]:
+    """Canonical events straight to per-series columns, in one pass.
+
+    `source` is the whole text as one str, or its lines.  Returns what
+    series_keys(parse_event_lines(lines)) returns, with each bucket of
+    events replaced by its (timestamps, prefixes) columns: keys sorted,
+    each column in input order.  Pass the columns to series_from_columns
+    and volume_from_columns.  With prefixes=False the prefix column is left
+    out and each value is (timestamps,).  Lines are read, and rejected, as
+    by scan_event_lines; a text is read in runs of whole lines, each run of
+    writer-form lines by one regex call.
+    """
+    groups: dict = {}
+    known: dict[str, str] = {}
+    if not isinstance(source, str):
+        _group_fields(groups, _scan_lines(source, 1, known), prefixes)
+        return {key: groups[key] for key in sorted(groups)}
+    by_text: dict[tuple[str, str], tuple[list, ...]] = {}  # (origin text, collector) -> columns
+    for start, end, lineno, rows in _text_runs(source, known):
+        if rows is None:
+            lines = source[start:end].split("\n")
+            _group_fields(groups, _scan_lines(lines, lineno, known), prefixes)
+            continue
+        for ts, collector, prefix, origin, code, ambiguous in rows:
+            if code == "A" and not ambiguous:
+                columns = by_text.get((origin, collector))
+                if columns is None:
+                    columns = by_text[origin, collector] = _columns(
+                        groups, (int(origin), collector), prefixes
+                    )
+                columns[0].append(int(ts))
+                if prefixes:
+                    columns[1].append(known[prefix])
     return {key: groups[key] for key in sorted(groups)}
 
 

@@ -99,8 +99,9 @@ BREAKS = [
 ]
 
 _good = _events(PREFIXES)
+writer_lines = _good.map(AnnouncementEvent.to_line)
 good_lines = st.one_of(
-    _good.map(AnnouncementEvent.to_line),
+    writer_lines,
     st.builds(lambda ev, rewrite: rewrite(ev.to_line()), _good, st.sampled_from(REWRITES)),
     st.just(""),
 )

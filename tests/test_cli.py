@@ -3,7 +3,6 @@ import gzip
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 import tempfile
@@ -13,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import golden_corpus as gc
 import mrt_golden as golden
 from bgpburst import mrt
 from bgpburst.cli import main
@@ -24,10 +24,8 @@ from bgpburst.events import (
     parse_event_lines,
     write_event_lines,
 )
-from bgpburst.synth import IncidentSpec, inject_incident_events, update_stream
 from canonical_lines import good_lines
-
-START = 1_400_000_000
+from golden_corpus import START, data_digests
 
 
 def iso(ts):
@@ -473,6 +471,38 @@ class TestDetect:
         assert_input_error(code, capsys)
 
 
+class TestReportFiles:
+    """Each report is written in one call as json.dumps with indent renders it, and hashed as written."""
+
+    @pytest.mark.parametrize("config_file", [None, "r=1/600\nomega=50.0\ndelta=3\n"])
+    def test_reports_are_indented_json(self, sim_events, tmp_path, config_file):
+        odd = [
+            AnnouncementEvent(START + i, collector, f"10.{i}.0.0/16", ANNOUNCEMENT, 4294967295)
+            for i, collector in enumerate(["", "é☃", 'q"u\\o\tte\x7f'])
+        ]
+        source = tmp_path / "events.jsonl"
+        with source.open("w", encoding="utf-8") as fh:
+            write_event_lines(odd, fh)
+            fh.write(sim_events.read_text())
+        extra = []
+        if config_file is not None:
+            (tmp_path / "detector.conf").write_text(config_file)
+            extra = ["--config", str(tmp_path / "detector.conf")]
+        out = tmp_path / "out"
+        assert main(["detect", str(source), *extra, "--out", str(out)]) == 0
+        reports = {p.name: p.read_bytes() for p in out.glob("report_*.json")}
+        docs = [json.loads(data) for data in reports.values()]
+        assert {doc["collector"] for doc in docs} == {"", "é☃", 'q"u\\o\tte\x7f', "synth-collector"}
+        assert any(doc["anomalous_timestamps"] for doc in docs)
+        assert any(not doc["anomalous_timestamps"] for doc in docs)
+        for data, doc in zip(reports.values(), docs):
+            assert data == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        digests = output_digests(out)
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in reports.items()} == {
+            name: digests[name] for name in reports
+        }
+
+
 class TestEvaluate:
     def run_pipeline(self, sim_events, tmp_path, incidents, *extra, edit=None):
         """detect, then evaluate; `edit` updates the burstiness report first."""
@@ -609,6 +639,20 @@ class TestEvaluate:
         )
         assert code == 2
         assert capsys.readouterr().err.endswith(": t0 must precede t1\n")
+
+    def test_span_above_2_53_is_binned_exactly(self, tmp_path):
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            AnnouncementEvent(ts, "c", "10.0.0.0/8", ANNOUNCEMENT, origin_asn=1).to_line() + "\n"
+            for ts in (1, 99999999999999999999999)
+        ))
+        assert main(["detect", str(events), "--out", str(tmp_path / "detect")]) == 0
+        incidents = tmp_path / "incidents.json"
+        incidents.write_text(json.dumps([{**self.INCIDENT, "asn": 1}]))
+        reports = sorted(map(str, (tmp_path / "detect").glob("report_*.json")))
+        out = tmp_path / "eval"
+        assert main(["evaluate", *reports, "--incidents", str(incidents), "--out", str(out)]) == 0
+        assert len((out / "results.csv").read_text().splitlines()) == 3
 
     def test_nonpositive_bin_length_is_input_error(self, sim_events, tmp_path, capsys):
         code, _ = self.run_pipeline(sim_events, tmp_path, [self.INCIDENT], "--m", "0")
@@ -930,7 +974,7 @@ class TestStartup:
     def test_only_simulate_loads_class_factories_socket_or_synth(self, tmp_path):
         mrt_path = tmp_path / "updates.mrt"
         mrt_path.write_bytes(golden.golden_file()[0] + golden.prefix_forms_file())
-        events = write_golden_corpus(tmp_path / "events.jsonl", seed=7, days=4)
+        events = gc.write_golden_corpus(tmp_path / "events.jsonl", seed=7, days=4)
         nulls = tmp_path / "nulls.json"
         nulls.write_text(json.dumps([
             {"start": START + k * 12_000, "end": START + k * 12_000 + 10_000} for k in range(25)
@@ -1002,155 +1046,56 @@ def main_without_numpy(argv):
     return proc.returncode
 
 
-def write_golden_corpus(path, seed, days):
-    """Seeded multi-AS, two-collector stream with noise the builders must skip.
-
-    Batched backgrounds for five origins at one collector and two at a
-    second, an injected burst for AS64500, and withdrawals and
-    ambiguous-origin announcements scattered in; the whole list is shuffled
-    so that grouping cannot rely on input order.
-    """
-    rng = random.Random(seed)
-    streams = [
-        update_stream(asn, "rrc00", START, days * 86400, 600.0, seed + i)
-        for i, asn in enumerate(range(64500, 64505))
-    ] + [
-        update_stream(asn, "linx", START, days * 86400, 900.0, seed + 10 + i)
-        for i, asn in enumerate((64500, 64501))
-    ]
-    incident = IncidentSpec(START + 86400, START + 86400 + 3600, burst_gap=2, prefixes_per_second=3)
-    streams[0] = inject_incident_events(streams[0], incident)
-    events = [ev for stream in streams for ev in stream]
-    for ev in rng.sample(events, len(events) // 20):
-        events.append(AnnouncementEvent(ev.timestamp, ev.collector, ev.prefix, WITHDRAWAL))
-        events.append(
-            AnnouncementEvent(
-                ev.timestamp, ev.collector, ev.prefix, ANNOUNCEMENT,
-                origin_asn=ev.origin_asn, ambiguous_origin=True,
-            )
-        )
-    rng.shuffle(events)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        write_event_lines(events, fh)
-    return path
-
-
-# Canonical lines a reader must take verbatim: other key orders and spacing,
-# escapes, IPv6, netmask and bare-address prefixes, host bits, explicit
-# false, unknown keys and a withdrawal that carries an origin.
-CANONICAL_FORMS = r"""{"ts":1,"collector":"rrc00","prefix":"10.0.0.0/8","origin_asn":1,"type":"A"}
-  {"type": "A", "origin_asn": 2, "prefix": "192.0.2.1/24", "collector": "rrc00", "ts": 2, "peer_asn": 3}
-{"ts":3,"collector":"r\"c\\\u00e9\t","prefix":"2001:db8::/32","origin_asn":4294967295,"type":"A","ambiguous_origin":true}
-{"ts":4,"collector":"\u2603","prefix":"::ffff:1.2.3.0/120","type":"W","peer_asn":0}
-{"ts":5,"collector":"c","prefix":"10.0.0.0/255.0.0.0","origin_asn":5,"type":"A","ambiguous_origin":false}
-{"ts":6,"collector":"c","prefix":"10.0.0.0/08","origin_asn":6,"type":"W"}
-
-{"ts":7,"collector":"c","prefix":"10.1.2.3","origin_asn":7,"type":"A","extra":[1,2]}
-{"ts":8,"collector":"c","prefix":"2001:DB8:0:0::/64","origin_asn":8,"type":"A"}
-"""
-
-
-def data_digests(out_dir):
-    return {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(Path(out_dir).iterdir())
-        if p.name != "manifest.json"
-    }
-
-
-def digest_of(digests):
-    return hashlib.sha256(json.dumps(digests, sort_keys=True).encode()).hexdigest()
-
-
 class TestGoldenDigests:
-    """Data outputs of detect and analyze on a fixed corpus, pinned byte for byte."""
+    """Data outputs of every command on a fixed corpus, pinned byte for byte.
 
-    DETECT = "eae3fc763cea92ed09717e28eabb0b73fd672fd7ca99bff6fe99b15c8846ce8f"
-    DETECT_REPORTS = "32b96bbf6a6fe6bbdc10272ccd77406ebf8e3b56c7bbfc9d4461498d802c2040"
-    ANALYZE = "ec5413c7e4e7301031e6bd0413bfaf7898ff30ed758510c778bbe390cb23b13f"
-    ANALYZE_SEPARATE_NULLS = "d3a45e7e693c9509d29ecb85bbbdecdd75f8af3b7374ff391f1896ba1b7d8f08"
-    INGEST_MRT = "6e3568d47a444c35677cb24cba78503ec2049440b7ee80019e9a725bbcaa4ad9"
-    INGEST_CANONICAL = "c7bbf1becc217e19051c6f625cba25c03dca45fc3e65d955cca09da9a4ff46db"
+    tests/golden_corpus.py holds the corpus, the commands and the digests,
+    and runs the same comparisons as a script, without pytest or numpy.
+    """
 
     @pytest.fixture()
-    def corpus(self, tmp_path):
-        events = write_golden_corpus(tmp_path / "events.jsonl", seed=7, days=4)
-        null_events = write_golden_corpus(tmp_path / "null.jsonl", seed=8, days=6)
-        nulls = tmp_path / "nulls.json"
-        nulls.write_text(json.dumps([
-            {"start": START + k * 12_000, "end": START + k * 12_000 + 10_000}
-            for k in range(25)
-        ]))
-        return events, null_events, nulls
+    def inputs(self, tmp_path):
+        return gc.write_inputs(tmp_path)
 
-    def analyze(self, tmp_path, events, nulls, name, *extra, run=main):
-        out = tmp_path / name
-        code = run([
-            "analyze", str(events), "--collector", "rrc00",
-            "--window", str(START + 80_000), str(START + 100_000),
-            "--target-asn", "64500", "--target-asn", "64502",
-            "--null-windows", str(nulls), *extra, "--out", str(out),
-        ])
-        assert code == 0
-        return data_digests(out)
+    def test_ingest_mrt_events_pinned(self, inputs, tmp_path):
+        digest = gc.ingest_digest(tmp_path / "ingest", inputs["mrt"], "--collector", "route-views.test")
+        assert digest == gc.INGEST_MRT
 
-    def ingest_digest(self, tmp_path, *argv):
-        out = tmp_path / "ingest"
-        assert main(["ingest", *map(str, argv), "--out", str(out)]) == 0
-        return hashlib.sha256((out / "events.jsonl").read_bytes()).hexdigest()
+    def test_ingest_canonical_events_pinned(self, inputs, tmp_path):
+        digest = gc.ingest_digest(tmp_path / "ingest", inputs["forms"], inputs["events"])
+        assert digest == gc.INGEST_CANONICAL
 
-    def test_ingest_mrt_events_pinned(self, tmp_path):
-        mrt = tmp_path / "updates.mrt"
-        mrt.write_bytes(golden.golden_file()[0] + golden.prefix_forms_file())
-        digest = self.ingest_digest(tmp_path, mrt, "--collector", "route-views.test")
-        assert digest == self.INGEST_MRT
-
-    def test_ingest_canonical_events_pinned(self, corpus, tmp_path):
-        events, _, _ = corpus
-        forms = tmp_path / "forms.jsonl"
-        forms.write_text(CANONICAL_FORMS, encoding="utf-8")
-        assert self.ingest_digest(tmp_path, forms, events) == self.INGEST_CANONICAL
-
-    def test_detect_outputs_pinned(self, corpus, tmp_path):
-        events, _, _ = corpus
-        out = tmp_path / "detect"
-        assert main(["detect", str(events), "--trace", "--out", str(out)]) == 0
-        digests = data_digests(out)
+    def test_detect_outputs_pinned(self, inputs, tmp_path):
+        digests = gc.detect_digests(tmp_path / "detect", inputs["events"], "--trace")
         assert len(digests) == 4 * 7
-        assert digest_of(digests) == self.DETECT
+        assert gc.digest_of(digests) == gc.DETECT
 
-    def test_detect_default_outputs_pinned(self, corpus, tmp_path):
+    def test_detect_default_outputs_pinned(self, inputs, tmp_path):
         # The report files of the traced run above, byte for byte, and nothing else.
-        events, _, _ = corpus
-        out = tmp_path / "detect"
-        assert main(["detect", str(events), "--out", str(out)]) == 0
-        digests = data_digests(out)
+        digests = gc.detect_digests(tmp_path / "detect", inputs["events"])
         assert len(digests) == 2 * 7
         assert all(name.startswith("report_") for name in digests)
-        assert digest_of(digests) == self.DETECT_REPORTS
+        assert gc.digest_of(digests) == gc.DETECT_REPORTS
 
-    def test_analyze_outputs_pinned(self, corpus, tmp_path):
-        events, null_events, nulls = corpus
-        digests = self.analyze(tmp_path, events, nulls, "same")
+    def analyze_pinned(self, inputs, tmp_path, run):
+        events, nulls = inputs["events"], inputs["nulls"]
+        digests = gc.analyze_digests(tmp_path / "same", events, nulls, run=run)
         assert sorted(digests) == [
             "joint_rrc00.csv", "joint_rrc00.json",
             "significance_AS64500.json", "significance_AS64502.json",
         ]
-        assert digest_of(digests) == self.ANALYZE
-        separate = self.analyze(
-            tmp_path, events, nulls, "separate", "--null-events", str(null_events)
+        assert gc.digest_of(digests) == gc.ANALYZE
+        separate = gc.analyze_digests(
+            tmp_path / "separate", events, nulls, "--null-events", str(inputs["null_events"]),
+            run=run,
         )
-        assert digest_of(separate) == self.ANALYZE_SEPARATE_NULLS
+        assert gc.digest_of(separate) == gc.ANALYZE_SEPARATE_NULLS
 
-    def test_analyze_outputs_pinned_without_numpy(self, corpus, tmp_path):
-        events, null_events, nulls = corpus
-        same = self.analyze(tmp_path, events, nulls, "same", run=main_without_numpy)
-        assert digest_of(same) == self.ANALYZE
-        separate = self.analyze(
-            tmp_path, events, nulls, "separate", "--null-events", str(null_events),
-            run=main_without_numpy,
-        )
-        assert digest_of(separate) == self.ANALYZE_SEPARATE_NULLS
+    def test_analyze_outputs_pinned(self, inputs, tmp_path):
+        self.analyze_pinned(inputs, tmp_path, main)
+
+    def test_analyze_outputs_pinned_without_numpy(self, inputs, tmp_path):
+        self.analyze_pinned(inputs, tmp_path, main_without_numpy)
 
 
 # One command line per subcommand, naming input files that do not exist.
@@ -1205,25 +1150,13 @@ class TestManifest:
     @pytest.fixture()
     def golden(self, tmp_path):
         """The golden corpus with its null windows, an incident and a spec."""
-        events = write_golden_corpus(tmp_path / "events.jsonl", seed=7, days=4)
-        null_events = write_golden_corpus(tmp_path / "null.jsonl", seed=8, days=6)
-        nulls = tmp_path / "nulls.json"
-        nulls.write_text(json.dumps([
-            {"start": START + k * 12_000, "end": START + k * 12_000 + 10_000}
-            for k in range(25)
-        ]))
         incidents = tmp_path / "incidents.json"
         incidents.write_text(json.dumps([{
             "name": "late-burst", "asn": 64500, "start_utc": iso(START + 300_000),
             "end_utc": iso(START + 303_600), "kind": "large-scale",
         }]))
-        forms = tmp_path / "forms.jsonl"
-        forms.write_text(CANONICAL_FORMS, encoding="utf-8")
         spec = write_sim_spec(tmp_path / "spec.json")
-        return {
-            "events": events, "null_events": null_events, "nulls": nulls,
-            "incidents": incidents, "forms": forms, "spec": spec,
-        }
+        return {**gc.write_inputs(tmp_path), "incidents": incidents, "spec": spec}
 
     def analyze_argv(self, golden, *targets):
         return [

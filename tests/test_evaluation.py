@@ -43,6 +43,14 @@ class TestBinning:
         assert bin_count(0, 7 * DAY, M) == 56
         assert bin_count(0, 7 * DAY + 1, M) == 57
 
+    def test_bin_arithmetic_is_exact_above_2_53(self):
+        t0, t1 = 1, 10**23
+        n = bin_count(t0, t1, M)
+        assert n == (t1 - t0 + M - 1) // M
+        assert bin_timestamps([t0, t1 - 1], t0, t1, M) == {0, n - 1}
+        window = IncidentWindow("x", 1, t0 + (n - 2) * M, t1, "large-scale")
+        assert incident_bins(window, t0, t1, M) == {n - 2, n - 1}
+
     def test_partition_covers_study_exactly_once(self):
         t0, t1, m = 100, 100 + 5 * 60 + 17, 60
         n = bin_count(t0, t1, m)
@@ -237,7 +245,16 @@ class TestIncidentConfig:
     def test_invalid_entry_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('[{"name":"a","asn":1,"start_utc":"2020-01-01T00:00:00Z"}]')
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="missing field 'end_utc'$"):
+            load_incidents(bad)
+        bad.write_text(
+            '[{"name":"a","asn":1,"start_utc":"2020-01-01T00:00:00Z",'
+            '"end_utc":"2020-01-01T02:00:00Z"}]'
+        )
+        with pytest.raises(ConfigurationError, match="missing field 'kind'$"):
+            load_incidents(bad)
+        bad.write_text('[["a", 1]]')
+        with pytest.raises(ConfigurationError, match=r"^bad incident entry \['a', 1\]: expected an object$"):
             load_incidents(bad)
 
     def test_parse_utc(self):

@@ -1,8 +1,10 @@
 import io
 import ipaddress
 import json
+import operator
 import random
 import socket
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from bgpburst.events import (
     _check_prefix,
     build_series,
     build_volume_series,
+    copy_event_text,
     parse_event_lines,
     read_groups,
     scan_event_lines,
@@ -28,7 +31,7 @@ from bgpburst.events import (
     write_event_lines,
     write_volume_csv,
 )
-from canonical_lines import event_lines
+from canonical_lines import bad_lines, event_lines, good_lines, writer_lines
 
 
 def _parse(text):
@@ -545,8 +548,9 @@ class TestFusedReader:
 
     def test_each_distinct_prefix_is_stored_once(self):
         lines = [_ev(ts, prefix="2001:db8::/32").to_line() for ts in range(3)]
-        ((_, prefixes),) = read_groups(lines).values()
-        assert prefixes[0] is prefixes[1] is prefixes[2]
+        for source in (lines, "\n".join(lines)):
+            ((_, prefixes),) = read_groups(source).values()
+            assert prefixes[0] is prefixes[1] is prefixes[2]
 
     def test_columns_build_the_same_series(self):
         events = [_ev(5), _ev(3, prefix="10.1.0.0/16"), _ev(5, prefix="10.1.0.0/16"), _ev(5)]
@@ -556,3 +560,81 @@ class TestFusedReader:
         assert volume_from_columns(4761, "linx", timestamps, prefixes) == build_volume_series(
             events, 4761, "linx"
         )
+
+
+@st.composite
+def event_texts(draw):
+    """Canonical text: lines ended by \\n, \\r\\n or a blank line, the last one
+    sometimes unterminated, mostly in writer form."""
+    lines = draw(st.lists(st.one_of(writer_lines, good_lines), max_size=16))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(bad_lines))
+    ends = draw(st.lists(
+        st.sampled_from(["\n", "\n", "\r\n", "\n\n", "\r\n\r\n"]),
+        min_size=len(lines), max_size=len(lines),
+    ))
+    text = "".join(map(operator.add, lines, ends))
+    if lines and draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
+    return text
+
+
+def _copied(text, collector, asn):
+    out = io.StringIO()
+    counts = copy_event_text(text, out, collector, asn)
+    return out.getvalue(), counts
+
+
+def _copied_by_lines(text, collector, asn):
+    """What copy_event_text writes and counts, from the per-line reader."""
+    fields = list(scan_event_lines(text.split("\n")))
+    kept = [
+        row for row in fields
+        if (collector is None or row[2] == collector) and (asn is None or row[5] == asn)
+    ]
+    text = "".join(row[0] + "\n" for row in kept)
+    return text, (len(fields), len(kept), sum(row[4] == ANNOUNCEMENT for row in kept))
+
+
+class TestChunkScanner:
+    """A text read in runs of whole lines gives what its lines give one by one."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        event_texts(),
+        st.integers(min_value=1, max_value=200),
+        st.sampled_from([(None, None), ("rrc00", None), (None, 0), ("a b", 2**32 - 1)]),
+    )
+    def test_runs_read_as_lines(self, text, chunk, filters):
+        lines = text.split("\n")
+        with mock.patch.object(events, "_CHUNK_CHARS", chunk):
+            for prefixes in (True, False):
+                assert _outcome(lambda t: read_groups(t, prefixes), text) == _outcome(
+                    lambda ls: read_groups(ls, prefixes), lines
+                )
+            assert _outcome(lambda t: _copied(t, *filters), text) == _outcome(
+                lambda t: _copied_by_lines(t, *filters), text
+            )
+
+    def test_writer_runs_are_copied_through(self):
+        lines = [_ev(ts, prefix=f"10.{ts}.0.0/16").to_line() for ts in range(50)]
+        text = "\r\n".join(lines)
+        with mock.patch.object(events, "_CHUNK_CHARS", 300):
+            runs = list(events._text_runs(text, {}))
+        assert len(runs) > 1 and all(rows is not None for *_, rows in runs)
+        assert _copied(text, None, None) == ("".join(line + "\n" for line in lines), (50, 50, 50))
+
+    @pytest.mark.parametrize("bad, error", [
+        (_ev(1).to_line().replace('"origin_asn":', '"origin_asn":0'), "invalid JSON"),
+        (_ev(1).to_line().replace(',"origin_asn":4761', ""), "missing field 'origin_asn'"),
+        (_ev(1, prefix="10.0.0.0/33").to_line(), "bad prefix '10.0.0.0/33'"),
+    ])
+    def test_error_in_a_later_run_keeps_its_line_number(self, bad, error):
+        # A blank line sends the first run to the per-line reader, and the
+        # bad line is in a later run of writer-form lines.
+        lines = [_ev(ts).to_line() for ts in range(2000)]
+        lines[1500] = bad
+        text = "\n".join([lines[0], "", *lines[1:]])
+        for read in (read_groups, lambda t: copy_event_text(t, io.StringIO())):
+            with pytest.raises(EventFormatError, match=f"^line 1502: {error}"):
+                read(text)
