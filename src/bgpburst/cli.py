@@ -474,6 +474,9 @@ def cmd_analyze(args, manifest: Manifest) -> int:
     window = (_parse_time(args.window[0]), _parse_time(args.window[1]))
     if window[0] >= window[1]:
         raise CliError("analysis window start must precede end")
+    for i, asn in enumerate(args.target_asn):
+        if asn in args.target_asn[:i]:
+            raise CliError(f"--target-asn names AS{asn} more than once")
     min_events = _resolve_detector_config(args)[0].min_events
     try:
         check_null_test_settings(args.k, args.alpha_sig)
@@ -576,6 +579,8 @@ def _load_report(manifest: Manifest, path: Path) -> dict:
 
 
 def cmd_evaluate(args, manifest: Manifest) -> int:
+    if args.m < 1:
+        raise CliError(f"--m must be a bin length of at least 1 second, got {args.m}")
     if (args.t0 is None) != (args.t1 is None):
         raise CliError("--t0 and --t1 go together: pass both or neither")
     manifest.doc["config"] = {"m": args.m}

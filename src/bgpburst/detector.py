@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import compress, islice, repeat
+from operator import lt, mul, sub
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence
 
@@ -205,21 +207,28 @@ def _band_report(
     compared against the mean and deviation that already include the current
     value; flags are suppressed while the index is at most config.warmup.
     """
+    # ema_update and max(sigma, floor) inlined, with the same operations in
+    # the same order, so the flags and trace rows are bit-identical to them.
     a = config.a
+    b = 1.0 - a
     delta = config.delta
     floor = config.variance_floor
     warmup = config.warmup
+    sqrt = math.sqrt
     mean = var = 0.0
     flagged: set[int] = set()
     trace: list[TraceRow] | None = [] if collect_trace else None
-    for t in range(1, len(values)):
-        y = values[t]
-        mean, var, sigma = ema_update(mean, var, y, a)
-        flag = t > warmup and y >= mean + delta * max(sigma, floor)
+    t = 0
+    for ts, y in islice(zip(timestamps, values), 1, None):
+        t += 1
+        var = b * (var + a * (y - mean) ** 2)
+        mean = a * y + b * mean
+        sigma = sqrt(var)
+        flag = t > warmup and y >= mean + delta * (floor if floor > sigma else sigma)
         if flag:
-            flagged.add(timestamps[t])
+            flagged.add(ts)
         if trace is not None:
-            trace.append(TraceRow(timestamps[t], y, mean, sigma, flag))
+            trace.append(TraceRow(ts, y, mean, sigma, flag))
     return AnomalyReport(
         origin_asn=series.origin_asn,
         collector=series.collector,
@@ -241,12 +250,18 @@ def detect_events(
     if config is None:
         config = DetectorConfig()
     ts = series.timestamps
-    r = config.r
+    gaps = list(map(sub, ts[1:], ts))
+    negative = next(compress(gaps, map(lt, gaps, repeat(0))), None)
+    if negative is not None:
+        raise OutOfOrderError(f"negative inter-arrival gap {negative}")
+    # intensity_update inlined: the decay factors 2.0 ** (-r * delta_t) come
+    # from C-level maps, so only q = 1.0 + f * q runs once per event.
     q = 0.0
     intensities = [q]
-    for t in range(1, len(ts)):
-        q = intensity_update(q, ts[t] - ts[t - 1], r)
-        intensities.append(q)
+    append = intensities.append
+    for f in map(pow, repeat(2.0), map(mul, repeat(-config.r), gaps)):
+        q = 1.0 + f * q
+        append(q)
     return _band_report(series, ts, intensities, config, collect_trace)
 
 
@@ -258,7 +273,7 @@ def detect_volume(
     """Apply the same band criterion directly to per-second prefix counts."""
     if config is None:
         config = DetectorConfig()
-    counts = [float(count) for count in volume.counts()]
+    counts = list(map(float, volume.counts()))
     return _band_report(volume, volume.timestamps(), counts, config, collect_trace)
 
 

@@ -78,6 +78,8 @@ def parse_utc(text: str) -> int:
     sign, off_hours, off_minutes = m.group(7, 8, 9)
     offset = timedelta()
     if sign is not None:
+        if int(off_hours) > 23:
+            raise ValueError(f"offset hours out of range in {text!r}")
         if int(off_minutes) > 59:
             raise ValueError(f"offset minutes out of range in {text!r}")
         offset = timedelta(hours=int(off_hours), minutes=int(off_minutes))

@@ -239,10 +239,10 @@ class VolumeSeries(FrozenRecord):
         return len(self.points)
 
     def timestamps(self) -> tuple[int, ...]:
-        return tuple(ts for ts, _ in self.points)
+        return tuple(map(itemgetter(0), self.points))
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(c for _, c in self.points)
+        return tuple(map(itemgetter(1), self.points))
 
 
 _raw_decode = json.JSONDecoder().raw_decode

@@ -1,4 +1,4 @@
-"""Differential checks of the MRT decoder and of parse_utc, with or without pytest.
+"""Differential checks of the MRT decoder, parse_utc and the detectors, with or without pytest.
 
     PYTHONPATH=src python tests/differential.py [CASES]
 
@@ -8,11 +8,16 @@ and CASES seeded damaged copies of them, to the package's two routes to writer l
 reference decoder in ref_mrt.py.  The lines, the counters and the
 MrtParseError text and offset must be equal.  The time check compares
 `parse_utc` with `reference_utc`, an RFC 3339 reader written without
-regular expressions or datetime, on CASES seeded texts, valid and not.
+regular expressions or datetime, on a few edge texts and CASES seeded
+texts, valid and not.  The detector check runs `detect_events` and
+`detect_volume` on CASES seeded series and settings: their trace rows and
+flags must equal a fold of the public single steps `intensity_update` and
+`ema_update`, bit for bit, and their flags those of ref_detector.py.
 The script prints the mismatches of each and exits 1 if there are any.
-tests/test_mrt.py and tests/test_evaluation.py run the same comparisons
-under hypothesis; the script needs neither pytest nor numpy, so it runs on
-any interpreter the package supports.
+tests/test_mrt.py, tests/test_evaluation.py and tests/test_detector.py run
+the same comparisons under hypothesis; the script needs neither pytest nor
+numpy, so it runs on any interpreter the package supports, and so checks
+the float results of each.
 """
 
 from __future__ import annotations
@@ -26,12 +31,23 @@ import re
 import struct
 import sys
 import tempfile
+from itertools import accumulate
 from pathlib import Path
 
 import mrt_golden as golden
+import ref_detector
 import ref_mrt
 from bgpburst.cli import main
+from bgpburst.detector import (
+    DetectorConfig,
+    TraceRow,
+    detect_events,
+    detect_volume,
+    ema_update,
+    intensity_update,
+)
 from bgpburst.evaluation import parse_utc
+from bgpburst.events import EventSeries, VolumeSeries
 from bgpburst.mrt import MrtParseError, parse_mrt_updates
 
 COLLECTOR = "route-views.test"
@@ -184,6 +200,14 @@ def reference_utc(text: str) -> int | None:
     return calendar.timegm((year, month, day, hour, minute, second)) - offset
 
 
+# Offsets at and past the ends of their ranges.
+UTC_EDGES = [
+    f"2014-04-01T00:00:00{sign}{offset}"
+    for sign in "+-"
+    for offset in ("23:59", "24:00", "99:00", "00:60", "24:60")
+]
+
+
 def utc_mismatch(text: str) -> bool:
     try:
         value = parse_utc(text)
@@ -229,6 +253,95 @@ def utc_text(rng: random.Random) -> str:
     return text
 
 
+def step_intensities(timestamps, r: float) -> list[float]:
+    """An event series' intensities as a fold of intensity_update; the
+    first event only seeds the series at 0.0."""
+    q = 0.0
+    out = [q]
+    for prev, ts in zip(timestamps, timestamps[1:]):
+        q = intensity_update(q, ts - prev, r)
+        out.append(q)
+    return out
+
+
+def step_trace(timestamps, values, config: DetectorConfig) -> list[TraceRow]:
+    """The band criterion's trace rows as a fold of ema_update."""
+    mean = var = 0.0
+    rows = []
+    for t in range(1, len(values)):
+        y = values[t]
+        mean, var, sigma = ema_update(mean, var, y, config.a)
+        flag = t > config.warmup and y >= mean + config.delta * max(sigma, config.variance_floor)
+        rows.append(TraceRow(timestamps[t], y, mean, sigma, flag))
+    return rows
+
+
+def step_mismatch(report, timestamps, values, config: DetectorConfig) -> bool:
+    """Whether a traced report differs from the step fold, rows or flags."""
+    rows = step_trace(timestamps, values, config)
+    flagged = tuple(sorted({row.ts for row in rows if row.flag}))
+    return list(report.trace) != rows or report.anomalous_timestamps != flagged
+
+
+def flag_indices(report) -> list[int]:
+    """The indices of a traced report's flagged values, as ref_detector.py gives them."""
+    return [t for t, row in enumerate(report.trace, 1) if row.flag]
+
+
+def detector_gaps(rng: random.Random) -> list[int]:
+    """Seeded inter-arrival gaps in [0, 10**6] s, with runs of zero gaps."""
+    gaps = []
+    for _ in range(rng.randrange(12)):
+        kind = rng.random()
+        if kind < 0.3:
+            gaps += [0] * rng.randrange(1, 40)
+        elif kind < 0.8:
+            mean_gap = rng.choice([1, 60, 300, 3600])
+            gaps += [min(int(rng.expovariate(1 / mean_gap)), 10**6) for _ in range(rng.randrange(1, 60))]
+        else:
+            gaps.append(rng.randrange(10**6 + 1))
+    return gaps
+
+
+def detector_config(rng: random.Random) -> DetectorConfig:
+    """Seeded settings: the defaults, the edges of each range and values between."""
+    return DetectorConfig(
+        r=rng.choice([1 / 300, 1e-300, 10.0 ** rng.uniform(-7, 2)]),
+        omega=rng.choice([1, 2, 200, rng.randrange(1, 1000)]),
+        delta=rng.choice([2.0, 1e-3, rng.uniform(0.05, 5.0)]),
+        warmup=rng.choice([0, 0, rng.randrange(60)]),
+        variance_floor=rng.choice([0.0, 1e-9, rng.uniform(0.0, 3.0)]),
+    )
+
+
+def detector_mismatches(rng: random.Random) -> list[str]:
+    """The detectors whose traces differ from the step fold, or whose flags
+    differ from ref_detector.py, on one seeded series and setting."""
+    config = detector_config(rng)
+    ts = list(accumulate(detector_gaps(rng), initial=rng.randrange(1 << 31)))
+    top = rng.choice([2, 40, 10**4])
+    counts = [rng.randrange(1, top) for _ in range(rng.randrange(len(ts) + 1))]
+    stamps = [60 * i for i in range(len(counts))]
+    points = tuple(zip(stamps, counts))
+    found = []
+    events = detect_events(EventSeries(1, "c", tuple(ts)), config, collect_trace=True)
+    if step_mismatch(events, ts, step_intensities(ts, config.r), config):
+        found.append("detect_events trace")
+    volume = detect_volume(VolumeSeries(1, "c", points), config, collect_trace=True)
+    if step_mismatch(volume, stamps, list(map(float, counts)), config):
+        found.append("detect_volume trace")
+    # The reference has no warmup and no variance floor.
+    bare = DetectorConfig(r=config.r, omega=config.omega, delta=config.delta, variance_floor=0.0)
+    band = {"omega": config.omega, "delta": config.delta}
+    events = detect_events(EventSeries(1, "c", tuple(ts)), bare, collect_trace=True)
+    if flag_indices(events) != ref_detector.ref_detect(ts, config.r, **band):
+        found.append("detect_events flags")
+    volume = detect_volume(VolumeSeries(1, "c", points), bare, collect_trace=True)
+    if flag_indices(volume) != ref_detector.ref_detect_values(counts, **band):
+        found.append("detect_volume flags")
+    return found
+
+
 def run(cases: int, seed: int = 0) -> int:
     rng = random.Random(seed)
     mrt_bad = [data for data in FIXTURES if mrt_mismatches(data)]
@@ -237,14 +350,21 @@ def run(cases: int, seed: int = 0) -> int:
         data = damage(DAMAGE_BASE, edits, rng.randrange(4), rng.randrange(1 << 16), rng.randrange(1 << 16))
         if mrt_mismatches(data):
             mrt_bad.append(data)
-    utc_bad = [text for text in (utc_text(rng) for _ in range(cases)) if utc_mismatch(text)]
+    utc_texts = UTC_EDGES + [utc_text(rng) for _ in range(cases)]
+    utc_bad = [text for text in utc_texts if utc_mismatch(text)]
+    detector_bad = []
+    for case in range(cases):
+        detector_bad += [(case, name) for name in detector_mismatches(random.Random(f"{seed}:{case}"))]
     print(f"mrt: {len(FIXTURES) + cases} inputs, {len(mrt_bad)} mismatches")
-    print(f"parse_utc: {cases} texts, {len(utc_bad)} mismatches")
+    print(f"parse_utc: {len(utc_texts)} texts, {len(utc_bad)} mismatches")
+    print(f"detectors: {cases} series, {len(detector_bad)} mismatches")
     for data in mrt_bad[:3]:
         print(f"  mrt input {data.hex()}")
     for text in utc_bad[:10]:
         print(f"  time text {text!r}")
-    return 1 if mrt_bad or utc_bad else 0
+    for case, name in detector_bad[:10]:
+        print(f"  detector case {case}: {name}")
+    return 1 if mrt_bad or utc_bad or detector_bad else 0
 
 
 if __name__ == "__main__":

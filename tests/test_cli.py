@@ -654,9 +654,19 @@ class TestEvaluate:
         assert main(["evaluate", *reports, "--incidents", str(incidents), "--out", str(out)]) == 0
         assert len((out / "results.csv").read_text().splitlines()) == 3
 
+    BAD_BIN_LENGTH = "error: --m must be a bin length of at least 1 second, got 0\n"
+
     def test_nonpositive_bin_length_is_input_error(self, sim_events, tmp_path, capsys):
-        code, _ = self.run_pipeline(sim_events, tmp_path, [self.INCIDENT], "--m", "0")
-        assert_input_error(code, capsys)
+        code, out = self.run_pipeline(sim_events, tmp_path, [self.INCIDENT], "--m", "0")
+        assert code == 2
+        assert capsys.readouterr().err == self.BAD_BIN_LENGTH
+        assert list(out.iterdir()) == []
+
+    def test_bin_length_is_checked_before_reports_are_matched(self, sim_events, tmp_path, capsys):
+        incidents = [{**self.INCIDENT, "asn": 4761}]  # no report is for AS4761
+        code, _ = self.run_pipeline(sim_events, tmp_path, incidents, "--m", "0")
+        assert code == 2
+        assert capsys.readouterr().err == self.BAD_BIN_LENGTH
 
     @pytest.mark.parametrize("flag", ["--t0", "--t1"])
     def test_one_bound_alone_is_input_error(self, sim_events, tmp_path, capsys, flag):
@@ -852,6 +862,17 @@ class TestAnalyze:
         code = self.significance_run(corpus_events, tmp_path, nulls, flag, value)
         assert_input_error(code, capsys)
         assert list((tmp_path / "analyze").iterdir()) == []
+
+    def test_repeated_target_asn_fails_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "analyze"
+        code = main([
+            "analyze", str(tmp_path / "absent.jsonl"), "--window", "0", "100",
+            "--target-asn", "64501", "--target-asn", "64500", "--target-asn", "64500",
+            "--null-windows", str(tmp_path / "absent.json"), "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --target-asn names AS64500 more than once\n"
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_min_events_below_two_is_input_error(self, corpus_events, tmp_path, capsys, value):

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import differential
 from ref_detector import ref_detect, ref_detect_values
 from bgpburst.detector import (
     CONFIG_KEYS,
@@ -252,6 +253,60 @@ def test_volume_detector_matches_reference_for_any_band(band, counts):
     report = detect_volume(volume, config, collect_trace=True)
     band.pop("r")
     assert flags_of(report) == ref_detect_values(counts, **band)
+
+
+# Gaps from 0 to 10**6 s, with runs of zero gaps.
+gap_lists = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=10**6).map(lambda gap: [gap]),
+        st.integers(min_value=0, max_value=3600).map(lambda gap: [gap]),
+        st.integers(min_value=1, max_value=40).map(lambda n: [0] * n),
+    ),
+    max_size=60,
+).map(lambda runs: [gap for run in runs for gap in run])
+# DetectorConfig's valid range, with most draws where the settings are used.
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+configs = st.builds(
+    DetectorConfig,
+    r=st.floats(min_value=1e-6, max_value=1.0) | positive,
+    omega=st.integers(min_value=1, max_value=1000) | st.integers(min_value=1),
+    delta=st.floats(min_value=0.05, max_value=5.0) | positive,
+    warmup=st.integers(min_value=0, max_value=100),
+    variance_floor=st.floats(min_value=0.0, max_value=3.0) | positive,
+)
+
+
+class TestInlinedKernel:
+    """The detectors inline intensity_update and ema_update: a fold of the
+    public single steps gives the same trace rows and flags, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(configs, gap_lists, st.integers(min_value=0, max_value=2**40))
+    def test_detect_events_equals_step_fold(self, config, gaps, start):
+        ts = [start]
+        for gap in gaps:
+            ts.append(ts[-1] + gap)
+        report = detect_events(EventSeries(1, "c", tuple(ts)), config, collect_trace=True)
+        rows = differential.step_trace(ts, differential.step_intensities(ts, config.r), config)
+        assert list(report.trace) == rows
+        assert report.anomalous_timestamps == tuple(sorted({row.ts for row in rows if row.flag}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(configs, st.lists(st.integers(min_value=1, max_value=10**9), max_size=300))
+    def test_detect_volume_equals_step_fold(self, config, counts):
+        stamps = [60 * i for i in range(len(counts))]
+        volume = VolumeSeries(1, "c", tuple(zip(stamps, counts)))
+        report = detect_volume(volume, config, collect_trace=True)
+        rows = differential.step_trace(stamps, [float(c) for c in counts], config)
+        assert list(report.trace) == rows
+        assert report.anomalous_timestamps == tuple(sorted({row.ts for row in rows if row.flag}))
+
+    def test_decreasing_timestamps_raise_with_the_first_negative_gap(self):
+        class Unchecked:  # an EventSeries would refuse these timestamps
+            origin_asn, collector, timestamps = 1, "c", (5, 7, 7, 3, 9, 1)
+
+        with pytest.raises(OutOfOrderError, match=r"^negative inter-arrival gap -4$"):
+            detect_events(Unchecked())
 
 
 class TestConfig:

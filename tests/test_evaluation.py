@@ -328,6 +328,25 @@ class TestParseUtc:
         with pytest.raises(ValueError):
             parse_utc(text)
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("2014-04-01T00:00:00+24:00", "hours"),
+            ("2014-04-01T00:00:00+99:00", "hours"),
+            ("2014-04-01T00:00:00-24:00", "hours"),
+            ("2014-04-01T00:00:00+24:60", "hours"),
+            ("2014-04-01T00:00:00+01:60", "minutes"),
+        ],
+    )
+    def test_offset_out_of_range_has_its_own_message(self, text, field):
+        with pytest.raises(ValueError) as info:
+            parse_utc(text)
+        assert str(info.value) == f"offset {field} out of range in {text!r}"
+
+    def test_largest_offsets_accepted(self):
+        assert parse_utc("2014-04-01T23:59:00+23:59") == parse_utc("2014-04-01T00:00:00Z")
+        assert parse_utc("2014-04-01T00:00:00-23:59") == parse_utc("2014-04-01T23:59:00Z")
+
     @pytest.mark.parametrize("value", [1400000000, 1.4e9, None, True, ["2014-05-14"]])
     def test_non_string_rejected(self, value):
         with pytest.raises(TypeError, match="RFC 3339 string"):
