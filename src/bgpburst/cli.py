@@ -643,7 +643,7 @@ def _spec_from_doc(doc: dict, default_seed: int | None) -> tuple[GeneratorSpec, 
         )
     except KeyError as exc:
         raise CliError(f"generator spec missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of an infinity
         raise CliError(f"bad generator spec: {exc}") from exc
     incident = None
     if incident_doc is not None:
@@ -656,7 +656,7 @@ def _spec_from_doc(doc: dict, default_seed: int | None) -> tuple[GeneratorSpec, 
             )
         except KeyError as exc:
             raise CliError(f"incident spec missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"bad incident spec: {exc}") from exc
     return spec, incident
 

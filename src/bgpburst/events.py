@@ -1,10 +1,12 @@
 """Normalized announcement events, canonical line format, and series builders.
 
-Every data source (MRT dumps, synthetic streams) is reduced to a flat stream
-of AnnouncementEvent records.  From those we build per-(origin AS, collector)
-timestamp series and per-second unique-prefix volume series, which are the
-inputs to all downstream statistics.  Canonical lines can also go straight
-to per-series columns (read_groups) without an event object per line.
+Canonical lines are read by one validating reader, scan_event_lines, into
+plain fields; parse_event_lines builds an AnnouncementEvent from each row,
+and MRT dumps and synthetic streams give events too.  One grouping pass
+turns rows or events into per-(origin AS, collector) timestamp and prefix
+columns, which become the timestamp series and per-second unique-prefix
+volume series that feed all downstream statistics.  read_groups goes from
+canonical text straight to those columns, without an event per line.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 from _socket import AF_INET6, inet_ntop, inet_pton
 from bisect import bisect_left
 from itertools import islice
-from operator import countOf, gt, itemgetter
+from operator import attrgetter, countOf, gt, itemgetter
 from typing import IO, Iterable, Iterator
 
 ANNOUNCEMENT = "announcement"
@@ -135,6 +137,8 @@ class AnnouncementEvent(FrozenRecord):
             raise ValueError(f"unknown event kind {kind!r}")
         if kind == ANNOUNCEMENT and origin_asn is None:
             raise ValueError("announcement without origin_asn")
+        if (origin_asn or 0) < 0 or (peer_asn or 0) < 0:  # to_line() would be unreadable
+            raise ValueError(f"negative AS number in origin_asn={origin_asn}, peer_asn={peer_asn}")
         _set_timestamp(self, timestamp)
         _set_collector(self, collector)
         _set_prefix(self, prefix)
@@ -259,8 +263,11 @@ def _load_record(line: str):
     return json.loads(line)  # fails as well, with json's own message
 
 
-def _parse_line(line: str, lineno: int) -> AnnouncementEvent:
-    """The validating reader of one stripped, nonblank canonical line."""
+def _parse_line(line: str, lineno: int) -> tuple[int, str, str, str, int | None, int | None, bool]:
+    """The validating reader of one stripped, nonblank canonical line.
+
+    Returns the event's fields in AnnouncementEvent's slot order.
+    """
     try:
         rec = _load_record(line)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -300,44 +307,27 @@ def _parse_line(line: str, lineno: int) -> AnnouncementEvent:
         _check_prefix(prefix)
     except EventFormatError as exc:
         raise EventFormatError(f"line {lineno}: {exc}") from exc
-    return AnnouncementEvent(
-        timestamp=ts,
-        collector=collector,
-        prefix=prefix,
-        kind=kind,
-        origin_asn=origin,
-        peer_asn=peer,
-        ambiguous_origin=ambiguous,
-    )
+    return ts, collector, prefix, kind, origin, peer, ambiguous
 
 
-def parse_event_lines(source: Iterable[str] | IO[str]) -> Iterator[AnnouncementEvent]:
-    """Parse canonical line-delimited events; blank lines are ignored.
-
-    Raises EventFormatError with the 1-based line number on any bad line.
-    """
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if line:
-            yield _parse_line(line, lineno)
-
-
-# One line exactly as AnnouncementEvent.to_line writes it.  json.dumps
-# escapes `"`, `\`, control characters and non-ASCII, so an unescaped
-# printable-ASCII string decodes to its own text; integers carry no sign or
-# leading zero.  Groups: ts, collector, prefix, origin_asn, type code,
-# ambiguous flag.
+# One line exactly as AnnouncementEvent.to_line writes it, with %s for the
+# pattern of its peer_asn.  json.dumps escapes `"`, `\`, control characters
+# and non-ASCII, so an unescaped printable-ASCII string decodes to its own
+# text; integers carry no sign or leading zero.
 _INT = r"(?:[1-9][0-9]*|0)"
 _TEXT = r'[ !#-\[\]-~]*'
 _WRITER_FORM = (
-    rf'\{{"ts":({_INT}),"collector":"({_TEXT})"(?:,"peer_asn":{_INT})?,'
+    rf'\{{"ts":({_INT}),"collector":"({_TEXT})"(?:,"peer_asn":%s)?,'
     rf'"prefix":"({_TEXT})"(?:,"origin_asn":({_INT}))?,'
     rf'"type":"([AW])"(,"ambiguous_origin":true)?\}}'
 )
-_WRITER_LINE = re.compile(_WRITER_FORM)
+# Groups: ts, collector, peer_asn, prefix, origin_asn, type code, ambiguous flag.
+_WRITER_LINE = re.compile(_WRITER_FORM % f"({_INT})")
 # Every line of a text that is in writer form once stripped: a line ending
 # in "\r\n" is one, and strip() takes nothing else off a writer-form line.
-_WRITER_LINES = re.compile(rf"^{_WRITER_FORM}\r?$", re.MULTILINE)
+# The same groups but peer_asn, which runs of text do not use: a seventh
+# group makes each findall ~15% slower.
+_WRITER_LINES = re.compile(rf"^{_WRITER_FORM % _INT}\r?$", re.MULTILINE)
 # The length of a run of lines before it is extended to the end of its last
 # line: ~600 lines per findall, while a run's rows stay small.
 _CHUNK_CHARS = 1 << 16
@@ -346,7 +336,7 @@ _prefix_of, _origin_of, _code_of = itemgetter(2), itemgetter(3), itemgetter(4)
 
 def _scan_lines(
     source: Iterable[str] | IO[str], lineno: int, known: dict[str, str]
-) -> Iterator[tuple[str, int, str, str, str, int | None, bool]]:
+) -> Iterator[tuple[str, int, str, str, str, int | None, int | None, bool]]:
     """scan_event_lines with the first line numbered `lineno`.
 
     `known` maps each prefix text already checked to its first instance,
@@ -360,7 +350,7 @@ def _scan_lines(
             continue
         m = match(line)
         if m is not None:
-            ts, collector, prefix, origin, code, ambiguous = m.groups()
+            ts, collector, peer, prefix, origin, code, ambiguous = m.groups()
             if origin is not None or code == "W":
                 checked = known.get(prefix)
                 if checked is None:
@@ -373,29 +363,39 @@ def _scan_lines(
                 if checked is not None:
                     yield (
                         line, int(ts), collector, checked, _CODE_KIND[code],
-                        None if origin is None else int(origin), ambiguous is not None,
+                        None if origin is None else int(origin),
+                        None if peer is None else int(peer), ambiguous is not None,
                     )
                     continue
-        ev = _parse_line(line, lineno)
-        yield (
-            ev.to_line(), ev.timestamp, ev.collector, ev.prefix, ev.kind,
-            ev.origin_asn, ev.ambiguous_origin,
-        )
+        ts, collector, prefix, kind, origin, peer, ambiguous = fields = _parse_line(line, lineno)
+        head, tail = line_parts(ts, json.dumps(collector), peer, kind, origin, ambiguous)
+        yield (head + json.dumps(prefix) + tail, *fields)
 
 
 def scan_event_lines(
     source: Iterable[str] | IO[str],
-) -> Iterator[tuple[str, int, str, str, str, int | None, bool]]:
+) -> Iterator[tuple[str, int, str, str, str, int | None, int | None, bool]]:
     """Parse canonical lines into plain fields, without event objects.
 
-    Yields (line, timestamp, collector, prefix, kind, origin_asn,
+    Yields (line, timestamp, collector, prefix, kind, origin_asn, peer_asn,
     ambiguous_origin) per event, where `line` is the event in writer form:
     the input line itself when it already is its own to_line(), else its
-    re-serialisation.  A writer-form line is matched by one regex; every
-    other line goes through parse_event_lines' per-line reader, so the
-    accepted lines, the values and the errors are the same as there.
+    re-serialisation.  A writer-form line is matched by one regex, any other
+    is decoded as JSON; blank lines are skipped, and a bad line raises
+    EventFormatError with its 1-based line number.
     """
     return _scan_lines(source, 1, {})
+
+
+def parse_event_lines(source: Iterable[str] | IO[str]) -> Iterator[AnnouncementEvent]:
+    """Parse canonical line-delimited events; blank lines are ignored.
+
+    One AnnouncementEvent per scan_event_lines row, which accepts and
+    rejects each line.  Raises EventFormatError with the 1-based line
+    number on any bad line.
+    """
+    for _, ts, collector, prefix, kind, origin, peer, ambiguous in _scan_lines(source, 1, {}):
+        yield AnnouncementEvent(ts, collector, prefix, kind, origin, peer, ambiguous)
 
 
 def _rows_accepted(rows: list[tuple], known: dict[str, str]) -> bool:
@@ -457,7 +457,7 @@ def copy_event_text(
         runs = [(0, len(text), 1, None)]  # one run, read line by line
     for start, end, lineno, rows in runs:
         if rows is None:
-            for line, _, coll, _, kind, origin, _ in _scan_lines(
+            for line, _, coll, _, kind, origin, _, _ in _scan_lines(
                 text[start:end].split("\n"), lineno, known
             ):
                 emitted += 1
@@ -485,23 +485,6 @@ def write_event_lines(events: Iterable[AnnouncementEvent], out: IO[str]) -> int:
     return n
 
 
-def _usable(kind: str, ambiguous_origin: bool) -> bool:
-    # Withdrawals and ambiguous origins never contribute to statistics.
-    return kind == ANNOUNCEMENT and not ambiguous_origin
-
-
-def _series_events(
-    events: Iterable[AnnouncementEvent], origin_asn: int, collector: str
-) -> Iterator[AnnouncementEvent]:
-    for ev in events:
-        if (
-            _usable(ev.kind, ev.ambiguous_origin)
-            and ev.origin_asn == origin_asn
-            and ev.collector == collector
-        ):
-            yield ev
-
-
 def series_from_columns(origin_asn: int, collector: str, timestamps: Iterable[int]) -> EventSeries:
     """The EventSeries of one pair's announcement timestamps, in any order.
 
@@ -526,22 +509,54 @@ def volume_from_columns(
     return VolumeSeries(origin_asn, collector, points)
 
 
+def _columns(groups: dict, key: tuple[int, str], prefixes: bool) -> tuple[list, ...]:
+    """The columns of series `key`, new and empty if it has none yet."""
+    columns = groups.get(key)
+    if columns is None:
+        columns = groups[key] = ([], []) if prefixes else ([],)
+    return columns
+
+
+def _group(groups: dict, rows: Iterable[tuple], prefixes: bool, items: bool = False) -> dict:
+    """Add the usable announcements among `rows` to their series' columns; returns `groups`.
+
+    A row is an item followed by an event's fields in AnnouncementEvent's
+    slot order: a line from _scan_lines, or an event from _event_rows.
+    Each series' columns (see _columns) are in row order; with `items`,
+    the first one holds the items instead of the timestamps.
+    """
+    for item, ts, collector, prefix, kind, origin, _, ambiguous in rows:
+        # Withdrawals and ambiguous origins never contribute to statistics.
+        if kind == ANNOUNCEMENT and not ambiguous:
+            key = (origin, collector)
+            columns = groups.get(key) or _columns(groups, key, prefixes)
+            columns[0].append(item if items else ts)
+            if prefixes:
+                columns[1].append(prefix)
+    return groups
+
+
+_event_fields = attrgetter(*AnnouncementEvent.__slots__)
+
+
+def _event_rows(events: Iterable[AnnouncementEvent]) -> Iterator[tuple]:
+    return ((ev,) + _event_fields(ev) for ev in events)
+
+
 def build_series(
     events: Iterable[AnnouncementEvent], origin_asn: int, collector: str
 ) -> EventSeries:
     """Announcement timestamps for (origin_asn, collector), sorted."""
-    ts = [ev.timestamp for ev in _series_events(events, origin_asn, collector)]
-    return series_from_columns(origin_asn, collector, ts)
+    (timestamps,) = _group({}, _event_rows(events), False).get((origin_asn, collector), ([],))
+    return series_from_columns(origin_asn, collector, timestamps)
 
 
 def build_volume_series(
     events: Iterable[AnnouncementEvent], origin_asn: int, collector: str
 ) -> VolumeSeries:
     """Unique announced prefixes per second for (origin_asn, collector)."""
-    bucket = list(_series_events(events, origin_asn, collector))
-    return volume_from_columns(
-        origin_asn, collector, [ev.timestamp for ev in bucket], [ev.prefix for ev in bucket]
-    )
+    timestamps, prefixes = _group({}, _event_rows(events), True).get((origin_asn, collector), ([], []))
+    return volume_from_columns(origin_asn, collector, timestamps, prefixes)
 
 
 def series_keys(
@@ -553,29 +568,8 @@ def series_keys(
     series from a key's bucket gives the same result as building it from the
     whole event list, at the cost of the bucket instead of the list.
     """
-    groups: dict[tuple[int, str], list[AnnouncementEvent]] = {}
-    for ev in events:
-        if _usable(ev.kind, ev.ambiguous_origin):
-            groups.setdefault((ev.origin_asn, ev.collector), []).append(ev)
-    return {key: groups[key] for key in sorted(groups)}
-
-
-def _columns(groups: dict, key: tuple[int, str], prefixes: bool) -> tuple[list, ...]:
-    """The columns of series `key`, new and empty if it has none yet."""
-    columns = groups.get(key)
-    if columns is None:
-        columns = groups[key] = ([], []) if prefixes else ([],)
-    return columns
-
-
-def _group_fields(groups: dict, fields: Iterator[tuple], prefixes: bool) -> None:
-    """Add the usable announcements among scan_event_lines fields to their columns."""
-    for _, ts, collector, prefix, kind, origin, ambiguous in fields:
-        if _usable(kind, ambiguous):
-            columns = _columns(groups, (origin, collector), prefixes)
-            columns[0].append(ts)
-            if prefixes:
-                columns[1].append(prefix)
+    groups = _group({}, _event_rows(events), False, items=True)
+    return {key: groups[key][0] for key in sorted(groups)}
 
 
 def read_groups(
@@ -595,13 +589,13 @@ def read_groups(
     groups: dict = {}
     known: dict[str, str] = {}
     if not isinstance(source, str):
-        _group_fields(groups, _scan_lines(source, 1, known), prefixes)
+        _group(groups, _scan_lines(source, 1, known), prefixes)
         return {key: groups[key] for key in sorted(groups)}
     by_text: dict[tuple[str, str], tuple[list, ...]] = {}  # (origin text, collector) -> columns
     for start, end, lineno, rows in _text_runs(source, known):
         if rows is None:
             lines = source[start:end].split("\n")
-            _group_fields(groups, _scan_lines(lines, lineno, known), prefixes)
+            _group(groups, _scan_lines(lines, lineno, known), prefixes)
             continue
         for ts, collector, prefix, origin, code, ambiguous in rows:
             if code == "A" and not ambiguous:

@@ -39,12 +39,15 @@ class GeneratorSpec(FrozenRecord):
     ):
         if process not in _PROCESSES:
             raise ValueError(f"unknown process {process!r}")
-        if mean_gap <= 0:
-            raise ValueError("mean_gap must be positive")
+        # Written so that NaN fails each range check.
+        if not 0 < mean_gap < float("inf"):
+            raise ValueError(f"mean_gap must be positive and finite, got {mean_gap}")
         if n_events < 1:
             raise ValueError("n_events must be >= 1")
-        if process == PROCESS_PARETO and pareto_alpha <= 1:
-            raise ValueError("pareto_alpha must exceed 1 for a finite mean")
+        if start_ts < 0 or asn < 0:
+            raise ValueError(f"start_ts and asn must be nonnegative, got {start_ts} and {asn}")
+        if process == PROCESS_PARETO and not 1 < pareto_alpha < float("inf"):
+            raise ValueError("pareto_alpha must exceed 1 for a finite mean, and be finite")
         if not isinstance(collector, str):
             raise ValueError("collector must be a string")
         object.__setattr__(self, "process", process)

@@ -1,13 +1,13 @@
 """Hypothesis strategies for canonical event lines, in and out of writer form.
 
-`event_lines` draws lists of lines that parse_event_lines accepts: most
-are AnnouncementEvent.to_line() output, the rest are the same events
-written another way (escapes, raw non-ASCII, key order, spacing, `\\r`,
-explicit defaults) or blank.  Half of the lists carry one more line at a
-random place that breaks the contract or leaves writer form (leading
-zeros, other JSON types for integers, an announcement without origin, bad
-prefixes, trailing garbage).  Readers must treat every line exactly as
-parse_event_lines does.
+`event_lines` draws lists of lines that the frozen reference reader in
+ref_events.py accepts: most are AnnouncementEvent.to_line() output, the
+rest are the same events written another way (escapes, raw non-ASCII,
+key order, spacing, `\\r`, explicit defaults) or blank.  Half of the
+lists carry one more line at a random place that breaks the contract or
+leaves writer form (leading zeros, other JSON types for integers, an
+announcement without origin, bad prefixes, trailing garbage).  Readers
+must treat every line exactly as the reference reader does.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ REWRITES = [
     lambda line: line.replace('"type":"', '"type" :"', 1),
     lambda line: line[:-1] + ',"ambiguous_origin":false}',
 ]
-# Lines the reader must reject, or take only as parse_event_lines does.
+# Lines the reader must reject, or take only as the reference reader does.
 BREAKS = [
     lambda line: line.replace('"ts":', '"ts":0', 1),
     lambda line: line.replace('"origin_asn":', '"origin_asn":0', 1),

@@ -1,4 +1,5 @@
-"""Differential checks of the MRT decoder, parse_utc and the detectors, with or without pytest.
+"""Differential checks of the MRT decoder, the canonical line reader, parse_utc and the
+detectors, with or without pytest.
 
     PYTHONPATH=src python tests/differential.py [CASES]
 
@@ -6,7 +7,13 @@ The MRT check feeds the golden fixtures of mrt_golden.py and a few edge cases,
 and CASES seeded damaged copies of them, to the package's two routes to writer lines
 (`parse_mrt_updates` with `to_line`, and `ingest`) and to the frozen
 reference decoder in ref_mrt.py.  The lines, the counters and the
-MrtParseError text and offset must be equal.  The time check compares
+MrtParseError text and offset must be equal.  The reader check feeds CASES
+seeded lists of canonical lines (writer form, the same events spelt other
+ways, blank lines, and damaged lines) to `scan_event_lines`,
+`parse_event_lines` and `read_groups` (on the lines, and on their text
+read in runs of a seeded length), and to the frozen reference reader in
+ref_events.py: the fields, the writer-form lines, the columns and the
+error text must be equal.  The time check compares
 `parse_utc` with `reference_utc`, an RFC 3339 reader written without
 regular expressions or datetime, on a few edge texts and CASES seeded
 texts, valid and not.  The detector check runs `detect_events` and
@@ -14,7 +21,7 @@ texts, valid and not.  The detector check runs `detect_events` and
 flags must equal a fold of the public single steps `intensity_update` and
 `ema_update`, bit for bit, and their flags those of ref_detector.py.
 The script prints the mismatches of each and exits 1 if there are any.
-tests/test_mrt.py, tests/test_evaluation.py and tests/test_detector.py run
+tests/test_mrt.py, tests/test_events.py, tests/test_evaluation.py and tests/test_detector.py run
 the same comparisons under hypothesis; the script needs neither pytest nor
 numpy, so it runs on any interpreter the package supports, and so checks
 the float results of each.
@@ -36,7 +43,9 @@ from pathlib import Path
 
 import mrt_golden as golden
 import ref_detector
+import ref_events
 import ref_mrt
+from bgpburst import events
 from bgpburst.cli import main
 from bgpburst.detector import (
     DetectorConfig,
@@ -47,7 +56,7 @@ from bgpburst.detector import (
     intensity_update,
 )
 from bgpburst.evaluation import parse_utc
-from bgpburst.events import EventSeries, VolumeSeries
+from bgpburst.events import EventSeries, VolumeSeries, parse_event_lines, read_groups, scan_event_lines
 from bgpburst.mrt import MrtParseError, parse_mrt_updates
 
 COLLECTOR = "route-views.test"
@@ -155,6 +164,99 @@ def mrt_mismatches(data: bytes) -> list[str]:
     # blank, as canonical lines, not as MRT.
     if data.lstrip()[:1] not in (b"{", b"") and ingest_outcome(data) != expected:
         found.append("ingest")
+    return found
+
+
+CANON_COLLECTORS = ["rrc00", "route-views.linx", "a b", "", 'q"uote', "back\\slash", "tab\t", "é☃"]
+CANON_PREFIXES = [
+    "10.0.0.0/8", "192.0.2.1/24", "0.0.0.0/0", "255.255.255.255/32", "10.0.0.0/255.0.0.0",
+    "1.2.3.4", "2001:db8::/32", "2001:DB8::/32", "::ffff:1.2.3.0/120", "::/0",
+]
+BAD_PREFIXES = ["010.0.0.0/8", "10.0.0.0/33", "2001:db8::/129", "x"]
+
+
+def canonical_event(rng: random.Random, prefixes=CANON_PREFIXES) -> ref_events.RefEvent:
+    withdrawal = rng.random() < 0.3
+    origin = rng.choice([None, 0, 1, 2, 2**32 - 1]) if withdrawal else rng.choice([0, 1, 2, 2**32 - 1])
+    return ref_events.RefEvent(
+        rng.choice([0, 1, rng.randrange(40), rng.randrange(1 << 31)]),
+        rng.choice(CANON_COLLECTORS),
+        rng.choice(prefixes),
+        ref_events.WITHDRAWAL if withdrawal else ref_events.ANNOUNCEMENT,
+        origin,
+        rng.choice([None, None, 0, 64496]),
+        rng.random() < 0.2,
+    )
+
+
+def canonical_line(rng: random.Random) -> str:
+    """A seeded good line: mostly an event in writer form, else the same
+    event spelt another way, or a blank line."""
+    line = canonical_event(rng).to_line()
+    rec = json.loads(line)
+    form = rng.random()
+    if form < 0.7:
+        return line
+    if form < 0.9:
+        return rng.choice([
+            json.dumps(rec, ensure_ascii=False, separators=(",", ":")),
+            json.dumps(rec),
+            json.dumps(dict(reversed(rec.items())), separators=(",", ":")),
+            f"  {line}\r",
+            line.replace(",", ",\r", 1),
+            line[:-1] + ',"ambiguous_origin":false}',
+        ])
+    return rng.choice(["", "  ", "\r"])
+
+
+def damaged_line(rng: random.Random) -> str:
+    """A seeded line that is mostly bad: an event with a bad prefix, or a
+    good line with one character replaced, inserted or deleted."""
+    if rng.random() < 0.2:
+        return canonical_event(rng, BAD_PREFIXES).to_line()
+    line = canonical_line(rng)
+    pos = rng.randrange(len(line) + 1)
+    char = rng.choice('0123456789-:.,{}[]"\\ AWtnx')
+    return rng.choice([
+        line[:pos] + char + line[pos + 1:], line[:pos] + char + line[pos:], line[:pos] + line[pos + 1:],
+    ])
+
+
+def canonical_lines(rng: random.Random) -> list[str]:
+    """Seeded good lines, half of the lists with one damaged line among them."""
+    lines = [canonical_line(rng) for _ in range(rng.randrange(40))]
+    if rng.random() < 0.5:
+        lines.insert(rng.randrange(len(lines) + 1), damaged_line(rng))
+    return lines
+
+
+def _read(read, source):
+    try:
+        return "ok", read(source)
+    except ValueError as exc:
+        return "error", type(exc).__name__, str(exc)
+
+
+def reader_mismatches(rng: random.Random) -> list[str]:
+    """The readers whose outcome on seeded canonical lines differs from the reference reader's."""
+    lines = canonical_lines(rng)
+    fields = _read(lambda ls: [(ev.to_line(), *ev) for ev in ref_events.ref_parse_lines(ls)], lines)
+    found = []
+    if _read(lambda ls: list(scan_event_lines(ls)), lines) != fields:
+        found.append("scan_event_lines")
+    if _read(lambda ls: [(ev.to_line(), *ev.as_dict().values()) for ev in parse_event_lines(ls)], lines) != fields:
+        found.append("parse_event_lines")
+    text = rng.choice(["\n", "\r\n"]).join(lines)
+    chunk, events._CHUNK_CHARS = events._CHUNK_CHARS, rng.choice([1, 60, 400, 1 << 16])
+    try:
+        for prefixes in (True, False):
+            expected = _read(lambda ls: ref_events.ref_groups(ls, prefixes), lines)
+            if _read(lambda ls: read_groups(ls, prefixes), lines) != expected:
+                found.append(f"read_groups lines prefixes={prefixes}")
+            if _read(lambda t: read_groups(t, prefixes), text) != expected:
+                found.append(f"read_groups text prefixes={prefixes}")
+    finally:
+        events._CHUNK_CHARS = chunk
     return found
 
 
@@ -350,21 +452,27 @@ def run(cases: int, seed: int = 0) -> int:
         data = damage(DAMAGE_BASE, edits, rng.randrange(4), rng.randrange(1 << 16), rng.randrange(1 << 16))
         if mrt_mismatches(data):
             mrt_bad.append(data)
+    reader_bad = []
+    for case in range(cases):
+        reader_bad += [(case, name) for name in reader_mismatches(random.Random(f"{seed}:lines:{case}"))]
     utc_texts = UTC_EDGES + [utc_text(rng) for _ in range(cases)]
     utc_bad = [text for text in utc_texts if utc_mismatch(text)]
     detector_bad = []
     for case in range(cases):
         detector_bad += [(case, name) for name in detector_mismatches(random.Random(f"{seed}:{case}"))]
     print(f"mrt: {len(FIXTURES) + cases} inputs, {len(mrt_bad)} mismatches")
+    print(f"canonical reader: {cases} line lists, {len(reader_bad)} mismatches")
     print(f"parse_utc: {len(utc_texts)} texts, {len(utc_bad)} mismatches")
     print(f"detectors: {cases} series, {len(detector_bad)} mismatches")
     for data in mrt_bad[:3]:
         print(f"  mrt input {data.hex()}")
+    for case, name in reader_bad[:10]:
+        print(f"  line list {case}: {name}")
     for text in utc_bad[:10]:
         print(f"  time text {text!r}")
     for case, name in detector_bad[:10]:
         print(f"  detector case {case}: {name}")
-    return 1 if mrt_bad or utc_bad or detector_bad else 0
+    return 1 if mrt_bad or reader_bad or utc_bad or detector_bad else 0
 
 
 if __name__ == "__main__":

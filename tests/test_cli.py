@@ -62,10 +62,11 @@ def output_digests(out_dir):
 
 
 def assert_input_error(code, capsys):
-    """Exit 2 with a one-line `error:` message and no traceback."""
+    """Exit 2 with a one-line `error:` message and no traceback; returns the message."""
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 NON_UTF8_EVENTS = b'{"ts":1,"collector":"c\xff","prefix":"10.0.0.0/8","origin_asn":1,"type":"A"}\n'
@@ -136,6 +137,24 @@ class TestSimulate:
         out = tmp_path / "o"
         assert_input_error(main(["simulate", *map(str, specs), "--out", str(out)]), capsys)
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("part, field, value, message", [
+        ("generator", "mean_gap", "NaN", "mean_gap must be positive and finite"),
+        ("generator", "mean_gap", "1e400", "mean_gap must be positive and finite"),
+        ("generator", "start_ts", "-5", "start_ts and asn must be nonnegative"),
+        ("generator", "asn", "-7", "start_ts and asn must be nonnegative"),
+        ("incident", "burst_gap", "1e400", "bad incident spec: cannot convert float infinity"),
+    ])
+    def test_values_that_fail_in_generation_are_input_errors(
+        self, tmp_path, capsys, part, field, value, message
+    ):
+        spec = write_sim_spec(tmp_path / "spec.json", incident={"start": START, "end": START + 60})
+        doc = json.loads(spec.read_text())
+        doc[part][field] = "VALUE"
+        spec.write_text(json.dumps(doc).replace('"VALUE"', value))
+        out = tmp_path / "o"
+        assert message in assert_input_error(main(["simulate", str(spec), "--out", str(out)]), capsys)
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_non_string_collector_is_input_error(self, tmp_path, capsys):
         spec = write_sim_spec(tmp_path / "spec.json")

@@ -32,6 +32,7 @@ from bgpburst.events import (
     write_volume_csv,
 )
 from canonical_lines import bad_lines, event_lines, good_lines, writer_lines
+from ref_events import ref_groups, ref_parse_lines
 
 
 def _parse(text):
@@ -115,6 +116,11 @@ def _parse_second_line(**changes):
 
 class TestTypeContract:
     """Each field has one JSON type; bool is not an integer here."""
+
+    @pytest.mark.parametrize("fields", [{"origin_asn": -7}, {"origin_asn": 1, "peer_asn": -1}])
+    def test_event_with_a_line_its_reader_rejects_is_not_built(self, fields):
+        with pytest.raises(ValueError, match="negative AS number"):
+            AnnouncementEvent(1, "c", "10.0.0.0/8", ANNOUNCEMENT, **fields)
 
     @pytest.mark.parametrize("field", ["ts", "origin_asn", "peer_asn"])
     @pytest.mark.parametrize("value", [True, False, 1.0, "1"])
@@ -482,38 +488,31 @@ def test_restrict_matches_linear_filter(stamps, start, end):
 
 
 def _outcome(read, lines):
-    """What a reader returns for `lines`, or the type and text of its error."""
+    """What a reader returns for `lines`, or the type name and text of its error."""
     try:
         return read(lines)
     except Exception as exc:  # noqa: BLE001 - the error itself is compared
-        return type(exc), str(exc)
+        return type(exc).__name__, str(exc)
 
 
-def _columns_of_parsed(lines):
-    return {
-        key: ([ev.timestamp for ev in bucket], [ev.prefix for ev in bucket])
-        for key, bucket in series_keys(parse_event_lines(lines)).items()
-    }
-
-
-def _fields_of_parsed(lines):
-    return [
-        (ev.to_line(), ev.timestamp, ev.collector, ev.prefix, ev.kind, ev.origin_asn,
-         ev.ambiguous_origin)
-        for ev in parse_event_lines(lines)
-    ]
+def _fields_of_ref(lines):
+    return [(ev.to_line(), *ev) for ev in ref_parse_lines(lines)]
 
 
 class TestFusedReader:
-    """read_groups and scan_event_lines read every line as parse_event_lines does."""
+    """Every reader reads every line as the frozen reference reader does."""
 
     @settings(max_examples=300, deadline=None)
     @given(event_lines)
-    def test_readers_equal_parse_event_lines(self, lines):
-        assert _outcome(read_groups, lines) == _outcome(_columns_of_parsed, lines)
+    def test_readers_equal_reference(self, lines):
+        assert _outcome(read_groups, lines) == _outcome(ref_groups, lines)
         assert _outcome(lambda ls: list(scan_event_lines(ls)), lines) == _outcome(
-            _fields_of_parsed, lines
+            _fields_of_ref, lines
         )
+        assert _outcome(
+            lambda ls: [(ev.to_line(), *ev.as_dict().values()) for ev in parse_event_lines(ls)],
+            lines,
+        ) == _outcome(_fields_of_ref, lines)
 
     def test_writer_lines_are_passed_through(self):
         events = [
@@ -586,18 +585,18 @@ def _copied(text, collector, asn):
 
 
 def _copied_by_lines(text, collector, asn):
-    """What copy_event_text writes and counts, from the per-line reader."""
-    fields = list(scan_event_lines(text.split("\n")))
+    """What copy_event_text writes and counts, from the reference reader."""
+    events = ref_parse_lines(text.split("\n"))
     kept = [
-        row for row in fields
-        if (collector is None or row[2] == collector) and (asn is None or row[5] == asn)
+        ev for ev in events
+        if (collector is None or ev.collector == collector) and (asn is None or ev.origin_asn == asn)
     ]
-    text = "".join(row[0] + "\n" for row in kept)
-    return text, (len(fields), len(kept), sum(row[4] == ANNOUNCEMENT for row in kept))
+    text = "".join(ev.to_line() + "\n" for ev in kept)
+    return text, (len(events), len(kept), sum(ev.kind == ANNOUNCEMENT for ev in kept))
 
 
 class TestChunkScanner:
-    """A text read in runs of whole lines gives what its lines give one by one."""
+    """A text read in runs of whole lines gives what the reference reader gives."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -609,9 +608,9 @@ class TestChunkScanner:
         lines = text.split("\n")
         with mock.patch.object(events, "_CHUNK_CHARS", chunk):
             for prefixes in (True, False):
-                assert _outcome(lambda t: read_groups(t, prefixes), text) == _outcome(
-                    lambda ls: read_groups(ls, prefixes), lines
-                )
+                expected = _outcome(lambda ls: ref_groups(ls, prefixes), lines)
+                assert _outcome(lambda t: read_groups(t, prefixes), text) == expected
+                assert _outcome(lambda ls: read_groups(ls, prefixes), lines) == expected
             assert _outcome(lambda t: _copied(t, *filters), text) == _outcome(
                 lambda t: _copied_by_lines(t, *filters), text
             )

@@ -73,6 +73,20 @@ class TestGenerateStream:
         with pytest.raises(ValueError):
             GeneratorSpec("pareto", 300, 10, 0, 1, "c", 0, pareto_alpha=1.0)
 
+    @pytest.mark.parametrize("mean_gap, start_ts, asn, alpha, message", [
+        (float("nan"), 0, 1, 1.5, "mean_gap must be positive and finite"),
+        (float("inf"), 0, 1, 1.5, "mean_gap must be positive and finite"),
+        (300.0, -5, 1, 1.5, "start_ts and asn must be nonnegative"),
+        (300.0, 0, -7, 1.5, "start_ts and asn must be nonnegative"),
+        (300.0, 0, 1, float("nan"), "pareto_alpha must exceed 1"),
+        (300.0, 0, 1, float("inf"), "pareto_alpha must exceed 1"),
+    ])
+    def test_values_that_fail_in_generation_are_rejected_up_front(
+        self, mean_gap, start_ts, asn, alpha, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec("pareto", mean_gap, 10, start_ts, asn, "c", 0, pareto_alpha=alpha)
+
 
 class TestInjectIncident:
     def background(self):
