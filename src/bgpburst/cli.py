@@ -40,9 +40,10 @@ from .detector import (
     CONFIG_KEYS,
     AnomalyReport,
     DetectorConfig,
-    load_config_file,
     detect_events,
     detect_volume,
+    parse_config,
+    real_number,
     whole_number,
     write_trace_csv,
 )
@@ -57,12 +58,15 @@ from .evaluation import (
 )
 from .events import (
     ANNOUNCEMENT,
+    INT_DIGITS,
+    INT_LIMIT,
     WITHDRAWAL,
     EventFormatError,
     copy_event_text,
     line_parts,
     read_groups,
     series_from_columns,
+    utf8_text,
     volume_from_columns,
     write_event_lines,
 )
@@ -195,12 +199,15 @@ class Manifest:
             partial.unlink(missing_ok=True)
 
 
-_UNIX_SECONDS = re.compile(r"-?[0-9]+")
+_UNIX_SECONDS = re.compile(r"-?([0-9]+)")
 
 
 def _parse_time(text: str) -> int:
     text = text.strip()
-    if _UNIX_SECONDS.fullmatch(text):
+    seconds = _UNIX_SECONDS.fullmatch(text)
+    if seconds is not None:
+        if len(seconds[1]) > INT_DIGITS:
+            raise CliError(f"cannot parse time {reprlib.repr(text)}: more than {INT_DIGITS} digits")
         return int(text)
     try:
         return parse_utc(text)
@@ -235,14 +242,16 @@ def _safe_name(text: str) -> str:
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in text)
 
 
-def _resolve_detector_config(args) -> tuple[DetectorConfig, dict]:
-    """Defaults, then config file, then command-line overrides."""
+def _resolve_detector_config(args, manifest: Manifest) -> tuple[DetectorConfig, dict]:
+    """Defaults, then config file (a recorded input), then command-line overrides."""
     settings: dict = {}
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
+        path = Path(config_path)
+        text = _decode_utf8(path, manifest.read(path))
         try:
-            settings.update(load_config_file(config_path))
-        except (OSError, ValueError) as exc:
+            settings.update(parse_config(text))
+        except ValueError as exc:
             raise CliError(f"config file {config_path}: {exc}") from exc
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
@@ -314,6 +323,8 @@ def _ingest_input(manifest: Manifest, path: Path, args, fh) -> tuple[dict, int, 
 
 
 def cmd_ingest(args, manifest: Manifest) -> int:
+    if args.collector is not None and not utf8_text(args.collector):
+        raise CliError(f"--collector {args.collector!r} is not UTF-8 text")
     manifest.doc["config"] = {"asn": args.asn, "collector": args.collector}
     per_input = []
     written = announcements = 0
@@ -376,7 +387,7 @@ def _check_report_names(keys: list[tuple[int, str]]) -> None:
 
 
 def cmd_detect(args, manifest: Manifest) -> int:
-    config, snapshot = _resolve_detector_config(args)
+    config, snapshot = _resolve_detector_config(args, manifest)
     manifest.doc["config"] = snapshot
     groups = _load_groups(manifest, Path(args.events))
 
@@ -477,7 +488,7 @@ def cmd_analyze(args, manifest: Manifest) -> int:
     for i, asn in enumerate(args.target_asn):
         if asn in args.target_asn[:i]:
             raise CliError(f"--target-asn names AS{asn} more than once")
-    min_events = _resolve_detector_config(args)[0].min_events
+    min_events = _resolve_detector_config(args, manifest)[0].min_events
     try:
         check_null_test_settings(args.k, args.alpha_sig)
     except ValueError as exc:
@@ -553,16 +564,22 @@ def cmd_analyze(args, manifest: Manifest) -> int:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, int) and not isinstance(value, bool) and -INT_LIMIT < value < INT_LIMIT
 
 
+_OF_DIGITS = f" of at most {INT_DIGITS} digits"
 # Report field -> (what it must be, its check).
 REPORT_FIELDS = {
-    "detector": ("a string", lambda v: isinstance(v, str)),
-    "origin_asn": ("an integer", _is_int),
-    "collector": ("a string", lambda v: isinstance(v, str)),
-    "span": ("a pair of integers", lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))),
-    "anomalous_timestamps": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "detector": ("a string without lone surrogates", utf8_text),
+    "origin_asn": (f"an integer{_OF_DIGITS}", _is_int),
+    "collector": ("a string without lone surrogates", utf8_text),
+    "span": (
+        f"a pair of integers{_OF_DIGITS}",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+    ),
+    "anomalous_timestamps": (
+        f"a list of integers{_OF_DIGITS}", lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    ),
 }
 
 
@@ -633,30 +650,32 @@ def _spec_from_doc(doc: dict, default_seed: int | None) -> tuple[GeneratorSpec, 
     try:
         spec = GeneratorSpec(
             process=gen["process"],
-            mean_gap=float(gen["mean_gap"]),
-            n_events=int(gen["n_events"]),
-            start_ts=int(gen["start_ts"]),
-            asn=int(gen["asn"]),
+            mean_gap=real_number("mean_gap", gen["mean_gap"]),
+            n_events=whole_number("n_events", gen["n_events"]),
+            start_ts=whole_number("start_ts", gen["start_ts"]),
+            asn=whole_number("asn", gen["asn"]),
             collector=gen["collector"],
-            seed=int(gen.get("seed", default_seed if default_seed is not None else 0)),
-            pareto_alpha=float(gen.get("pareto_alpha", 1.5)),
+            seed=whole_number("seed", gen.get("seed", default_seed or 0)),
+            pareto_alpha=real_number("pareto_alpha", gen.get("pareto_alpha", 1.5)),
         )
     except KeyError as exc:
         raise CliError(f"generator spec missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of an infinity
+    except (TypeError, ValueError) as exc:
         raise CliError(f"bad generator spec: {exc}") from exc
     incident = None
     if incident_doc is not None:
         try:
             incident = IncidentSpec(
-                start=int(incident_doc["start"]),
-                end=int(incident_doc["end"]),
-                burst_gap=int(incident_doc.get("burst_gap", 1)),
-                prefixes_per_second=int(incident_doc.get("prefixes_per_second", 1)),
+                start=whole_number("start", incident_doc["start"]),
+                end=whole_number("end", incident_doc["end"]),
+                burst_gap=whole_number("burst_gap", incident_doc.get("burst_gap", 1)),
+                prefixes_per_second=whole_number(
+                    "prefixes_per_second", incident_doc.get("prefixes_per_second", 1)
+                ),
             )
         except KeyError as exc:
             raise CliError(f"incident spec missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise CliError(f"bad incident spec: {exc}") from exc
     return spec, incident
 
@@ -670,12 +689,12 @@ def cmd_simulate(args, manifest: Manifest) -> int:
         if not isinstance(doc, dict):
             raise CliError(f"{spec_path}: spec must be a JSON object")
         spec, incident = _spec_from_doc(doc, args.seed)
-        events = generate_stream(spec)
-        if incident is not None:
-            try:
+        try:
+            events = generate_stream(spec)
+            if incident is not None:
                 events = inject_incident_events(events, incident)
-            except ValueError as exc:
-                raise CliError(f"{spec_path}: {exc}") from exc
+        except ValueError as exc:
+            raise CliError(f"{spec_path}: {exc}") from exc
         name = f"{spec_path.stem}.jsonl"
         with manifest.output(name) as fh:
             written = write_event_lines(events, fh)

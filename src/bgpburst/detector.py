@@ -15,11 +15,10 @@ import json
 import math
 from itertools import compress, islice, repeat
 from operator import lt, mul, sub
-from pathlib import Path
 from typing import IO, NamedTuple, Sequence
 
 from .burstiness import DEFAULT_MIN_EVENTS
-from .events import EventSeries, FrozenRecord, VolumeSeries
+from .events import INT_DIGITS, INT_LIMIT, EventSeries, FrozenRecord, VolumeSeries
 
 DEFAULT_DECAY = 1.0 / 300.0
 DEFAULT_WINDOW = 200
@@ -39,10 +38,22 @@ def _number(name: str, value):
 
 def whole_number(name: str, value) -> int:
     """An untrusted setting as an int: ints and integral floats (200.0 from a
-    key=value file) pass; booleans, fractions and non-numbers raise ValueError."""
+    key=value file) of at most INT_DIGITS digits pass; booleans, fractions,
+    longer numbers and non-numbers raise ValueError."""
     if isinstance(_number(name, value), float) and not value.is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not -INT_LIMIT < value < INT_LIMIT:
+        raise ValueError(f"{name} must have at most {INT_DIGITS} digits")
     return int(value)
+
+
+def real_number(name: str, value) -> float:
+    """An untrusted setting as a float: ints and floats pass; booleans,
+    non-numbers and ints beyond a float's range raise ValueError."""
+    try:
+        return float(_number(name, value))
+    except OverflowError as exc:
+        raise ValueError(f"{name} is out of range") from exc
 
 
 class DetectorConfig(FrozenRecord):
@@ -89,7 +100,8 @@ class DetectorConfig(FrozenRecord):
     def from_mapping(cls, mapping: dict) -> "DetectorConfig":
         """Build from untrusted settings: keys must be fields, values numbers.
 
-        Integer fields go through whole_number, so 200.0 passes and 200.9 fails.
+        Integer fields go through whole_number, so 200.0 passes and 200.9
+        fails, and the others through real_number.
         """
         unknown = set(mapping) - set(CONFIG_KEYS)
         if unknown:
@@ -98,14 +110,8 @@ class DetectorConfig(FrozenRecord):
         for name in CONFIG_KEYS:
             if name not in mapping:
                 continue
-            value = mapping[name]
-            if name in cls.INTEGER_KEYS:
-                kwargs[name] = whole_number(name, value)
-            else:
-                try:
-                    kwargs[name] = float(_number(name, value))
-                except OverflowError as exc:
-                    raise ValueError(f"{name} is out of range") from exc
+            number = whole_number if name in cls.INTEGER_KEYS else real_number
+            kwargs[name] = number(name, mapping[name])
         return cls(**kwargs)
 
 
@@ -123,16 +129,14 @@ def _parse_scalar(text: str) -> float:
     return float(text)
 
 
-def load_config_file(path: str | Path) -> dict:
-    """Read detector settings from JSON or flat key=value lines.
+def parse_config(text: str) -> dict:
+    """Detector settings from the text of a config file: JSON or flat key=value lines.
 
     The keys are CONFIG_KEYS; the settings are checked with
     DetectorConfig.from_mapping before they are returned.  Fractions like
     r=1/300 are accepted in the flat format.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             raw = json.loads(text)
         except RecursionError as exc:
@@ -196,16 +200,16 @@ class AnomalyReport(FrozenRecord):
 
 def _band_report(
     series: EventSeries | VolumeSeries,
-    timestamps: Sequence[int],
     values: Sequence[float],
     config: DetectorConfig,
     collect_trace: bool,
 ) -> AnomalyReport:
     """Flag the values at or above the upper moving band: the shared core.
 
-    values[0] only seeds the series and is never observed.  The band is
-    compared against the mean and deviation that already include the current
-    value; flags are suppressed while the index is at most config.warmup.
+    values[i] is observed at series.timestamps[i]; values[0] only seeds the
+    series and is never observed.  The band is compared against the mean and
+    deviation that already include the current value; flags are suppressed
+    while the index is at most config.warmup.
     """
     # ema_update and max(sigma, floor) inlined, with the same operations in
     # the same order, so the flags and trace rows are bit-identical to them.
@@ -219,7 +223,7 @@ def _band_report(
     flagged: set[int] = set()
     trace: list[TraceRow] | None = [] if collect_trace else None
     t = 0
-    for ts, y in islice(zip(timestamps, values), 1, None):
+    for ts, y in islice(zip(series.timestamps, values), 1, None):
         t += 1
         var = b * (var + a * (y - mean) ** 2)
         mean = a * y + b * mean
@@ -262,7 +266,7 @@ def detect_events(
     for f in map(pow, repeat(2.0), map(mul, repeat(-config.r), gaps)):
         q = 1.0 + f * q
         append(q)
-    return _band_report(series, ts, intensities, config, collect_trace)
+    return _band_report(series, intensities, config, collect_trace)
 
 
 def detect_volume(
@@ -273,8 +277,7 @@ def detect_volume(
     """Apply the same band criterion directly to per-second prefix counts."""
     if config is None:
         config = DetectorConfig()
-    counts = list(map(float, volume.counts()))
-    return _band_report(volume, volume.timestamps(), counts, config, collect_trace)
+    return _band_report(volume, list(map(float, volume.counts)), config, collect_trace)
 
 
 def write_trace_csv(report: AnomalyReport, out: IO[str]) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping
 
 from .detector import AnomalyReport, whole_number
-from .events import FrozenRecord
+from .events import FrozenRecord, utf8_text
 
 DEFAULT_BIN_SECONDS = 10800  # 3 hours
 
@@ -107,9 +107,12 @@ def load_incidents(
         if not isinstance(item, dict):
             raise ConfigurationError(f"bad incident entry {item!r}: expected an object")
         try:
+            name = item["name"]
+            if not utf8_text(name):
+                raise ValueError("name must be a string without lone surrogates")
             windows.append(
                 IncidentWindow(
-                    name=item["name"],
+                    name=name,
                     perpetrator_asn=whole_number("asn", item["asn"]),
                     start=parse_utc(item["start_utc"]),
                     end=parse_utc(item["end_utc"]),

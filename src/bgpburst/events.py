@@ -18,8 +18,8 @@ import re
 # socket's own functions, from its C module: socket.py builds enums on import.
 from _socket import AF_INET6, inet_ntop, inet_pton
 from bisect import bisect_left
-from itertools import islice
-from operator import attrgetter, countOf, gt, itemgetter
+from itertools import compress, islice, repeat
+from operator import attrgetter, countOf, ge, gt, itemgetter
 from typing import IO, Iterable, Iterator
 
 ANNOUNCEMENT = "announcement"
@@ -31,6 +31,21 @@ _CODE_KIND = {"A": ANNOUNCEMENT, "W": WITHDRAWAL}
 
 class EventFormatError(ValueError):
     """A canonical event line is missing fields or cannot be parsed."""
+
+
+# Integers read from outside the program (timestamps, AS numbers, times and
+# settings) have at most INT_DIGITS digits: int() refuses a text of over
+# 4300 digits, and float() an int of over 308.
+INT_DIGITS = 18
+INT_LIMIT = 10**INT_DIGITS
+_OF_DIGITS = f" of at most {INT_DIGITS} digits"
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def utf8_text(value) -> bool:
+    """Whether `value` is a str that UTF-8 can encode: one without a lone
+    surrogate, as JSON's "\\ud800" and a non-UTF-8 byte in argv decode to."""
+    return isinstance(value, str) and (value.isascii() or _SURROGATE.search(value) is None)
 
 
 # Dotted-quad IPv4 prefixes in the form every writer emits: octets 0-255
@@ -222,31 +237,27 @@ _set_series_origin_asn, _set_series_collector, _set_series_timestamps = (
 
 
 class VolumeSeries(FrozenRecord):
-    """Per-second unique announced prefix counts for one (origin AS, collector)."""
+    """Per-second unique announced prefix counts for one (origin AS, collector), as columns."""
 
-    __slots__ = ("origin_asn", "collector", "points")  # points: (timestamp, unique prefix count)
+    __slots__ = ("origin_asn", "collector", "timestamps", "counts")
 
-    def __init__(self, origin_asn: int, collector: str, points: tuple[tuple[int, int], ...]):
-        # A plain loop: unpacking each pair here is as fast as map-based checks.
-        prev = None
-        for ts, count in points:
-            if count < 1:
-                raise ValueError(f"volume count {count} < 1 at ts {ts}")
-            if prev is not None and ts <= prev:
-                raise ValueError("volume timestamps must be strictly increasing")
-            prev = ts
+    def __init__(
+        self, origin_asn: int, collector: str, timestamps: tuple[int, ...], counts: tuple[int, ...]
+    ):
+        if len(timestamps) != len(counts):
+            raise ValueError(f"{len(timestamps)} volume timestamps but {len(counts)} counts")
+        if min(counts, default=1) < 1:
+            ts, count = next(compress(zip(timestamps, counts), map(gt, repeat(1), counts)))
+            raise ValueError(f"volume count {count} < 1 at ts {ts}")
+        if any(map(ge, timestamps, islice(timestamps, 1, None))):
+            raise ValueError("volume timestamps must be strictly increasing")
         object.__setattr__(self, "origin_asn", origin_asn)
         object.__setattr__(self, "collector", collector)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "timestamps", timestamps)
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def timestamps(self) -> tuple[int, ...]:
-        return tuple(map(itemgetter(0), self.points))
-
-    def counts(self) -> tuple[int, ...]:
-        return tuple(map(itemgetter(1), self.points))
+        return len(self.timestamps)
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -272,6 +283,8 @@ def _parse_line(line: str, lineno: int) -> tuple[int, str, str, str, int | None,
         rec = _load_record(line)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise EventFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # json's int() of over 4300 digits
+        raise EventFormatError(f"line {lineno}: an integer has more than {INT_DIGITS} digits") from exc
     if not isinstance(rec, dict):
         raise EventFormatError(f"line {lineno}: expected an object")
     try:
@@ -283,10 +296,10 @@ def _parse_line(line: str, lineno: int) -> tuple[int, str, str, str, int | None,
         raise EventFormatError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
     # type() rather than isinstance(): JSON true/false decode to bool,
     # which is an int subclass.
-    if type(ts) is not int or ts < 0:
-        raise EventFormatError(f"line {lineno}: ts must be a nonnegative integer")
-    if type(collector) is not str:
-        raise EventFormatError(f"line {lineno}: collector must be a string")
+    if type(ts) is not int or not 0 <= ts < INT_LIMIT:
+        raise EventFormatError(f"line {lineno}: ts must be a nonnegative integer{_OF_DIGITS}")
+    if not utf8_text(collector):
+        raise EventFormatError(f"line {lineno}: collector must be a string without lone surrogates")
     if type(prefix) is not str:
         raise EventFormatError(f"line {lineno}: prefix must be a string")
     kind = _CODE_KIND.get(code) if type(code) is str else None
@@ -295,11 +308,11 @@ def _parse_line(line: str, lineno: int) -> tuple[int, str, str, str, int | None,
     origin = rec.get("origin_asn")
     if kind == ANNOUNCEMENT and origin is None:
         raise EventFormatError(f"line {lineno}: missing field 'origin_asn'")
-    if origin is not None and (type(origin) is not int or origin < 0):
-        raise EventFormatError(f"line {lineno}: origin_asn must be a nonnegative integer")
+    if origin is not None and (type(origin) is not int or not 0 <= origin < INT_LIMIT):
+        raise EventFormatError(f"line {lineno}: origin_asn must be a nonnegative integer{_OF_DIGITS}")
     peer = rec.get("peer_asn")
-    if peer is not None and (type(peer) is not int or peer < 0):
-        raise EventFormatError(f"line {lineno}: peer_asn must be a nonnegative integer")
+    if peer is not None and (type(peer) is not int or not 0 <= peer < INT_LIMIT):
+        raise EventFormatError(f"line {lineno}: peer_asn must be a nonnegative integer{_OF_DIGITS}")
     ambiguous = rec.get("ambiguous_origin", False)
     if type(ambiguous) is not bool:
         raise EventFormatError(f"line {lineno}: ambiguous_origin must be true or false")
@@ -313,8 +326,8 @@ def _parse_line(line: str, lineno: int) -> tuple[int, str, str, str, int | None,
 # One line exactly as AnnouncementEvent.to_line writes it, with %s for the
 # pattern of its peer_asn.  json.dumps escapes `"`, `\`, control characters
 # and non-ASCII, so an unescaped printable-ASCII string decodes to its own
-# text; integers carry no sign or leading zero.
-_INT = r"(?:[1-9][0-9]*|0)"
+# text; integers carry no sign or leading zero, and have at most INT_DIGITS.
+_INT = rf"(?:[1-9][0-9]{{0,{INT_DIGITS - 1}}}|0)"
 _TEXT = r'[ !#-\[\]-~]*'
 _WRITER_FORM = (
     rf'\{{"ts":({_INT}),"collector":"({_TEXT})"(?:,"peer_asn":%s)?,'
@@ -505,8 +518,9 @@ def volume_from_columns(
             per_second[ts] = {prefix}
         else:
             seen.add(prefix)
-    points = tuple((ts, len(per_second[ts])) for ts in sorted(per_second))
-    return VolumeSeries(origin_asn, collector, points)
+    stamps = sorted(per_second)
+    counts = tuple(map(len, map(per_second.__getitem__, stamps)))
+    return VolumeSeries(origin_asn, collector, tuple(stamps), counts)
 
 
 def _columns(groups: dict, key: tuple[int, str], prefixes: bool) -> tuple[list, ...]:
@@ -612,5 +626,5 @@ def read_groups(
 
 def write_volume_csv(volume: VolumeSeries, out: IO[str]) -> None:
     out.write("ts,count\n")
-    for ts, count in volume.points:
+    for ts, count in zip(volume.timestamps, volume.counts):
         out.write(f"{ts},{count}\n")

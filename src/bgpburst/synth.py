@@ -12,7 +12,15 @@ from __future__ import annotations
 
 import random
 
-from .events import ANNOUNCEMENT, AnnouncementEvent, EventSeries, FrozenRecord
+from .events import (
+    ANNOUNCEMENT,
+    INT_DIGITS,
+    INT_LIMIT,
+    AnnouncementEvent,
+    EventSeries,
+    FrozenRecord,
+    utf8_text,
+)
 
 PROCESS_REGULAR = "regular"
 PROCESS_POISSON = "poisson"
@@ -48,8 +56,8 @@ class GeneratorSpec(FrozenRecord):
             raise ValueError(f"start_ts and asn must be nonnegative, got {start_ts} and {asn}")
         if process == PROCESS_PARETO and not 1 < pareto_alpha < float("inf"):
             raise ValueError("pareto_alpha must exceed 1 for a finite mean, and be finite")
-        if not isinstance(collector, str):
-            raise ValueError("collector must be a string")
+        if not utf8_text(collector):
+            raise ValueError("collector must be a string without lone surrogates")
         object.__setattr__(self, "process", process)
         object.__setattr__(self, "mean_gap", mean_gap)
         object.__setattr__(self, "n_events", n_events)
@@ -102,13 +110,18 @@ def _gap_sampler(spec: GeneratorSpec, rng: random.Random):
 
 
 def generate_timestamps(spec: GeneratorSpec) -> tuple[int, ...]:
-    """n_events whole-second timestamps; the first lands on start_ts."""
+    """n_events whole-second timestamps; the first lands on start_ts.
+
+    Raises ValueError when one would have more than INT_DIGITS digits.
+    """
     rng = random.Random(spec.seed)
     sample = _gap_sampler(spec, rng)
     t = float(spec.start_ts)
     out = [spec.start_ts]
     for _ in range(spec.n_events - 1):
         t += sample()
+        if not t < INT_LIMIT:  # and so finite: a float sum of huge gaps reaches infinity
+            raise ValueError(f"timestamps pass {INT_DIGITS} digits; lower mean_gap or n_events")
         out.append(int(round(t)))
     return tuple(out)
 

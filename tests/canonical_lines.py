@@ -5,7 +5,8 @@ ref_events.py accepts: most are AnnouncementEvent.to_line() output, the
 rest are the same events written another way (escapes, raw non-ASCII,
 key order, spacing, `\\r`, explicit defaults) or blank.  Half of the
 lists carry one more line at a random place that breaks the contract or
-leaves writer form (leading zeros, other JSON types for integers, an
+leaves writer form (leading zeros, other JSON types for integers,
+integers of 18 digits and more, a lone surrogate in the collector, an
 announcement without origin, bad prefixes, trailing garbage).  Readers
 must treat every line exactly as the reference reader does.
 """
@@ -88,6 +89,13 @@ BREAKS = [
     _set("ts", True),
     _set("ts", 1.0),
     _set("ts", -1),
+    _set("ts", 10**18 - 1),
+    _set("ts", 10**18),
+    _set("ts", 10**400),
+    lambda line: line.replace('"ts":', '"ts":' + "9" * 5000, 1),
+    _set("origin_asn", 10**18),
+    _set("peer_asn", 10**19),
+    _set("collector", "c\ud800"),
     _set("origin_asn", 1.0),
     _set("origin_asn", True),
     _set("peer_asn", False),

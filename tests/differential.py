@@ -210,11 +210,18 @@ def canonical_line(rng: random.Random) -> str:
 
 
 def damaged_line(rng: random.Random) -> str:
-    """A seeded line that is mostly bad: an event with a bad prefix, or a
-    good line with one character replaced, inserted or deleted."""
-    if rng.random() < 0.2:
+    """A seeded line that is mostly bad: an event with a bad prefix, a good
+    line with digits put before its ts or a lone surrogate in its collector,
+    or a good line with one character replaced, inserted or deleted."""
+    roll = rng.random()
+    if roll < 0.2:
         return canonical_event(rng, BAD_PREFIXES).to_line()
     line = canonical_line(rng)
+    if roll < 0.3:
+        digits = "9" * rng.choice([17, 18, 400, 5000])
+        return rng.choice([
+            line.replace('"ts":', f'"ts":{digits}', 1), line.replace('"collector":"', '"collector":"\\ud800', 1),
+        ])
     pos = rng.randrange(len(line) + 1)
     char = rng.choice('0123456789-:.,{}[]"\\ AWtnx')
     return rng.choice([
@@ -424,12 +431,11 @@ def detector_mismatches(rng: random.Random) -> list[str]:
     top = rng.choice([2, 40, 10**4])
     counts = [rng.randrange(1, top) for _ in range(rng.randrange(len(ts) + 1))]
     stamps = [60 * i for i in range(len(counts))]
-    points = tuple(zip(stamps, counts))
     found = []
     events = detect_events(EventSeries(1, "c", tuple(ts)), config, collect_trace=True)
     if step_mismatch(events, ts, step_intensities(ts, config.r), config):
         found.append("detect_events trace")
-    volume = detect_volume(VolumeSeries(1, "c", points), config, collect_trace=True)
+    volume = detect_volume(VolumeSeries(1, "c", tuple(stamps), tuple(counts)), config, collect_trace=True)
     if step_mismatch(volume, stamps, list(map(float, counts)), config):
         found.append("detect_volume trace")
     # The reference has no warmup and no variance floor.
@@ -438,7 +444,7 @@ def detector_mismatches(rng: random.Random) -> list[str]:
     events = detect_events(EventSeries(1, "c", tuple(ts)), bare, collect_trace=True)
     if flag_indices(events) != ref_detector.ref_detect(ts, config.r, **band):
         found.append("detect_events flags")
-    volume = detect_volume(VolumeSeries(1, "c", points), bare, collect_trace=True)
+    volume = detect_volume(VolumeSeries(1, "c", tuple(stamps), tuple(counts)), bare, collect_trace=True)
     if flag_indices(volume) != ref_detector.ref_detect_values(counts, **band):
         found.append("detect_volume flags")
     return found

@@ -3,7 +3,9 @@ JSON reader from before every reader was built on its line scanner, kept
 as an oracle for it.
 
 Deliberately written without importing the package.  Each stripped,
-nonblank line is decoded with json and checked field by field; prefixes
+nonblank line is decoded with json and checked field by field, with the
+two input rules added since (integers of at most 18 digits, a collector
+without lone surrogates) spelt out here on their own; prefixes
 are checked by ipaddress alone, which the package's faster prefix checks
 must agree with.  `ref_parse_lines` returns the events, `ref_groups`
 their usable announcements as per-series columns, and RefEvent.to_line
@@ -20,6 +22,21 @@ from typing import NamedTuple
 ANNOUNCEMENT = "announcement"
 WITHDRAWAL = "withdrawal"
 _CODE_KIND = {"A": ANNOUNCEMENT, "W": WITHDRAWAL}
+# Integers have at most 18 digits; strings must be encodable as UTF-8.
+_DIGITS = 18
+_OF_DIGITS = f" of at most {_DIGITS} digits"
+
+
+def _bounded(value) -> bool:
+    return type(value) is int and 0 <= value < 10**_DIGITS
+
+
+def _utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 class EventFormatError(ValueError):
@@ -67,6 +84,8 @@ def _parse_line(line: str, lineno: int) -> RefEvent:
         rec = _load_record(line)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise EventFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer of over 4300 digits
+        raise EventFormatError(f"line {lineno}: an integer has more than {_DIGITS} digits") from exc
     if not isinstance(rec, dict):
         raise EventFormatError(f"line {lineno}: expected an object")
     try:
@@ -76,10 +95,10 @@ def _parse_line(line: str, lineno: int) -> RefEvent:
         code = rec["type"]
     except KeyError as exc:
         raise EventFormatError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
-    if type(ts) is not int or ts < 0:
-        raise EventFormatError(f"line {lineno}: ts must be a nonnegative integer")
-    if type(collector) is not str:
-        raise EventFormatError(f"line {lineno}: collector must be a string")
+    if not _bounded(ts):
+        raise EventFormatError(f"line {lineno}: ts must be a nonnegative integer{_OF_DIGITS}")
+    if type(collector) is not str or not _utf8(collector):
+        raise EventFormatError(f"line {lineno}: collector must be a string without lone surrogates")
     if type(prefix) is not str:
         raise EventFormatError(f"line {lineno}: prefix must be a string")
     kind = _CODE_KIND.get(code) if type(code) is str else None
@@ -88,11 +107,11 @@ def _parse_line(line: str, lineno: int) -> RefEvent:
     origin = rec.get("origin_asn")
     if kind == ANNOUNCEMENT and origin is None:
         raise EventFormatError(f"line {lineno}: missing field 'origin_asn'")
-    if origin is not None and (type(origin) is not int or origin < 0):
-        raise EventFormatError(f"line {lineno}: origin_asn must be a nonnegative integer")
+    if origin is not None and not _bounded(origin):
+        raise EventFormatError(f"line {lineno}: origin_asn must be a nonnegative integer{_OF_DIGITS}")
     peer = rec.get("peer_asn")
-    if peer is not None and (type(peer) is not int or peer < 0):
-        raise EventFormatError(f"line {lineno}: peer_asn must be a nonnegative integer")
+    if peer is not None and not _bounded(peer):
+        raise EventFormatError(f"line {lineno}: peer_asn must be a nonnegative integer{_OF_DIGITS}")
     ambiguous = rec.get("ambiguous_origin", False)
     if type(ambiguous) is not bool:
         raise EventFormatError(f"line {lineno}: ambiguous_origin must be true or false")

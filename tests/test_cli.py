@@ -143,7 +143,16 @@ class TestSimulate:
         ("generator", "mean_gap", "1e400", "mean_gap must be positive and finite"),
         ("generator", "start_ts", "-5", "start_ts and asn must be nonnegative"),
         ("generator", "asn", "-7", "start_ts and asn must be nonnegative"),
-        ("incident", "burst_gap", "1e400", "bad incident spec: cannot convert float infinity"),
+        ("incident", "burst_gap", "1e400", "bad incident spec: burst_gap must be an integer, got inf"),
+        ("generator", "mean_gap", "1e308", "timestamps pass 18 digits"),
+        ("generator", "mean_gap", '"600"', "mean_gap must be a number, got '600'"),
+        ("generator", "n_events", "5.9", "n_events must be an integer, got 5.9"),
+        ("generator", "start_ts", '"100"', "start_ts must be a number, got '100'"),
+        ("generator", "asn", "true", "asn must be a number, got True"),
+        ("generator", "seed", "1" + "0" * 18, "seed must have at most 18 digits"),
+        ("generator", "collector", '"c\\ud800"', "collector must be a string without lone surrogates"),
+        ("incident", "end", "9" * 19, "end must have at most 18 digits"),
+        ("incident", "prefixes_per_second", "2.5", "prefixes_per_second must be an integer, got 2.5"),
     ])
     def test_values_that_fail_in_generation_are_input_errors(
         self, tmp_path, capsys, part, field, value, message
@@ -241,6 +250,33 @@ class TestIngest:
         code = main(["ingest", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ts", "1" + "0" * 5000, "line 2: an integer has more than 18 digits"),
+            ("ts", "1" + "0" * 400, "line 2: ts must be a nonnegative integer of at most 18 digits"),
+            ("ts", "1" + "0" * 18, "line 2: ts must be a nonnegative integer of at most 18 digits"),
+            ("origin_asn", "1" + "0" * 18, "line 2: origin_asn must be a nonnegative integer of at most 18 digits"),
+            ("collector", '"c\\ud800"', "line 2: collector must be a string without lone surrogates"),
+        ],
+        ids=["ts-5001-digits", "ts-401-digits", "ts-19-digits", "origin-19-digits", "lone-surrogate"],
+    )
+    def test_values_out_of_the_input_rules_are_input_errors(self, tmp_path, capsys, field, value, message):
+        good = {"ts": 1, "collector": "c", "prefix": "10.0.0.0/8", "origin_asn": 1, "type": "A"}
+        bad = json.dumps({**good, field: "VALUE"}, separators=(",", ":")).replace('"VALUE"', value)
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps(good, separators=(",", ":")) + "\n" + bad + "\n")
+        for argv in (["ingest"], ["detect"], ["analyze", "--window", "0", "10"]):
+            code = main([*argv, str(events), "--out", str(tmp_path / argv[0])])
+            assert assert_input_error(code, capsys) == f"error: {events}: {message}\n"
+
+    def test_collector_that_is_not_utf8_is_input_error(self, sim_events, tmp_path, capsys):
+        # How argv holds the byte string r\xff: Python decodes it with surrogateescape.
+        out = tmp_path / "o"
+        code = main(["ingest", str(sim_events), "--collector", "r\udcff", "--out", str(out)])
+        assert "is not UTF-8 text" in assert_input_error(code, capsys)
+        assert list(out.iterdir()) == []
 
     def test_mistyped_canonical_fields_are_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -584,7 +620,10 @@ class TestEvaluate:
         code, _ = self.run_pipeline(sim_events, tmp_path, incidents)
         assert code == 2
 
-    @pytest.mark.parametrize("edit", [{"start_utc": START + 86400}, {"asn": 64500.5}])
+    @pytest.mark.parametrize(
+        "edit",
+        [{"start_utc": START + 86400}, {"asn": 64500.5}, {"asn": 10**18}, {"name": "x\ud800"}, {"name": 5}],
+    )
     def test_mistyped_incident_field_is_input_error(self, sim_events, tmp_path, capsys, edit):
         incidents = [{
             "name": "synthetic-burst", "asn": 64500, "start_utc": iso(START + 86400),
@@ -638,6 +677,10 @@ class TestEvaluate:
             ("anomalous_timestamps", [START + 86400.5]),
             ("anomalous_timestamps", [True]),
             ("anomalous_timestamps", {"ts": 5}),
+            ("collector", "c\ud800"),
+            ("detector", "\udcff"),
+            ("span", [START, 10**18]),
+            ("anomalous_timestamps", [-(10**18)]),
         ],
     )
     def test_mistyped_report_field_is_input_error(self, sim_events, tmp_path, capsys, key, value):
@@ -663,7 +706,7 @@ class TestEvaluate:
         events = tmp_path / "events.jsonl"
         events.write_text("".join(
             AnnouncementEvent(ts, "c", "10.0.0.0/8", ANNOUNCEMENT, origin_asn=1).to_line() + "\n"
-            for ts in (1, 99999999999999999999999)
+            for ts in (1, 999999999999999999)
         ))
         assert main(["detect", str(events), "--out", str(tmp_path / "detect")]) == 0
         incidents = tmp_path / "incidents.json"
@@ -674,6 +717,16 @@ class TestEvaluate:
         assert len((out / "results.csv").read_text().splitlines()) == 3
 
     BAD_BIN_LENGTH = "error: --m must be a bin length of at least 1 second, got 0\n"
+
+    @pytest.mark.parametrize("flag", ["--t0", "--t1"])
+    @pytest.mark.parametrize("digits", [19, 401, 5001])
+    def test_time_of_over_18_digits_is_input_error(self, sim_events, tmp_path, capsys, flag, digits):
+        bounds = {"--t0": "0", "--t1": str(START + 30 * 86400), flag: "1" * digits}
+        code, out = self.run_pipeline(
+            sim_events, tmp_path, [self.INCIDENT], *(x for kv in bounds.items() for x in kv)
+        )
+        assert "more than 18 digits" in assert_input_error(code, capsys)
+        assert list(out.iterdir()) == []
 
     def test_nonpositive_bin_length_is_input_error(self, sim_events, tmp_path, capsys):
         code, out = self.run_pipeline(sim_events, tmp_path, [self.INCIDENT], "--m", "0")
@@ -816,6 +869,12 @@ class TestAnalyze:
         out = tmp_path / "analyze"
         code = main(["analyze", str(corpus_events), "--window", *window, "--out", str(out)])
         assert_input_error(code, capsys)
+
+    @pytest.mark.parametrize("window", [("0", "1" * 5001), ("-" + "1" * 401, "0")])
+    def test_window_of_over_18_digits_is_input_error(self, corpus_events, tmp_path, capsys, window):
+        out = tmp_path / "analyze"
+        code = main(["analyze", str(corpus_events), "--window", *window, "--out", str(out)])
+        assert "more than 18 digits" in assert_input_error(code, capsys)
 
     def test_rfc3339_window_accepted(self, corpus_events, tmp_path):
         out = tmp_path / "analyze"
@@ -1212,6 +1271,22 @@ class TestManifest:
         assert main([*argv, "--incidents", str(golden["incidents"]), "--out", str(out)]) == 0
         inputs = [entry["path"] for entry in manifest_of(out)["inputs"]]
         assert inputs == [str(golden["events"]), str(golden["nulls"]), str(golden["incidents"])]
+
+    @pytest.mark.parametrize("route", ["flag", "environment"])
+    @pytest.mark.parametrize("command", ["detect", "analyze"])
+    def test_config_file_is_a_recorded_input(self, golden, tmp_path, monkeypatch, command, route):
+        config = tmp_path / "detector.conf"
+        config.write_text("r = 1/600\nmin_events = 6\n")
+        argv = ["detect", str(golden["events"])] if command == "detect" else self.analyze_argv(golden)
+        if route == "flag":
+            argv += ["--config", str(config)]
+        else:
+            monkeypatch.setenv("BGPBURST_CONFIG", str(config))
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        digest = hashlib.sha256(config.read_bytes()).hexdigest()
+        assert {"path": str(config), "sha256": digest} in manifest_of(out)["inputs"]
+        assert manifest_of(out)["config"]["min_events"] == 6
 
     def test_digests_are_of_the_files_and_each_input_is_read_once(
         self, golden, tmp_path, monkeypatch

@@ -394,12 +394,13 @@ class TestBuildVolumeSeries:
             _ev(100, prefix="10.1.0.0/16"),
             _ev(100, prefix="10.1.0.0/16"),
         ]
-        assert build_volume_series(events, 4761, "linx").points == ((100, 2),)
+        vol = build_volume_series(events, 4761, "linx")
+        assert (vol.timestamps, vol.counts) == ((100,), (2,))
 
     def test_one_point_per_active_second(self):
         events = [_ev(100), _ev(200)]
         vol = build_volume_series(events, 4761, "linx")
-        assert vol.points == ((100, 1), (200, 1))
+        assert (vol.timestamps, vol.counts) == ((100, 200), (1, 1))
 
     def test_matches_group_by_oracle(self):
         rng = random.Random(11)
@@ -412,21 +413,25 @@ class TestBuildVolumeSeries:
         buckets = {}
         for ev in events:
             buckets.setdefault(ev.timestamp, set()).add(ev.prefix)
-        expected = tuple((ts, len(buckets[ts])) for ts in sorted(buckets))
-        assert vol.points == expected
+        stamps = tuple(sorted(buckets))
+        assert vol.timestamps == stamps
+        assert vol.counts == tuple(len(buckets[ts]) for ts in stamps)
 
     def test_other_as_never_leaks_in(self):
         events = [_ev(1), _ev(1, asn=999, prefix="10.9.0.0/16")]
-        assert build_volume_series(events, 4761, "linx").points == ((1, 1),)
+        vol = build_volume_series(events, 4761, "linx")
+        assert (vol.timestamps, vol.counts) == ((1,), (1,))
 
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            VolumeSeries(1, "c", ((1, 0),))
-        with pytest.raises(ValueError):
-            VolumeSeries(1, "c", ((2, 1), (2, 1)))
+        with pytest.raises(ValueError, match="volume count 0 < 1 at ts 2"):
+            VolumeSeries(1, "c", (1, 2), (1, 0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            VolumeSeries(1, "c", (2, 2), (1, 1))
+        with pytest.raises(ValueError, match="2 volume timestamps but 1 counts"):
+            VolumeSeries(1, "c", (1, 2), (1,))
 
     def test_csv_export(self):
-        vol = VolumeSeries(1, "c", ((100, 2), (200, 1)))
+        vol = VolumeSeries(1, "c", (100, 200), (2, 1))
         buf = io.StringIO()
         write_volume_csv(vol, buf)
         assert buf.getvalue() == "ts,count\n100,2\n200,1\n"

@@ -125,7 +125,7 @@ class TestInjectIncident:
         incident = IncidentSpec(start, start + 30, burst_gap=1, prefixes_per_second=50)
         merged = inject_incident_events(events, incident)
         volume = build_volume_series(merged, 64500, "c")
-        counts = dict(volume.points)
+        counts = dict(zip(volume.timestamps, volume.counts))
         assert all(counts[start + k] >= 50 for k in range(30))
         series = build_series(merged, 64500, "c")
         injected = inject_incident(build_series(events, 64500, "c"), incident)
@@ -154,7 +154,7 @@ class TestUpdateStream:
     def test_volume_counts_are_noisy(self):
         events = update_stream(1, "c", 0, 7 * 86400, 600.0, seed=7)
         volume = build_volume_series(events, 1, "c")
-        counts = volume.counts()
+        counts = volume.counts
         assert min(counts) == 1
         assert max(counts) >= 8  # realistic feeds are not flat
 
@@ -173,7 +173,7 @@ class TestIncidentScenario:
         scenario = incident_scenario(seed=1, prefixes_per_second=100)
         volume = build_volume_series(scenario.events, scenario.asn, scenario.collector)
         inside = [
-            c for ts, c in volume.points
+            c for ts, c in zip(volume.timestamps, volume.counts)
             if scenario.incident_start <= ts < scenario.incident_end
         ]
         assert min(inside) >= 100
