@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -43,32 +44,29 @@ from .detector import (
     detect_events,
     detect_volume,
     parse_config,
-    real_number,
-    whole_number,
     write_trace_csv,
 )
 from .evaluation import (
     DEFAULT_BIN_SECONDS,
-    ConfigurationError,
     IncidentWindow,
     evaluate_incident,
     load_incidents,
-    parse_utc,
     write_results_csv,
 )
 from .events import (
     ANNOUNCEMENT,
-    INT_DIGITS,
-    INT_LIMIT,
     WITHDRAWAL,
     EventFormatError,
     copy_event_text,
     line_parts,
     read_groups,
     series_from_columns,
-    utf8_text,
     volume_from_columns,
     write_event_lines,
+)
+from .fields import (
+    ANY, INT_DIGITS, INT_LIMIT, INTEGER, INTEGER_LIST, INTEGER_PAIR, REAL, TEXT, TIME, WHOLE,
+    ConfigurationError, optional, parse_utc, read_json, read_record, utf8_text,
 )
 from .mrt import MrtParseError, MrtStats, decompress, read_updates
 
@@ -249,18 +247,12 @@ def _resolve_detector_config(args, manifest: Manifest) -> tuple[DetectorConfig, 
     if config_path:
         path = Path(config_path)
         text = _decode_utf8(path, manifest.read(path))
-        try:
-            settings.update(parse_config(text))
-        except ValueError as exc:
-            raise CliError(f"config file {config_path}: {exc}") from exc
+        settings.update(parse_config(text, f"config file {config_path}"))
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    try:
-        config = DetectorConfig.from_mapping(settings)
-    except ValueError as exc:
-        raise CliError(f"bad detector settings: {exc}") from exc
+    config = DetectorConfig.from_mapping(settings, "bad detector settings")
     return config, config.as_dict()
 
 
@@ -421,47 +413,25 @@ def cmd_detect(args, manifest: Manifest) -> int:
 # ---------------------------------------------------------------- analyze
 
 
-def _load_json(manifest: Manifest, path: Path):
-    data = manifest.read(path)
-    try:
-        return json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
-        raise CliError(f"{path}: not a JSON document: {exc}") from exc
-
-
-def _null_window(item) -> tuple[int, int]:
-    if isinstance(item, dict):
-        if "start_utc" in item:
-            return parse_utc(item["start_utc"]), parse_utc(item["end_utc"])
-        return whole_number("start", item["start"]), whole_number("end", item["end"])
-    if isinstance(item, list) and len(item) == 2:
-        return whole_number("start", item[0]), whole_number("end", item[1])
-    raise ValueError("expected an object or a [start, end] pair")
+WINDOW_FIELDS = {"start": WHOLE, "end": WHOLE}  # also a [start, end] pair
+UTC_WINDOW_FIELDS = {"start_utc": TIME, "end_utc": TIME}
 
 
 def _load_null_windows(manifest: Manifest, path: Path) -> list[tuple[int, int]]:
-    raw = _load_json(manifest, path)
+    raw = read_json(manifest.read(path), str(path))
     if not isinstance(raw, list):
         raise CliError(f"{path}: null window file must be a JSON array")
     windows = []
-    for item in raw:
-        try:
-            windows.append(_null_window(item))
-        except KeyError as exc:
-            raise CliError(f"{path}: null window entry {item!r} lacks {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"{path}: bad null window entry {item!r}: {exc}") from exc
-    for start, end in windows:
+    for n, item in enumerate(raw, start=1):
+        where = f"{path}: null window {n}"
+        if isinstance(item, list) and len(item) == 2:
+            item = dict(zip(WINDOW_FIELDS, item))
+        utc = isinstance(item, dict) and "start_utc" in item
+        start, end = read_record(item, UTC_WINDOW_FIELDS if utc else WINDOW_FIELDS, where).values()
         if start >= end:
-            raise CliError(f"{path}: null window [{start}, {end}) is empty")
+            raise CliError(f"{where}: [{start}, {end}) is empty")
+        windows.append((start, end))
     return windows
-
-
-def _load_incident_windows(manifest: Manifest, path: Path) -> list[IncidentWindow]:
-    try:
-        return load_incidents(path, manifest.read)
-    except ConfigurationError as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _check_null_overlap(
@@ -471,7 +441,7 @@ def _check_null_overlap(
         for inc in incidents:
             if start < inc.end and inc.start < end:
                 raise CliError(
-                    f"null window [{start}, {end}) overlaps incident {inc.name!r}"
+                    f"null window [{start}, {end}) overlaps incident {reprlib.repr(inc.name)}"
                 )
 
 
@@ -517,7 +487,7 @@ def cmd_analyze(args, manifest: Manifest) -> int:
             raise CliError("significance testing needs --null-windows")
         null_windows = _load_null_windows(manifest, Path(args.null_windows))
         if args.incidents:
-            _check_null_overlap(null_windows, _load_incident_windows(manifest, Path(args.incidents)))
+            _check_null_overlap(null_windows, load_incidents(Path(args.incidents), manifest.read))
         null_events_path = Path(args.null_events) if args.null_events else events_path
         if null_events_path != events_path:
             null_groups = _load_groups(manifest, null_events_path, prefixes=False)
@@ -563,36 +533,27 @@ def cmd_analyze(args, manifest: Manifest) -> int:
 # ---------------------------------------------------------------- evaluate
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and -INT_LIMIT < value < INT_LIMIT
-
-
-_OF_DIGITS = f" of at most {INT_DIGITS} digits"
-# Report field -> (what it must be, its check).
-REPORT_FIELDS = {
-    "detector": ("a string without lone surrogates", utf8_text),
-    "origin_asn": (f"an integer{_OF_DIGITS}", _is_int),
-    "collector": ("a string without lone surrogates", utf8_text),
-    "span": (
-        f"a pair of integers{_OF_DIGITS}",
-        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
-    ),
-    "anomalous_timestamps": (
-        f"a list of integers{_OF_DIGITS}", lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    ),
+REPORT_FIELDS = {  # with the settings detect ran with as `config`
+    "detector": TEXT, "origin_asn": INTEGER, "collector": TEXT, "span": INTEGER_PAIR,
+    "anomalous_timestamps": INTEGER_LIST, "config": optional(ANY),
 }
 
 
-def _load_report(manifest: Manifest, path: Path) -> dict:
-    doc = _load_json(manifest, path)
-    if not isinstance(doc, dict):
-        raise CliError(f"{path}: report must be a JSON object")
-    for key, (kind, valid) in REPORT_FIELDS.items():
-        if key not in doc:
-            raise CliError(f"{path}: report missing field {key!r}")
-        if not valid(doc[key]):
-            raise CliError(f"{path}: report field {key!r} must be {kind}, got {reprlib.repr(doc[key])}")
-    return doc
+def _load_reports(manifest: Manifest, paths: list[str]) -> list[dict]:
+    """Each report's fields; a second report of one detector and series is an error."""
+    docs = []
+    seen: dict[tuple, str] = {}
+    for path in paths:
+        doc = read_record(read_json(manifest.read(Path(path)), path), REPORT_FIELDS, path)
+        key = doc["detector"], doc["origin_asn"], doc["collector"]
+        if key in seen:
+            raise CliError(
+                f"{seen[key]} and {path} are both {reprlib.repr(key[0])} reports "
+                f"for AS{key[1]} at {reprlib.repr(key[2])}"
+            )
+        seen[key] = path
+        docs.append(doc)
+    return docs
 
 
 def cmd_evaluate(args, manifest: Manifest) -> int:
@@ -601,8 +562,8 @@ def cmd_evaluate(args, manifest: Manifest) -> int:
     if (args.t0 is None) != (args.t1 is None):
         raise CliError("--t0 and --t1 go together: pass both or neither")
     manifest.doc["config"] = {"m": args.m}
-    docs = [_load_report(manifest, Path(p)) for p in args.reports]
-    incidents = _load_incident_windows(manifest, Path(args.incidents))
+    docs = _load_reports(manifest, args.reports)
+    incidents = load_incidents(Path(args.incidents), manifest.read)
     if args.t0 is not None:
         bounds = (_parse_time(args.t0), _parse_time(args.t1))
     else:
@@ -629,7 +590,7 @@ def cmd_evaluate(args, manifest: Manifest) -> int:
                     evaluate_incident(by_collector[collector], incident, bounds, args.m)
                 )
             except ValueError as exc:
-                raise CliError(f"AS{incident.perpetrator_asn} at {collector!r}: {exc}") from exc
+                raise CliError(f"AS{incident.perpetrator_asn} at {reprlib.repr(collector)}: {exc}") from exc
     if not rows:
         raise CliError("no report matches any configured incident perpetrator")
     with manifest.output("results.csv") as fh:
@@ -642,53 +603,40 @@ def cmd_evaluate(args, manifest: Manifest) -> int:
 # ---------------------------------------------------------------- simulate
 
 
-def _spec_from_doc(doc: dict, default_seed: int | None) -> tuple[GeneratorSpec, IncidentSpec | None]:
+# The generator and the incident are read by the tables below; a null incident is none.
+SPEC_FIELDS = {"generator": ANY, "incident": optional(ANY)}
+GENERATOR_FIELDS = {
+    "process": TEXT, "mean_gap": REAL, "n_events": WHOLE, "start_ts": WHOLE, "asn": WHOLE,
+    "collector": TEXT, "seed": optional(WHOLE), "pareto_alpha": optional(REAL),
+}
+INCIDENT_SPEC_FIELDS = {
+    "start": WHOLE, "end": WHOLE, "burst_gap": optional(WHOLE), "prefixes_per_second": optional(WHOLE),
+}
+
+
+def _spec_from_doc(doc, seed: int, where: str) -> tuple[GeneratorSpec, IncidentSpec | None]:
+    """The generator and incident of a simulate spec; `seed` is the default seed."""
     from .synth import GeneratorSpec, IncidentSpec
 
-    gen = doc.get("generator", doc)
-    incident_doc = doc.get("incident")
-    try:
-        spec = GeneratorSpec(
-            process=gen["process"],
-            mean_gap=real_number("mean_gap", gen["mean_gap"]),
-            n_events=whole_number("n_events", gen["n_events"]),
-            start_ts=whole_number("start_ts", gen["start_ts"]),
-            asn=whole_number("asn", gen["asn"]),
-            collector=gen["collector"],
-            seed=whole_number("seed", gen.get("seed", default_seed or 0)),
-            pareto_alpha=real_number("pareto_alpha", gen.get("pareto_alpha", 1.5)),
-        )
-    except KeyError as exc:
-        raise CliError(f"generator spec missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad generator spec: {exc}") from exc
-    incident = None
-    if incident_doc is not None:
-        try:
-            incident = IncidentSpec(
-                start=whole_number("start", incident_doc["start"]),
-                end=whole_number("end", incident_doc["end"]),
-                burst_gap=whole_number("burst_gap", incident_doc.get("burst_gap", 1)),
-                prefixes_per_second=whole_number(
-                    "prefixes_per_second", incident_doc.get("prefixes_per_second", 1)
-                ),
-            )
-        except KeyError as exc:
-            raise CliError(f"incident spec missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"bad incident spec: {exc}") from exc
-    return spec, incident
+    spec = read_record(doc, SPEC_FIELDS, where)
+    make = functools.partial(GeneratorSpec, seed=seed)
+    generator = read_record(spec["generator"], GENERATOR_FIELDS, f"{where}: generator", make)
+    incident = spec.get("incident")
+    if incident is not None:
+        incident = read_record(incident, INCIDENT_SPEC_FIELDS, f"{where}: incident", IncidentSpec)
+    return generator, incident
 
 
 def cmd_simulate(args, manifest: Manifest) -> int:
     from .synth import generate_stream, inject_incident_events
 
+    seed = args.seed or 0
+    if not -INT_LIMIT < seed < INT_LIMIT:
+        raise CliError(f"--seed must have at most {INT_DIGITS} digits")
     done = []  # printed once every output is published
     for spec_path in map(Path, args.specs):
-        doc = _load_json(manifest, spec_path)
-        if not isinstance(doc, dict):
-            raise CliError(f"{spec_path}: spec must be a JSON object")
-        spec, incident = _spec_from_doc(doc, args.seed)
+        where = str(spec_path)
+        spec, incident = _spec_from_doc(read_json(manifest.read(spec_path), where), seed, where)
         try:
             events = generate_stream(spec)
             if incident is not None:

@@ -11,14 +11,14 @@ the per-second unique-prefix counts as the volume baseline.
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import compress, islice, repeat
 from operator import lt, mul, sub
 from typing import IO, NamedTuple, Sequence
 
 from .burstiness import DEFAULT_MIN_EVENTS
-from .events import INT_DIGITS, INT_LIMIT, EventSeries, FrozenRecord, VolumeSeries
+from .events import EventSeries, FrozenRecord, VolumeSeries
+from .fields import REAL, WHOLE, ConfigurationError, optional, read_json, read_record
 
 DEFAULT_DECAY = 1.0 / 300.0
 DEFAULT_WINDOW = 200
@@ -30,37 +30,10 @@ class OutOfOrderError(ValueError):
     """An update arrived with a timestamp earlier than the current state."""
 
 
-def _number(name: str, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return value
-
-
-def whole_number(name: str, value) -> int:
-    """An untrusted setting as an int: ints and integral floats (200.0 from a
-    key=value file) of at most INT_DIGITS digits pass; booleans, fractions,
-    longer numbers and non-numbers raise ValueError."""
-    if isinstance(_number(name, value), float) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not -INT_LIMIT < value < INT_LIMIT:
-        raise ValueError(f"{name} must have at most {INT_DIGITS} digits")
-    return int(value)
-
-
-def real_number(name: str, value) -> float:
-    """An untrusted setting as a float: ints and floats pass; booleans,
-    non-numbers and ints beyond a float's range raise ValueError."""
-    try:
-        return float(_number(name, value))
-    except OverflowError as exc:
-        raise ValueError(f"{name} is out of range") from exc
-
-
 class DetectorConfig(FrozenRecord):
     """Every detector and burstiness setting; the fields are the config keys."""
 
     __slots__ = ("r", "omega", "delta", "warmup", "variance_floor", "min_events")
-    INTEGER_KEYS = ("omega", "warmup", "min_events")  # from_mapping takes whole numbers only
 
     def __init__(
         self,
@@ -97,52 +70,39 @@ class DetectorConfig(FrozenRecord):
         return 2.0 / (1.0 + self.omega)
 
     @classmethod
-    def from_mapping(cls, mapping: dict) -> "DetectorConfig":
-        """Build from untrusted settings: keys must be fields, values numbers.
-
-        Integer fields go through whole_number, so 200.0 passes and 200.9
-        fails, and the others through real_number.
-        """
-        unknown = set(mapping) - set(CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for name in CONFIG_KEYS:
-            if name not in mapping:
-                continue
-            number = whole_number if name in cls.INTEGER_KEYS else real_number
-            kwargs[name] = number(name, mapping[name])
-        return cls(**kwargs)
+    def from_mapping(cls, mapping: dict, where: str = "detector settings") -> "DetectorConfig":
+        """Build from untrusted settings read by CONFIG_FIELDS (200.0 passes as
+        omega, 200.9 fails); errors are ConfigurationErrors led by `where`."""
+        return read_record(mapping, CONFIG_FIELDS, where, cls)
 
 
 CONFIG_KEYS = DetectorConfig.__slots__
+CONFIG_FIELDS = {
+    "r": optional(REAL), "omega": optional(WHOLE), "delta": optional(REAL),
+    "warmup": optional(WHOLE), "variance_floor": optional(REAL), "min_events": optional(WHOLE),
+}
 
 
-def _parse_scalar(text: str) -> float:
+def _parse_scalar(text: str) -> float | str:
+    """The number a flat value spells, where r = 1/300 is a fraction, or
+    else the text itself, which CONFIG_FIELDS then refuses by name."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        try:
-            return float(num) / float(den)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"division by zero in {text!r}") from exc
-    return float(text)
+    num, slash, den = text.partition("/")
+    try:
+        return float(num) / float(den) if slash else float(num)
+    except (ValueError, ZeroDivisionError):
+        return text
 
 
-def parse_config(text: str) -> dict:
+def parse_config(text: str, where: str = "config") -> dict:
     """Detector settings from the text of a config file: JSON or flat key=value lines.
 
     The keys are CONFIG_KEYS; the settings are checked with
-    DetectorConfig.from_mapping before they are returned.  Fractions like
-    r=1/300 are accepted in the flat format.
+    DetectorConfig.from_mapping before they are returned, and errors are
+    ConfigurationErrors led by `where`.
     """
-    if text.lstrip().startswith("{"):
-        try:
-            raw = json.loads(text)
-        except RecursionError as exc:
-            raise ValueError("config JSON is nested too deeply") from exc
-        if not isinstance(raw, dict):
-            raise ValueError("config JSON must be an object")
+    if text.lstrip().startswith(("{", "[")):
+        raw = read_json(text, where)
     else:
         raw = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -150,10 +110,10 @@ def parse_config(text: str) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"config line {lineno}: expected key=value")
+                raise ConfigurationError(f"{where}: line {lineno}: expected key=value")
             key, value = line.split("=", 1)
             raw[key.strip()] = _parse_scalar(value)
-    DetectorConfig.from_mapping(raw)
+    DetectorConfig.from_mapping(raw, where)
     return raw
 
 

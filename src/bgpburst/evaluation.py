@@ -10,14 +10,14 @@ are reported as None rather than coerced to zero.
 
 from __future__ import annotations
 
-import json
-import re
-from datetime import datetime, timedelta, timezone
+import reprlib
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping
 
-from .detector import AnomalyReport, whole_number
-from .events import FrozenRecord, utf8_text
+from .detector import AnomalyReport
+from .events import FrozenRecord
+from .fields import ANY, TEXT, TIME, WHOLE, ConfigurationError, optional, read_json, read_record
+from .fields import parse_utc  # noqa: F401  (exported here too)
 
 DEFAULT_BIN_SECONDS = 10800  # 3 hours
 
@@ -29,18 +29,14 @@ class BinBoundsError(ValueError):
     """Timestamps fall outside the study bounds being binned."""
 
 
-class ConfigurationError(ValueError):
-    """Incident windows and study bounds do not line up."""
-
-
 class IncidentWindow(FrozenRecord):
     __slots__ = ("name", "perpetrator_asn", "start", "end", "kind")
 
     def __init__(self, name: str, perpetrator_asn: int, start: int, end: int, kind: str):
         if start >= end:
-            raise ValueError(f"incident {name!r}: start must precede end")
+            raise ValueError(f"incident {reprlib.repr(name)}: start must precede end")
         if kind not in (KIND_LARGE_SCALE, KIND_INTERCEPTION):
-            raise ValueError(f"incident {name!r}: unknown kind {kind!r}")
+            raise ValueError(f"incident {reprlib.repr(name)}: unknown kind {reprlib.repr(kind)}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "perpetrator_asn", perpetrator_asn)
         object.__setattr__(self, "start", start)
@@ -48,44 +44,14 @@ class IncidentWindow(FrozenRecord):
         object.__setattr__(self, "kind", kind)
 
 
-# RFC 3339 date-time (with "T", "t" or a space between date and time), where
-# the time may also end at the minutes or be left out, and a missing offset
-# means UTC.  Matched here rather than by datetime.fromisoformat, whose
-# accepted forms differ between Python versions.  Groups: year, month, day,
-# hour, minute, second, offset sign, offset hours, offset minutes.
-_RFC3339 = re.compile(
-    r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
-    r"(?:[Tt ]([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.[0-9]+)?)?"
-    r"(?:[Zz]|([+-])([0-9]{2}):([0-9]{2}))?)?"
-)
+# The `note` field describes a window (the bundled incidents.json has some).
+INCIDENT_FIELDS = {
+    "name": TEXT, "asn": WHOLE, "start_utc": TIME, "end_utc": TIME, "kind": TEXT, "note": optional(ANY),
+}
 
 
-def parse_utc(text: str) -> int:
-    """RFC 3339 timestamp to unix seconds; everything is UTC.
-
-    Takes YYYY-MM-DD, optionally followed by HH:MM[:SS[.fraction]] and an
-    offset (Z or +HH:MM / -HH:MM), the same on every Python version.  A
-    fraction of a second is dropped.  Other ISO 8601 forms (week and
-    ordinal dates, the basic format without separators) and out-of-range
-    fields raise ValueError; a value that is not a string raises TypeError.
-    """
-    if not isinstance(text, str):
-        raise TypeError(f"time must be an RFC 3339 string, got {text!r}")
-    m = _RFC3339.fullmatch(text)
-    if m is None:
-        raise ValueError(f"not an RFC 3339 time: {text!r}")
-    fields = [int(g or 0) for g in m.group(1, 2, 3, 4, 5, 6)]
-    sign, off_hours, off_minutes = m.group(7, 8, 9)
-    offset = timedelta()
-    if sign is not None:
-        if int(off_hours) > 23:
-            raise ValueError(f"offset hours out of range in {text!r}")
-        if int(off_minutes) > 59:
-            raise ValueError(f"offset minutes out of range in {text!r}")
-        offset = timedelta(hours=int(off_hours), minutes=int(off_minutes))
-        if sign == "-":
-            offset = -offset
-    return int(datetime(*fields, tzinfo=timezone(offset)).timestamp())
+def _incident(name, asn, start_utc, end_utc, kind, note=None) -> IncidentWindow:
+    return IncidentWindow(name, asn, start_utc, end_utc, kind)
 
 
 def load_incidents(
@@ -96,35 +62,14 @@ def load_incidents(
     `read` returns the file's bytes; a caller that records what it reads
     passes its own.
     """
-    try:
-        raw = json.loads(read(Path(path)).decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
-        raise ConfigurationError(f"incident config {path} is not a JSON document: {exc}") from exc
+    where = f"incident config {path}"
+    raw = read_json(read(Path(path)), where)
     if not isinstance(raw, list):
-        raise ConfigurationError("incident config must be a JSON array")
-    windows = []
-    for item in raw:
-        if not isinstance(item, dict):
-            raise ConfigurationError(f"bad incident entry {item!r}: expected an object")
-        try:
-            name = item["name"]
-            if not utf8_text(name):
-                raise ValueError("name must be a string without lone surrogates")
-            windows.append(
-                IncidentWindow(
-                    name=name,
-                    perpetrator_asn=whole_number("asn", item["asn"]),
-                    start=parse_utc(item["start_utc"]),
-                    end=parse_utc(item["end_utc"]),
-                    kind=item["kind"],
-                )
-            )
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"bad incident entry {item!r}: missing field {exc.args[0]!r}"
-            ) from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad incident entry {item!r}: {exc}") from exc
+        raise ConfigurationError(f"{where} must be a JSON array")
+    windows = [
+        read_record(item, INCIDENT_FIELDS, f"{where}: entry {n}", _incident)
+        for n, item in enumerate(raw, start=1)
+    ]
     _check_disjoint(windows)
     return windows
 
@@ -134,7 +79,7 @@ def _check_disjoint(windows: list[IncidentWindow]) -> None:
     for prev, cur in zip(ordered, ordered[1:]):
         if cur.start < prev.end:
             raise ConfigurationError(
-                f"incident windows overlap: {prev.name!r} and {cur.name!r}"
+                f"incident windows overlap: {reprlib.repr(prev.name)} and {reprlib.repr(cur.name)}"
             )
 
 
@@ -173,7 +118,7 @@ def incident_bins(window: IncidentWindow, t0: int, t1: int, m: int) -> set[int]:
     n = bin_count(t0, t1, m)  # reversed bounds are reported as such
     if window.start < t0 or window.end > t1:
         raise ConfigurationError(
-            f"incident {window.name!r} [{window.start}, {window.end}) "
+            f"incident {reprlib.repr(window.name)} [{window.start}, {window.end}) "
             f"outside study bounds [{t0}, {t1})"
         )
     first = (window.start - t0) // m

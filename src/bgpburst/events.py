@@ -22,6 +22,8 @@ from itertools import compress, islice, repeat
 from operator import attrgetter, countOf, ge, gt, itemgetter
 from typing import IO, Iterable, Iterator
 
+from .fields import INT_DIGITS, INT_LIMIT, OF_DIGITS as _OF_DIGITS, utf8_text
+
 ANNOUNCEMENT = "announcement"
 WITHDRAWAL = "withdrawal"
 
@@ -31,21 +33,6 @@ _CODE_KIND = {"A": ANNOUNCEMENT, "W": WITHDRAWAL}
 
 class EventFormatError(ValueError):
     """A canonical event line is missing fields or cannot be parsed."""
-
-
-# Integers read from outside the program (timestamps, AS numbers, times and
-# settings) have at most INT_DIGITS digits: int() refuses a text of over
-# 4300 digits, and float() an int of over 308.
-INT_DIGITS = 18
-INT_LIMIT = 10**INT_DIGITS
-_OF_DIGITS = f" of at most {INT_DIGITS} digits"
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def utf8_text(value) -> bool:
-    """Whether `value` is a str that UTF-8 can encode: one without a lone
-    surrogate, as JSON's "\\ud800" and a non-UTF-8 byte in argv decode to."""
-    return isinstance(value, str) and (value.isascii() or _SURROGATE.search(value) is None)
 
 
 # Dotted-quad IPv4 prefixes in the form every writer emits: octets 0-255

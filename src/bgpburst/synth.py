@@ -11,16 +11,10 @@ distinct prefixes at a fixed short gap.
 from __future__ import annotations
 
 import random
+import reprlib
 
-from .events import (
-    ANNOUNCEMENT,
-    INT_DIGITS,
-    INT_LIMIT,
-    AnnouncementEvent,
-    EventSeries,
-    FrozenRecord,
-    utf8_text,
-)
+from .events import ANNOUNCEMENT, AnnouncementEvent, EventSeries, FrozenRecord
+from .fields import INT_DIGITS, INT_LIMIT, utf8_text
 
 PROCESS_REGULAR = "regular"
 PROCESS_POISSON = "poisson"
@@ -46,7 +40,7 @@ class GeneratorSpec(FrozenRecord):
         pareto_alpha: float = 1.5,
     ):
         if process not in _PROCESSES:
-            raise ValueError(f"unknown process {process!r}")
+            raise ValueError(f"unknown process {reprlib.repr(process)}")
         # Written so that NaN fails each range check.
         if not 0 < mean_gap < float("inf"):
             raise ValueError(f"mean_gap must be positive and finite, got {mean_gap}")

@@ -1,8 +1,15 @@
 import bz2
+import contextlib
+import copy
+import functools
 import gzip
 import hashlib
+import io
 import json
+import math
+import operator
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -138,21 +145,24 @@ class TestSimulate:
         assert_input_error(main(["simulate", *map(str, specs), "--out", str(out)]), capsys)
         assert list(out.iterdir()) == []
 
+    WHOLE = "must be a whole number of at most 18 digits, got"
+
     @pytest.mark.parametrize("part, field, value, message", [
         ("generator", "mean_gap", "NaN", "mean_gap must be positive and finite"),
         ("generator", "mean_gap", "1e400", "mean_gap must be positive and finite"),
         ("generator", "start_ts", "-5", "start_ts and asn must be nonnegative"),
         ("generator", "asn", "-7", "start_ts and asn must be nonnegative"),
-        ("incident", "burst_gap", "1e400", "bad incident spec: burst_gap must be an integer, got inf"),
+        ("incident", "burst_gap", "1e400", f"spec.json: incident: field 'burst_gap' {WHOLE} inf\n"),
         ("generator", "mean_gap", "1e308", "timestamps pass 18 digits"),
-        ("generator", "mean_gap", '"600"', "mean_gap must be a number, got '600'"),
-        ("generator", "n_events", "5.9", "n_events must be an integer, got 5.9"),
-        ("generator", "start_ts", '"100"', "start_ts must be a number, got '100'"),
-        ("generator", "asn", "true", "asn must be a number, got True"),
-        ("generator", "seed", "1" + "0" * 18, "seed must have at most 18 digits"),
-        ("generator", "collector", '"c\\ud800"', "collector must be a string without lone surrogates"),
-        ("incident", "end", "9" * 19, "end must have at most 18 digits"),
-        ("incident", "prefixes_per_second", "2.5", "prefixes_per_second must be an integer, got 2.5"),
+        ("generator", "mean_gap", '"600"', "spec.json: generator: field 'mean_gap' must be a real number, got '600'\n"),
+        ("generator", "n_events", "5.9", f"field 'n_events' {WHOLE} 5.9\n"),
+        ("generator", "start_ts", '"100"', f"field 'start_ts' {WHOLE} '100'\n"),
+        ("generator", "asn", "true", f"field 'asn' {WHOLE} True\n"),
+        ("generator", "seed", "1" + "0" * 18, f"field 'seed' {WHOLE} 1000000000000000000\n"),
+        ("generator", "collector", '"c\\ud800"',
+         "field 'collector' must be a string without lone surrogates, got 'c\\ud800'\n"),
+        ("incident", "end", "9" * 19, f"field 'end' {WHOLE} 9999999999999999999\n"),
+        ("incident", "prefixes_per_second", "2.5", f"field 'prefixes_per_second' {WHOLE} 2.5\n"),
     ])
     def test_values_that_fail_in_generation_are_input_errors(
         self, tmp_path, capsys, part, field, value, message
@@ -172,6 +182,39 @@ class TestSimulate:
         spec.write_text(json.dumps(doc))
         code = main(["simulate", str(spec), "--out", str(tmp_path / "o")])
         assert_input_error(code, capsys)
+
+    @pytest.mark.parametrize("part, field, value", [
+        (None, "incdent", {"start": START, "end": START + 60}),
+        ("generator", "pareto_aplha", 3),
+    ])
+    def test_misspelled_field_is_input_error(self, tmp_path, capsys, part, field, value):
+        spec = write_sim_spec(tmp_path / "spec.json")
+        doc = json.loads(spec.read_text())
+        (doc if part is None else doc[part])[field] = value
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        err = assert_input_error(main(["simulate", str(spec), "--out", str(out)]), capsys)
+        where = str(spec) if part is None else f"{spec}: {part}"
+        assert err == f"error: {where}: unknown field '{field}'\n"
+        assert list(out.iterdir()) == []
+
+    def test_null_incident_is_none(self, tmp_path):
+        plain = write_sim_spec(tmp_path / "plain.json")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**json.loads(plain.read_text()), "incident": None}))
+        for path in (plain, spec):
+            assert main(["simulate", str(path), "--out", str(tmp_path / path.stem)]) == 0
+        assert (tmp_path / "spec" / "spec.jsonl").read_bytes() == (tmp_path / "plain" / "plain.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_seed_of_over_18_digits_is_input_error(self, tmp_path, capsys, seeded):
+        spec = write_sim_spec(tmp_path / "spec.json")
+        if not seeded:
+            doc = json.loads(spec.read_text())
+            del doc["generator"]["seed"]
+            spec.write_text(json.dumps(doc))
+        code = main(["simulate", str(spec), "--seed", "1" * 19, "--out", str(tmp_path / "o")])
+        assert assert_input_error(code, capsys) == "error: --seed must have at most 18 digits\n"
 
 
 class TestIngest:
@@ -525,6 +568,22 @@ class TestDetect:
         code = main(["detect", str(sim_events), "--r", "nan", "--out", str(tmp_path / "o")])
         assert_input_error(code, capsys)
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("c.json", '{"bogus": 1}', "unknown field 'bogus'"),
+        ("c.json", "[1]", "must be an object, got [1]"),
+        ("c.json", ' [{"r": 1}]', "must be an object, got [{'r': 1}]"),
+        ("c.json", '{"r": ', "not a JSON document: Expecting value: line 1 column 7 (char 6)"),
+        ("c.json", '{"omega": 200.9}', "field 'omega' must be a whole number of at most 18 digits, got 200.9"),
+        ("c.conf", "r = 1/0\n", "field 'r' must be a real number, got '1/0'"),
+        ("c.conf", "omega\n", "line 1: expected key=value"),
+        ("c.conf", "min_events = 1\n", "min_events must be >= 2"),
+    ])
+    def test_config_file_errors_name_the_file(self, sim_events, tmp_path, capsys, name, text, message):
+        config = tmp_path / name
+        config.write_text(text)
+        code = main(["detect", str(sim_events), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert assert_input_error(code, capsys) == f"error: config file {config}: {message}\n"
+
 
 class TestReportFiles:
     """Each report is written in one call as json.dumps with indent renders it, and hashed as written."""
@@ -686,6 +745,44 @@ class TestEvaluate:
     def test_mistyped_report_field_is_input_error(self, sim_events, tmp_path, capsys, key, value):
         code, _ = self.run_pipeline(sim_events, tmp_path, [self.INCIDENT], edit={key: value})
         assert_input_error(code, capsys)
+
+    def test_unknown_report_field_is_input_error(self, sim_events, tmp_path, capsys):
+        code, out = self.run_pipeline(sim_events, tmp_path, [self.INCIDENT], edit={"flags": []})
+        report = tmp_path / "detect" / "report_burstiness_AS64500_synth-collector.json"
+        assert assert_input_error(code, capsys) == f"error: {report}: unknown field 'flags'\n"
+        assert list(out.iterdir()) == []
+
+    def test_unknown_incident_field_is_input_error(self, sim_events, tmp_path, capsys):
+        (tmp_path / "note").mkdir()
+        code, _ = self.run_pipeline(sim_events, tmp_path / "note", [{**self.INCIDENT, "note": "kept"}])
+        assert code == 0
+        code, out = self.run_pipeline(sim_events, tmp_path, [{**self.INCIDENT, "nite": "x"}])
+        incidents = tmp_path / "incidents.json"
+        assert assert_input_error(code, capsys) == (
+            f"error: incident config {incidents}: entry 1: unknown field 'nite'\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_second_report_of_a_series_is_input_error(self, sim_events, tmp_path, capsys, order):
+        name = "report_burstiness_AS64500_synth-collector.json"
+        runs = [tmp_path / "default", tmp_path / "delta50"]
+        for out, extra in zip(runs, ([], ["--delta", "50"])):
+            assert main(["detect", str(sim_events), *extra, "--out", str(out)]) == 0
+        incidents = tmp_path / "incidents.json"
+        incidents.write_text(json.dumps([self.INCIDENT]))
+        first, second = [str(out / name) for out in runs][::order]
+        out = tmp_path / "eval"
+        code = main(["evaluate", first, second, "--incidents", str(incidents), "--out", str(out)])
+        assert assert_input_error(code, capsys) == (
+            f"error: {first} and {second} are both 'burstiness' reports for AS64500 at 'synth-collector'\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("edit", [{"kind": "k" * 100_000}, {"asn": "5" * 100_000}, {"n" * 100_000: 1}])
+    def test_long_incident_value_gives_a_short_error(self, sim_events, tmp_path, capsys, edit):
+        code, _ = self.run_pipeline(sim_events, tmp_path, [{**self.INCIDENT, **edit}])
+        assert len(assert_input_error(code, capsys)) < 300
 
     def test_flags_outside_t0_t1_are_input_error(self, sim_events, tmp_path, capsys):
         code, _ = self.run_pipeline(
@@ -1020,6 +1117,22 @@ class TestAnalyze:
         nulls = [{"start": START, "end": START + 30000}]
         code = self.significance_run(corpus_events, tmp_path, nulls, "--incidents", str(bad))
         assert_input_error(code, capsys)
+
+    def test_null_window_mixing_forms_is_input_error(self, corpus_events, tmp_path, capsys):
+        window = {"start_utc": iso(START), "end_utc": iso(START + 30000), "start": START}
+        code = self.significance_run(corpus_events, tmp_path, [[START, START + 30000], window])
+        assert assert_input_error(code, capsys) == (
+            f"error: {tmp_path / 'nulls.json'}: null window 2: unknown field 'start'\n"
+        )
+
+    LONG = "9" * 100_000
+
+    @pytest.mark.parametrize("window", [
+        {"start": LONG, "end": START}, {"start_utc": LONG, "end_utc": iso(START)}, [START, LONG], {LONG: 1},
+    ])
+    def test_long_null_window_value_gives_a_short_error(self, corpus_events, tmp_path, capsys, window):
+        code = self.significance_run(corpus_events, tmp_path, [window])
+        assert len(assert_input_error(code, capsys)) < 300
 
 
 # Runs the commands in one fresh interpreter and prints, after the import
@@ -1367,3 +1480,114 @@ class TestManifest:
         assert_input_error(main([*argv, "--out", str(out)]), capsys)
         assert {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()} == before
         assert not [p for p in out.iterdir() if p.name.endswith(".tmp") and p.is_file()]
+
+
+# Small JSON values, with the edges of the field kinds among them.  Numbers
+# stay small so that no mutation asks simulate for a huge stream.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-100, 100) | st.floats(-100, 100) | st.text(max_size=8)
+    | st.sampled_from([10**18, -(10**19), 1e300, math.inf, math.nan, 5.5, "\ud800", "2014-05-13", "1/300"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def containers(doc, path=()):
+    """The path to each nonempty object and array in `doc`, `doc` first."""
+    if isinstance(doc, (dict, list)) and doc:
+        yield path
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from containers(value, (*path, key))
+
+
+@st.composite
+def mutations(draw, valid):
+    """`valid` with one field or element removed, retyped or renamed."""
+    doc = copy.deepcopy(valid)
+    parent = functools.reduce(operator.getitem, draw(st.sampled_from(list(containers(doc)))), doc)
+    key = draw(st.sampled_from(list(parent) if isinstance(parent, dict) else range(len(parent))))
+    how = draw(st.sampled_from(["remove", "retype", "rename"][: 3 if isinstance(parent, dict) else 2]))
+    if how == "remove":
+        del parent[key]
+    elif how == "retype":
+        parent[key] = draw(JSON_VALUES.filter(lambda value: type(value) is not type(parent[key])))
+    else:
+        parent[draw(st.text(max_size=12).filter(lambda name: name not in parent))] = parent.pop(key)
+    return doc
+
+
+class TestDocumentFuzz:
+    """main() on each JSON document kind the CLI reads: a random JSON value
+    or a valid document with one field removed, retyped or renamed."""
+
+    CASES = ["config", "spec", "report", "incidents", "null-windows", "null-windows+incidents"]
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory):
+        """Per case: the argv with DOC for the document's path, and a valid document."""
+        tmp = tmp_path_factory.mktemp("documents")
+        specs = [write_sim_spec(tmp / f"as{asn}.json", asn=asn, n=400, seed=asn) for asn in (64500, 64501)]
+        assert main(["simulate", *map(str, specs), "--out", str(tmp / "sim")]) == 0
+        streams = [str(tmp / "sim" / f"as{asn}.jsonl") for asn in (64500, 64501)]
+        assert main(["ingest", *streams, "--out", str(tmp / "ingest")]) == 0
+        events = str(tmp / "ingest" / "events.jsonl")
+        assert main(["detect", events, "--asn", "64500", "--out", str(tmp / "detect")]) == 0
+        burstiness, volume = (
+            str(tmp / "detect" / f"report_{name}_AS64500_synth-collector.json") for name in ("burstiness", "volume")
+        )
+        incidents = [{
+            "name": "burst", "asn": 64500, "start_utc": iso(START + 10_000), "end_utc": iso(START + 13_600),
+            "kind": "large-scale", "note": "inside the analysis window",
+        }]
+        (tmp / "incidents.json").write_text(json.dumps(incidents))
+        starts = [START + 30_000 + k * 8_000 for k in range(24)]
+        nulls = [[s, s + 7_000] for s in starts[:8]] + [{"start": s, "end": s + 7_000} for s in starts[8:16]]
+        nulls += [{"start_utc": iso(s), "end_utc": iso(s + 7_000)} for s in starts[16:]]
+        analyze = ["analyze", events, "--window", str(START), str(START + 30_000), "--target-asn", "64500",
+                   "--k", "20", "--null-windows", "DOC"]
+        spec = json.loads(specs[0].read_text())
+        spec["generator"]["n_events"] = 30
+        spec["incident"] = {"start": START + 600, "end": START + 660, "burst_gap": 1, "prefixes_per_second": 2}
+        return {
+            "config": (["detect", events, "--asn", "64500", "--config", "DOC"], {
+                "r": 0.01, "omega": 50, "delta": 3, "warmup": 2, "variance_floor": 1e-9, "min_events": 5,
+            }),
+            "spec": (["simulate", "DOC"], spec),
+            "report": (["evaluate", "DOC", volume, "--incidents", str(tmp / "incidents.json")],
+                       json.loads(Path(burstiness).read_text())),
+            "incidents": (["evaluate", burstiness, volume, "--incidents", "DOC"], incidents),
+            "null-windows": (analyze, nulls),
+            "null-windows+incidents": ([*analyze, "--incidents", str(tmp / "incidents.json")], nulls),
+        }
+
+    def run(self, argv, doc):
+        """main() on `doc` in place of DOC; its code, stderr and --out directory."""
+        work = Path(tempfile.mkdtemp(prefix="doc-"))
+        try:
+            path = work / "doc.json"
+            path.write_text(json.dumps(doc))
+            out = work / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([str(path) if arg == "DOC" else arg for arg in argv] + ["--out", str(out)])
+            return code, err.getvalue(), sorted(p.name for p in out.iterdir())
+        finally:
+            shutil.rmtree(work)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_valid_document_passes(self, documents, case):
+        code, err, outputs = self.run(*documents[case])
+        assert code == 0, err
+        assert "manifest.json" in outputs
+
+    @pytest.mark.parametrize("case", CASES)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_document_is_read_or_refused_in_one_line(self, documents, case, data):
+        argv, valid = documents[case]
+        doc = data.draw(JSON_VALUES | mutations(valid), label="document")
+        code, err, outputs = self.run(argv, doc)
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert outputs == []

@@ -254,7 +254,7 @@ class TestIncidentConfig:
         with pytest.raises(ConfigurationError, match="missing field 'kind'$"):
             load_incidents(bad)
         bad.write_text('[["a", 1]]')
-        with pytest.raises(ConfigurationError, match=r"^bad incident entry \['a', 1\]: expected an object$"):
+        with pytest.raises(ConfigurationError, match=r": entry 1: must be an object, got \['a', 1\]$"):
             load_incidents(bad)
 
     def test_parse_utc(self):
@@ -272,15 +272,15 @@ class TestIncidentConfig:
         return path
 
     def test_fractional_asn_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="asn must be an integer"):
+        with pytest.raises(ConfigurationError, match="field 'asn' must be a whole number of at most 18 digits, got 5.9$"):
             load_incidents(self.incident_file(tmp_path, asn=5.9))
 
     def test_boolean_asn_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="asn must be a number"):
+        with pytest.raises(ConfigurationError, match="field 'asn' must be a whole number of at most 18 digits, got True$"):
             load_incidents(self.incident_file(tmp_path, asn=True))
 
     def test_string_asn_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="asn must be a number"):
+        with pytest.raises(ConfigurationError, match="field 'asn' must be a whole number of at most 18 digits, got '5'$"):
             load_incidents(self.incident_file(tmp_path, asn="5"))
 
     def test_integral_float_asn_accepted(self, tmp_path):
@@ -289,7 +289,7 @@ class TestIncidentConfig:
 
     @pytest.mark.parametrize("key", ["start_utc", "end_utc"])
     def test_numeric_time_rejected(self, tmp_path, key):
-        with pytest.raises(ConfigurationError, match="RFC 3339 string"):
+        with pytest.raises(ConfigurationError, match=f"field '{key}' must be an RFC 3339 time string, got 1577836800$"):
             load_incidents(self.incident_file(tmp_path, **{key: 1577836800}))
 
 
