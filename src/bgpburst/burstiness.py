@@ -19,6 +19,7 @@ from typing import IO, Iterable, Sequence
 from .events import EventSeries, FrozenRecord
 
 DEFAULT_MIN_EVENTS = 5
+MIN_NULL_SAMPLES = 20  # usable null windows a significance test needs, so the least k
 
 
 class UndefinedStatisticError(ValueError):
@@ -47,8 +48,7 @@ class InterArrivalSample(FrozenRecord):
             raise ValueError("expected n_events - 1 intervals")
         if any(map(gt, repeat(0), intervals)):
             raise ValueError("negative inter-arrival interval")
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "n_events", n_events)
+        self._set_fields(intervals, n_events)
 
 
 class BurstinessResult(FrozenRecord):
@@ -57,11 +57,7 @@ class BurstinessResult(FrozenRecord):
     def __init__(
         self, mu: float, sigma: float, b_raw: float, b_corrected: float | None, n_events: int
     ):
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "b_raw", b_raw)
-        object.__setattr__(self, "b_corrected", b_corrected)
-        object.__setattr__(self, "n_events", n_events)
+        self._set_fields(mu, sigma, b_raw, b_corrected, n_events)
 
 
 def inter_arrivals(series: EventSeries) -> InterArrivalSample:
@@ -174,10 +170,7 @@ class ActivityRow(FrozenRecord):
     __slots__ = ("asn", "b_corrected", "count", "quadrant")
 
     def __init__(self, asn: int, b_corrected: float, count: int, quadrant: int):
-        object.__setattr__(self, "asn", asn)
-        object.__setattr__(self, "b_corrected", b_corrected)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "quadrant", quadrant)
+        self._set_fields(asn, b_corrected, count, quadrant)
 
 
 class JointActivityTable(FrozenRecord):
@@ -194,11 +187,7 @@ class JointActivityTable(FrozenRecord):
         count_p95: float,
         skipped: tuple[tuple[int, int], ...] = (),  # (asn, count) without a coefficient
     ):
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "b_p95", b_p95)
-        object.__setattr__(self, "count_p95", count_p95)
-        object.__setattr__(self, "skipped", skipped)
+        self._set_fields(window, rows, b_p95, count_p95, skipped)
 
 
 def _quadrant(b: float, count: int, b_p95: float, count_p95: float) -> int:
@@ -306,21 +295,18 @@ class SignificanceResult(FrozenRecord):
         alpha_sig: float,
         skipped_windows: int = 0,
     ):
-        object.__setattr__(self, "observed_b", observed_b)
-        object.__setattr__(self, "null_samples", null_samples)
-        object.__setattr__(self, "empirical_p", empirical_p)
-        object.__setattr__(self, "significant", significant)
-        object.__setattr__(self, "alpha_sig", alpha_sig)
-        object.__setattr__(self, "skipped_windows", skipped_windows)
+        self._set_fields(
+            observed_b, null_samples, empirical_p, significant, alpha_sig, skipped_windows,
+        )
 
     def as_dict(self) -> dict:
         return {**super().as_dict(), "null_samples": list(self.null_samples)}
 
 
 def check_null_test_settings(k: int, alpha_sig: float) -> None:
-    """Raise ValueError unless k >= 1 and alpha_sig is a finite value in (0, 1)."""
-    if k < 1:
-        raise ValueError(f"null sample count k must be >= 1, got {k}")
+    """Raise ValueError unless k >= MIN_NULL_SAMPLES and alpha_sig is a finite value in (0, 1)."""
+    if k < MIN_NULL_SAMPLES:
+        raise ValueError(f"null sample count k must be >= {MIN_NULL_SAMPLES}, got {k}")
     if not 0.0 < alpha_sig < 1.0:  # NaN fails both comparisons
         raise ValueError(f"significance level alpha_sig must lie in (0, 1), got {alpha_sig}")
 
@@ -331,7 +317,6 @@ def monte_carlo_null_test(
     k: int = 100,
     alpha_sig: float = 0.05,
     min_events: int = DEFAULT_MIN_EVENTS,
-    min_usable: int = 20,
 ) -> SignificanceResult:
     """Compare observed corrected burstiness with up to k no-incident windows.
 
@@ -356,9 +341,9 @@ def monte_carlo_null_test(
             nulls.append(burstiness_corrected(inter_arrivals(series), min_events))
         except UndefinedStatisticError:
             skipped += 1
-    if len(nulls) < min_usable:
+    if len(nulls) < MIN_NULL_SAMPLES:
         raise InsufficientNullDataError(
-            f"{len(nulls)} usable null windows < required {min_usable}"
+            f"{len(nulls)} usable null windows < required {MIN_NULL_SAMPLES}"
         )
     obs = observed.b_corrected
     n = len(nulls)

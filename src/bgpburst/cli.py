@@ -210,7 +210,7 @@ def _parse_time(text: str) -> int:
     try:
         return parse_utc(text)
     except ValueError as exc:
-        raise CliError(f"cannot parse time {text!r}: {exc}") from exc
+        raise CliError(f"cannot parse time {reprlib.repr(text)}: {exc}") from exc
 
 
 def _decode_utf8(path: Path, data: bytes) -> str:
@@ -316,7 +316,7 @@ def _ingest_input(manifest: Manifest, path: Path, args, fh) -> tuple[dict, int, 
 
 def cmd_ingest(args, manifest: Manifest) -> int:
     if args.collector is not None and not utf8_text(args.collector):
-        raise CliError(f"--collector {args.collector!r} is not UTF-8 text")
+        raise CliError(f"--collector {reprlib.repr(args.collector)} is not UTF-8 text")
     manifest.doc["config"] = {"asn": args.asn, "collector": args.collector}
     per_input = []
     written = announcements = 0
@@ -373,8 +373,8 @@ def _check_report_names(keys: list[tuple[int, str]]) -> None:
         other = seen.setdefault((asn, _safe_name(collector)), collector)
         if other != collector:
             raise CliError(
-                f"collectors {other!r} and {collector!r} share the report name "
-                f"{_safe_name(collector)!r} for AS{asn}; pick one with --collector"
+                f"collectors {reprlib.repr(other)} and {reprlib.repr(collector)} share the report "
+                f"name {reprlib.repr(_safe_name(collector))} for AS{asn}; pick one with --collector"
             )
 
 
@@ -471,7 +471,7 @@ def cmd_analyze(args, manifest: Manifest) -> int:
     collectors = sorted({collector for _, collector in groups})
     if args.collector is not None:
         if args.collector not in collectors:
-            raise CliError(f"collector {args.collector!r} not present in events")
+            raise CliError(f"collector {reprlib.repr(args.collector)} not present in events")
         collectors = [args.collector]
     elif len(collectors) > 1:
         raise CliError(
@@ -502,7 +502,7 @@ def cmd_analyze(args, manifest: Manifest) -> int:
     try:
         table = joint_distribution(corpus, window, min_events=min_events)
     except DegenerateTableError as exc:
-        raise CliError(f"joint distribution for {collector!r}: {exc}") from exc
+        raise CliError(f"joint distribution for {reprlib.repr(collector)}: {exc}") from exc
     with manifest.output(f"joint_{_safe_name(collector)}.csv") as fh:
         write_joint_csv(table, fh)
     manifest.write_json(f"joint_{_safe_name(collector)}.json", joint_sidecar(table))

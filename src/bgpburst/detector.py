@@ -57,12 +57,7 @@ class DetectorConfig(FrozenRecord):
             raise ValueError("warmup and variance_floor must be nonnegative")
         if min_events < 2:
             raise ValueError("min_events must be >= 2")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "warmup", warmup)
-        object.__setattr__(self, "variance_floor", variance_floor)
-        object.__setattr__(self, "min_events", min_events)
+        self._set_fields(r, omega, delta, warmup, variance_floor, min_events)
 
     @property
     def a(self) -> float:
@@ -152,10 +147,7 @@ class AnomalyReport(FrozenRecord):
         anomalous_timestamps: tuple[int, ...],
         trace: tuple[TraceRow, ...] | None = None,
     ):
-        object.__setattr__(self, "origin_asn", origin_asn)
-        object.__setattr__(self, "collector", collector)
-        object.__setattr__(self, "anomalous_timestamps", anomalous_timestamps)
-        object.__setattr__(self, "trace", trace)
+        self._set_fields(origin_asn, collector, anomalous_timestamps, trace)
 
 
 def _band_report(

@@ -37,11 +37,7 @@ class IncidentWindow(FrozenRecord):
             raise ValueError(f"incident {reprlib.repr(name)}: start must precede end")
         if kind not in (KIND_LARGE_SCALE, KIND_INTERCEPTION):
             raise ValueError(f"incident {reprlib.repr(name)}: unknown kind {reprlib.repr(kind)}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "perpetrator_asn", perpetrator_asn)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "kind", kind)
+        self._set_fields(name, perpetrator_asn, start, end, kind)
 
 
 # The `note` field describes a window (the bundled incidents.json has some).
@@ -148,19 +144,9 @@ class BinnedEvaluation(FrozenRecord):
         recall: float | None,
         f1: float | None,
     ):
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n_bins", n_bins)
-        object.__setattr__(self, "truth_bins", truth_bins)
-        object.__setattr__(self, "detected_bins", detected_bins)
-        object.__setattr__(self, "tp", tp)
-        object.__setattr__(self, "fp", fp)
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "tn", tn)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "recall", recall)
-        object.__setattr__(self, "f1", f1)
+        self._set_fields(
+            t0, t1, m, n_bins, truth_bins, detected_bins, tp, fp, fn, tn, precision, recall, f1,
+        )
 
 
 def score(
@@ -222,10 +208,7 @@ class EvaluationRow(FrozenRecord):
     __slots__ = ("incident", "collector", "detector", "evaluation")
 
     def __init__(self, incident: str, collector: str, detector: str, evaluation: BinnedEvaluation):
-        object.__setattr__(self, "incident", incident)
-        object.__setattr__(self, "collector", collector)
-        object.__setattr__(self, "detector", detector)
-        object.__setattr__(self, "evaluation", evaluation)
+        self._set_fields(incident, collector, detector, evaluation)
 
 
 def evaluate_incident(

@@ -49,18 +49,18 @@ def parse_utc(text: str) -> int:
     fields raise ValueError; a value that is not a string raises TypeError.
     """
     if not isinstance(text, str):
-        raise TypeError(f"time must be an RFC 3339 string, got {text!r}")
+        raise TypeError(f"time must be an RFC 3339 string, got {reprlib.repr(text)}")
     m = _RFC3339.fullmatch(text)
     if m is None:
-        raise ValueError(f"not an RFC 3339 time: {text!r}")
+        raise ValueError(f"not an RFC 3339 time: {reprlib.repr(text)}")
     fields = [int(g or 0) for g in m.group(1, 2, 3, 4, 5, 6)]
     sign, off_hours, off_minutes = m.group(7, 8, 9)
     offset = timedelta()
     if sign is not None:
         if int(off_hours) > 23:
-            raise ValueError(f"offset hours out of range in {text!r}")
+            raise ValueError(f"offset hours out of range in {reprlib.repr(text)}")
         if int(off_minutes) > 59:
-            raise ValueError(f"offset minutes out of range in {text!r}")
+            raise ValueError(f"offset minutes out of range in {reprlib.repr(text)}")
         offset = timedelta(hours=int(off_hours), minutes=int(off_minutes))
         if sign == "-":
             offset = -offset

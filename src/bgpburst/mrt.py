@@ -70,18 +70,12 @@ class _MalformedUpdate(Exception):
 
 
 class MrtStats(Record):
-    """Counters for one parse run; emitted + dropped always equals nlri_seen."""
+    """Counters for one parse run; emitted + dropped always equals nlri_seen.
+    records_skipped counts non-update MRT records and unknown types."""
 
     __slots__ = (
-        "records_total",
-        "records_skipped",  # non-update MRT records and unknown types
-        "updates_parsed",
-        "malformed_updates",
-        "malformed_paths",
-        "nlri_seen",
-        "events_emitted",
-        "events_dropped",
-        "announcements",
+        "records_total", "records_skipped", "updates_parsed", "malformed_updates",
+        "malformed_paths", "nlri_seen", "events_emitted", "events_dropped", "announcements",
         "withdrawals",
     )
 
@@ -98,24 +92,17 @@ class MrtStats(Record):
         announcements: int = 0,
         withdrawals: int = 0,
     ):
-        self.records_total = records_total
-        self.records_skipped = records_skipped
-        self.updates_parsed = updates_parsed
-        self.malformed_updates = malformed_updates
-        self.malformed_paths = malformed_paths
-        self.nlri_seen = nlri_seen
-        self.events_emitted = events_emitted
-        self.events_dropped = events_dropped
-        self.announcements = announcements
-        self.withdrawals = withdrawals
+        self._set_fields(
+            records_total, records_skipped, updates_parsed, malformed_updates, malformed_paths,
+            nlri_seen, events_emitted, events_dropped, announcements, withdrawals,
+        )
 
 
 class MrtParseResult(Record):
     __slots__ = ("events", "stats")
 
     def __init__(self, events: list[AnnouncementEvent] | None = None, stats: MrtStats | None = None):
-        self.events = [] if events is None else events
-        self.stats = MrtStats() if stats is None else stats
+        self._set_fields([] if events is None else events, MrtStats() if stats is None else stats)
 
 
 # A bzip2 stream opens with "BZh", a block size digit 1-9 and the magic of

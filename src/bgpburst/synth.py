@@ -52,14 +52,7 @@ class GeneratorSpec(FrozenRecord):
             raise ValueError("pareto_alpha must exceed 1 for a finite mean, and be finite")
         if not utf8_text(collector):
             raise ValueError("collector must be a string without lone surrogates")
-        object.__setattr__(self, "process", process)
-        object.__setattr__(self, "mean_gap", mean_gap)
-        object.__setattr__(self, "n_events", n_events)
-        object.__setattr__(self, "start_ts", start_ts)
-        object.__setattr__(self, "asn", asn)
-        object.__setattr__(self, "collector", collector)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "pareto_alpha", pareto_alpha)
+        self._set_fields(process, mean_gap, n_events, start_ts, asn, collector, seed, pareto_alpha)
 
 
 class IncidentSpec(FrozenRecord):
@@ -72,10 +65,7 @@ class IncidentSpec(FrozenRecord):
             raise ValueError("burst_gap must be positive")
         if prefixes_per_second < 1:
             raise ValueError("prefixes_per_second must be >= 1")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "burst_gap", burst_gap)
-        object.__setattr__(self, "prefixes_per_second", prefixes_per_second)
+        self._set_fields(start, end, burst_gap, prefixes_per_second)
 
 
 def stream_prefix(asn: int) -> str:
@@ -247,12 +237,7 @@ class IncidentScenario(FrozenRecord):
         incident_start: int,
         incident_end: int,
     ):
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "asn", asn)
-        object.__setattr__(self, "collector", collector)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "incident_start", incident_start)
-        object.__setattr__(self, "incident_end", incident_end)
+        self._set_fields(events, asn, collector, bounds, incident_start, incident_end)
 
 
 def incident_scenario(

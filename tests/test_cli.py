@@ -784,6 +784,13 @@ class TestEvaluate:
         code, _ = self.run_pipeline(sim_events, tmp_path, [{**self.INCIDENT, **edit}])
         assert len(assert_input_error(code, capsys)) < 300
 
+    def test_long_time_flag_gives_a_short_error(self, sim_events, tmp_path, capsys):
+        code, out = self.run_pipeline(
+            sim_events, tmp_path, [self.INCIDENT], "--t0", "x" * 100_000, "--t1", str(START)
+        )
+        assert len(assert_input_error(code, capsys)) < 300
+        assert list(out.iterdir()) == []
+
     def test_flags_outside_t0_t1_are_input_error(self, sim_events, tmp_path, capsys):
         code, _ = self.run_pipeline(
             sim_events, tmp_path, [self.INCIDENT],
@@ -1023,7 +1030,7 @@ class TestAnalyze:
         return code, out
 
     @pytest.mark.parametrize("flag, value", [
-        ("--k", "-3"), ("--k", "0"),
+        ("--k", "-3"), ("--k", "0"), ("--k", "5"), ("--k", "19"),
         ("--alpha-sig", "nan"), ("--alpha-sig", "inf"), ("--alpha-sig", "1.5"),
         ("--alpha-sig", "1"), ("--alpha-sig", "0"), ("--alpha-sig", "-0.05"),
     ])
@@ -1048,6 +1055,26 @@ class TestAnalyze:
         assert code == 2
         assert capsys.readouterr().err == "error: --target-asn names AS64500 more than once\n"
         assert list(out.iterdir()) == []
+
+    def test_k_below_the_usable_minimum_fails_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "analyze"
+        code = main([
+            "analyze", str(tmp_path / "absent.jsonl"), "--window", "0", "100",
+            "--target-asn", "64500", "--k", "5",
+            "--null-windows", str(tmp_path / "absent.json"), "--out", str(out),
+        ])
+        assert assert_input_error(code, capsys) == (
+            "error: bad Monte Carlo settings: null sample count k must be >= 20, got 5\n"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_long_collector_gives_a_short_error(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text(
+            AnnouncementEvent(1, "c", "10.0.0.0/8", ANNOUNCEMENT, origin_asn=1).to_line() + "\n"
+        )
+        code, _ = self.analyze_config(events, tmp_path, "--collector", "c" * 100_000)
+        assert len(assert_input_error(code, capsys)) < 300
 
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_min_events_below_two_is_input_error(self, corpus_events, tmp_path, capsys, value):

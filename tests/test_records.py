@@ -2,7 +2,12 @@
 
 Each record is a plain class with __slots__ and its own __init__: equal when
 of the same class with equal fields, repr as Name(field=value, ...), frozen
-records hashable and read-only, MrtStats and MrtParseResult mutable.
+records hashable and read-only, MrtStats and MrtParseResult mutable.  An
+__init__ checks its arguments and then writes every field with one
+Record._set_fields call, one value per field in field order; a subclass's
+fields are its parent's followed by its own __slots__.  Each fixture below
+gives its fields pairwise distinct values, so a value written to the wrong
+field shows.
 """
 
 import copy
@@ -10,6 +15,7 @@ import os
 import pickle
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -24,13 +30,13 @@ from bgpburst.burstiness import (
 )
 from bgpburst.detector import AnomalyReport, DetectorConfig, TraceRow
 from bgpburst.evaluation import BinnedEvaluation, EvaluationRow, IncidentWindow
-from bgpburst.events import AnnouncementEvent, EventSeries, VolumeSeries
+from bgpburst.events import AnnouncementEvent, EventSeries, Record, VolumeSeries
 from bgpburst.mrt import MrtParseResult, MrtStats
 from bgpburst.synth import GeneratorSpec, IncidentScenario, IncidentSpec
 
 EVENT = AnnouncementEvent(5, "rrc00", "10.0.0.0/8", "announcement", 64500, 3, True)
 EVALUATION = BinnedEvaluation(
-    0, 30, 10, 3, frozenset({1}), frozenset({1, 2}), 1, 1, 0, 1, 0.5, 1.0, 2 / 3
+    0, 120, 10, 12, frozenset({1, 2, 3}), frozenset(range(2, 8)), 2, 4, 1, 5, 1 / 3, 2 / 3, 4 / 9
 )
 
 # Each record class with one set of field values, given in field order.
@@ -66,9 +72,9 @@ FROZEN = [
         "name": "leak", "perpetrator_asn": 64500, "start": 0, "end": 10, "kind": "interception",
     }),
     (BinnedEvaluation, {
-        "t0": 0, "t1": 30, "m": 10, "n_bins": 3, "truth_bins": frozenset({1}),
-        "detected_bins": frozenset({1, 2}), "tp": 1, "fp": 1, "fn": 0, "tn": 1,
-        "precision": 0.5, "recall": 1.0, "f1": 2 / 3,
+        "t0": 0, "t1": 120, "m": 10, "n_bins": 12, "truth_bins": frozenset({1, 2, 3}),
+        "detected_bins": frozenset(range(2, 8)), "tp": 2, "fp": 4, "fn": 1, "tn": 5,
+        "precision": 1 / 3, "recall": 2 / 3, "f1": 4 / 9,
     }),
     (EvaluationRow, {
         "incident": "leak", "collector": "rrc00", "detector": "burstiness",
@@ -99,6 +105,9 @@ frozen_ids = [cls.__name__ for cls, _ in FROZEN]
 
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=ids)
 class TestValueSemantics:
+    def test_fixture_values_are_pairwise_distinct(self, cls, fields):
+        assert all(a != b for a, b in combinations(fields.values(), 2))
+
     def test_fields_in_order_positional_and_keyword(self, cls, fields):
         assert cls.__slots__ == tuple(fields)
         by_position = cls(*fields.values())
@@ -167,6 +176,35 @@ def test_mutable_records_assign_and_are_unhashable(cls, fields):
     assert record != cls(**fields)
     with pytest.raises(TypeError, match="unhashable"):
         hash(record)
+
+
+class Pair(Record):
+    __slots__ = ("first", "second")
+
+    def __init__(self, *values):
+        self._set_fields(*values)
+
+
+@pytest.mark.parametrize("values", [(1,), (1, 2, 3)])
+def test_set_fields_refuses_a_value_count_other_than_the_field_count(values):
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer)"):
+        Pair(*values)
+
+
+def test_subclass_fields_are_its_parents_then_its_own():
+    class Same(Pair):
+        __slots__ = ()
+
+    class More(Pair):
+        __slots__ = ("third",)
+
+    assert Same(1, 2).as_dict() == {"first": 1, "second": 2}
+    assert Same(1, 2) != Same(1, 3)
+    assert repr(Same(1, 2)).endswith("Same(first=1, second=2)")
+    assert copy.copy(Same(1, 2)) == Same(1, 2)
+    assert More(1, 2, 3).as_dict() == {"first": 1, "second": 2, "third": 3}
+    with pytest.raises(ValueError):
+        More(1, 2)
 
 
 def test_defaults():

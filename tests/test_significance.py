@@ -66,7 +66,7 @@ class TestNullWindowHandling:
         assert len(result.null_samples) == 30
 
     @pytest.mark.parametrize("k, alpha_sig", [
-        (0, 0.05), (-3, 0.05),
+        (0, 0.05), (-3, 0.05), (19, 0.05),
         (100, float("nan")), (100, float("inf")), (100, 1.5), (100, 1.0), (100, 0.0), (100, -0.05),
     ])
     def test_bad_settings_rejected(self, k, alpha_sig):
@@ -92,9 +92,7 @@ def test_calibration_smoke():
         windows = [
             EventSeries(1, "c", (0, *map(int, row))) for row in stamps
         ]
-        result = monte_carlo_null_test(
-            windows[:40], series_burstiness(windows[40]), min_usable=20
-        )
+        result = monte_carlo_null_test(windows[:40], series_burstiness(windows[40]))
         fired += result.significant
     assert fired / trials <= 0.15
 
