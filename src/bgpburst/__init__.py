@@ -4,10 +4,8 @@ __version__ = "0.1.0"
 
 from .burstiness import (
     BurstinessResult,
-    InterArrivalSample,
     JointActivityTable,
     SignificanceResult,
-    burstiness_corrected,
     burstiness_raw,
     finite_size_correction,
     inter_arrivals,

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 from functools import reduce
-from itertools import islice, repeat
-from operator import add, gt, sub
+from itertools import islice
+from operator import add, sub
 from typing import IO, Iterable, Sequence
 
 from .events import EventSeries, FrozenRecord
@@ -38,19 +38,6 @@ class InsufficientNullDataError(ValueError):
     """Too few usable null windows to run the significance test."""
 
 
-class InterArrivalSample(FrozenRecord):
-    """Gaps between consecutive events plus the underlying event count."""
-
-    __slots__ = ("intervals", "n_events")
-
-    def __init__(self, intervals: tuple[float, ...], n_events: int):
-        if n_events >= 1 and len(intervals) != n_events - 1:
-            raise ValueError("expected n_events - 1 intervals")
-        if any(map(gt, repeat(0), intervals)):
-            raise ValueError("negative inter-arrival interval")
-        self._set_fields(intervals, n_events)
-
-
 class BurstinessResult(FrozenRecord):
     __slots__ = ("mu", "sigma", "b_raw", "b_corrected", "n_events")
 
@@ -60,11 +47,10 @@ class BurstinessResult(FrozenRecord):
         self._set_fields(mu, sigma, b_raw, b_corrected, n_events)
 
 
-def inter_arrivals(series: EventSeries) -> InterArrivalSample:
+def inter_arrivals(series: EventSeries) -> tuple[float, ...]:
     """Consecutive timestamp differences; zero gaps are kept."""
     ts = series.timestamps
-    gaps = tuple(map(float, map(sub, islice(ts, 1, None), ts)))
-    return InterArrivalSample(gaps, len(ts))
+    return tuple(map(float, map(sub, islice(ts, 1, None), ts)))
 
 
 # NumPy's float64 mean, population deviation and linear percentile, bit for
@@ -119,9 +105,8 @@ def _interval_stats(intervals: Sequence[float]) -> tuple[float, float, float]:
     return mu, sigma, (sigma - mu) / (sigma + mu)
 
 
-def burstiness_raw(sample: InterArrivalSample | Sequence[float]) -> float:
+def burstiness_raw(intervals: Sequence[float]) -> float:
     """(sigma - mu) / (sigma + mu) of the intervals, population sigma."""
-    intervals = sample.intervals if isinstance(sample, InterArrivalSample) else sample
     return _interval_stats(intervals)[2]
 
 
@@ -139,31 +124,26 @@ def finite_size_correction(b_raw: float, n_events: int) -> float:
     return num / den
 
 
-def burstiness_corrected(
-    sample: InterArrivalSample, min_events: int = DEFAULT_MIN_EVENTS
-) -> float:
-    if sample.n_events < min_events:
-        raise InsufficientDataError(
-            f"{sample.n_events} events < required minimum {min_events}"
-        )
-    return finite_size_correction(burstiness_raw(sample), sample.n_events)
-
-
-def burstiness_result(
-    sample: InterArrivalSample, min_events: int = DEFAULT_MIN_EVENTS
-) -> BurstinessResult:
-    """Full summary for one sample; b_corrected is None below min_events."""
-    mu, sigma, b_raw = _interval_stats(sample.intervals)
-    b_corr = None
-    if sample.n_events >= min_events:
-        b_corr = finite_size_correction(b_raw, sample.n_events)
-    return BurstinessResult(mu, sigma, b_raw, b_corr, sample.n_events)
-
-
 def series_burstiness(
     series: EventSeries, min_events: int = DEFAULT_MIN_EVENTS
 ) -> BurstinessResult:
-    return burstiness_result(inter_arrivals(series), min_events)
+    """Summary of a series's inter-arrival times; b_corrected is None below
+    min_events.  Raises UndefinedStatisticError without two events in
+    different seconds."""
+    n = len(series)
+    mu, sigma, b_raw = _interval_stats(inter_arrivals(series))
+    b_corr = finite_size_correction(b_raw, n) if n >= min_events else None
+    return BurstinessResult(mu, sigma, b_raw, b_corr, n)
+
+
+def _window_burstiness(series: EventSeries, min_events: int) -> float | None:
+    """The corrected coefficient of a window, or None when it has none: under
+    min_events announcements, or every one in the same second.  The one skip
+    rule of both the joint table and the Monte Carlo test."""
+    try:
+        return series_burstiness(series, min_events).b_corrected
+    except UndefinedStatisticError:
+        return None
 
 
 class ActivityRow(FrozenRecord):
@@ -206,14 +186,13 @@ def joint_distribution(
     corpus: Iterable[EventSeries],
     window: tuple[int, int],
     min_events: int = DEFAULT_MIN_EVENTS,
-    percentile: float = 95.0,
 ) -> JointActivityTable:
     """Quadrant table of corrected burstiness vs announcement count per AS.
 
     All series must come from a single collector.  ASes with fewer than
     min_events announcements inside the window, or with all of them in one
     second (no burstiness is defined), are excluded from both the rows and
-    the percentile thresholds, and reported in `skipped`.
+    the 95th-percentile thresholds, and reported in `skipped`.
     """
     start, end = window
     if start >= end:
@@ -234,12 +213,7 @@ def joint_distribution(
         seen.add(series.origin_asn)
         windowed = series.restrict(start, end)
         count = len(windowed)
-        b = None
-        if count >= min_events:
-            try:
-                b = burstiness_corrected(inter_arrivals(windowed), min_events)
-            except UndefinedStatisticError:  # every announcement in one second
-                pass
+        b = _window_burstiness(windowed, min_events)
         if b is None:
             skipped.append((series.origin_asn, count))
         else:
@@ -248,8 +222,8 @@ def joint_distribution(
         raise DegenerateTableError(
             f"only {len(qualifying)} ASes with >= {min_events} announcements in window"
         )
-    b_p95 = _percentile([b for _, b, _ in qualifying], percentile)
-    count_p95 = _percentile([c for _, _, c in qualifying], percentile)
+    b_p95 = _percentile([b for _, b, _ in qualifying], 95)
+    count_p95 = _percentile([c for _, _, c in qualifying], 95)
     rows = tuple(
         ActivityRow(asn, b, count, _quadrant(b, count, b_p95, count_p95))
         for asn, b, count in sorted(qualifying)
@@ -334,13 +308,11 @@ def monte_carlo_null_test(
     for series in null_windows:
         if len(nulls) == k:
             break
-        if len(series) < min_events:
+        b = _window_burstiness(series, min_events)
+        if b is None:
             skipped += 1
-            continue
-        try:
-            nulls.append(burstiness_corrected(inter_arrivals(series), min_events))
-        except UndefinedStatisticError:
-            skipped += 1
+        else:
+            nulls.append(b)
     if len(nulls) < MIN_NULL_SAMPLES:
         raise InsufficientNullDataError(
             f"{len(nulls)} usable null windows < required {MIN_NULL_SAMPLES}"

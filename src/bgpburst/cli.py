@@ -162,7 +162,7 @@ class Manifest:
             with io.TextIOWrapper(digesting, encoding="utf-8", newline="\n") as fh:
                 yield fh
         except OSError as exc:
-            raise CliError(f"cannot write {target}: {exc}") from exc
+            raise CliError(f"cannot write {reprlib.repr(str(target))}: {exc.strerror or exc}") from exc
         self.doc["outputs"].append({"path": str(target), "sha256": digesting.sha256.hexdigest()})
 
     def write_text(self, name: str, text: str) -> None:
@@ -174,7 +174,7 @@ class Manifest:
                 self.pending[name] = partial
                 fh.write(data)
         except OSError as exc:
-            raise CliError(f"cannot write {target}: {exc}") from exc
+            raise CliError(f"cannot write {reprlib.repr(str(target))}: {exc.strerror or exc}") from exc
         self.doc["outputs"].append({"path": str(target), "sha256": hashlib.sha256(data).hexdigest()})
 
     def write_json(self, name: str, doc) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import ipaddress
 import json
 import re
+import reprlib
 
 # socket's own functions, from its C module: socket.py builds enums on import.
 from _socket import AF_INET6, inet_ntop, inet_pton
@@ -59,8 +60,8 @@ def _check_prefix(prefix: str) -> None:
             pass
     try:
         ipaddress.ip_network(prefix, strict=False)
-    except ValueError as exc:
-        raise EventFormatError(f"bad prefix {prefix!r}: {exc}") from exc
+    except ValueError as exc:  # its text only repeats the prefix
+        raise EventFormatError(f"bad prefix {reprlib.repr(prefix)}: not an IPv4 or IPv6 network") from exc
 
 
 class Record:

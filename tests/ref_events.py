@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import reprlib
 from typing import NamedTuple
 
 ANNOUNCEMENT = "announcement"
@@ -118,7 +119,9 @@ def _parse_line(line: str, lineno: int) -> RefEvent:
     try:
         ipaddress.ip_network(prefix, strict=False)
     except ValueError as exc:
-        raise EventFormatError(f"line {lineno}: bad prefix {prefix!r}: {exc}") from exc
+        raise EventFormatError(
+            f"line {lineno}: bad prefix {reprlib.repr(prefix)}: not an IPv4 or IPv6 network"
+        ) from exc
     return RefEvent(ts, collector, prefix, kind, origin, peer, ambiguous)
 
 

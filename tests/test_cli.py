@@ -526,6 +526,21 @@ class TestDetect:
         assert main(["detect", str(events), "--collector", "a b", "--out", str(out)]) == 0
         assert len(manifest_of(out)["outputs"]) == 2
 
+    @pytest.mark.parametrize("field", ["collector", "prefix"])
+    def test_huge_text_field_is_one_short_error(self, tmp_path, capsys, field):
+        # No file system takes a report named after a 100,000-character
+        # collector, and no network is written in 100,000 characters.
+        event = {"ts": 1, "collector": "c", "prefix": "10.0.0.0/8", "origin_asn": 1, "type": "A"}
+        event[field] = "x" * 100_000
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps(event) + "\n")
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "kept").write_text("kept\n")
+        err = assert_input_error(main(["detect", str(events), "--out", str(out)]), capsys)
+        assert len(err.encode()) < 300, err[:300]
+        assert [p.name for p in out.iterdir()] == ["kept"]
+
     def test_null_collector_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "events.jsonl"
         bad.write_text(
@@ -1020,6 +1035,23 @@ class TestAnalyze:
         assert [row.split(",")[0] for row in rows] == ["2", "3"]
         sidecar = json.loads((out / "joint_c.json").read_text())
         assert sidecar["skipped"] == [{"asn": 1, "count": 6}]
+
+    def test_unwritable_joint_table_is_one_short_error(self, tmp_path, capsys):
+        # joint_<collector>.csv cannot be named after a 100,000-character collector
+        collector = "x" * 100_000
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            json.dumps({"ts": ts, "collector": collector, "prefix": "10.0.0.0/8",
+                        "origin_asn": asn, "type": "A"}) + "\n"
+            for ts in (0, 1, 3, 7, 15, 31, 63, 127) for asn in (1, 2)
+        ))
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "kept").write_text("kept\n")
+        code = main(["analyze", str(events), "--window", "0", "1000", "--out", str(out)])
+        err = assert_input_error(code, capsys)
+        assert err.startswith("error: cannot write ") and len(err.encode()) < 300, err[:300]
+        assert [p.name for p in out.iterdir()] == ["kept"]
 
     def analyze_config(self, corpus_events, tmp_path, *extra):
         out = tmp_path / "analyze"

@@ -24,7 +24,6 @@ import bgpburst
 from bgpburst.burstiness import (
     ActivityRow,
     BurstinessResult,
-    InterArrivalSample,
     JointActivityTable,
     SignificanceResult,
 )
@@ -47,7 +46,6 @@ FROZEN = [
     }),
     (EventSeries, {"origin_asn": 64500, "collector": "rrc00", "timestamps": (1, 2, 2)}),
     (VolumeSeries, {"origin_asn": 64500, "collector": "rrc00", "timestamps": (1, 3), "counts": (2, 1)}),
-    (InterArrivalSample, {"intervals": (1.0, 0.0), "n_events": 3}),
     (BurstinessResult, {
         "mu": 1.0, "sigma": 0.5, "b_raw": -1 / 3, "b_corrected": None, "n_events": 3,
     }),

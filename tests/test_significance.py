@@ -6,6 +6,7 @@ import pytest
 
 from bgpburst.burstiness import (
     InsufficientNullDataError,
+    joint_distribution,
     monte_carlo_null_test,
     series_burstiness,
     write_significance_json,
@@ -79,6 +80,26 @@ class TestNullWindowHandling:
         assert observed.b_corrected is None
         with pytest.raises(Exception):
             monte_carlo_null_test(NULLS, observed)
+
+    @pytest.mark.parametrize("min_events", [2, 5, 12])
+    def test_joint_table_skips_the_same_windows(self, min_events):
+        # One AS per window: the joint table's rows are the null test's samples.
+        unusable = [
+            EventSeries(1, "c", ()),
+            EventSeries(2, "c", (7,)),
+            EventSeries(3, "c", tuple(range(0, 600 * (min_events - 1), 600))),
+            EventSeries(4, "c", (1000,) * (min_events + 3)),  # every announcement in one second
+        ]
+        usable = [poisson_window(asn, seed=asn) for asn in range(10, 35)]
+        windows = unusable + usable
+        table = joint_distribution(windows, (0, 10**7), min_events=min_events)
+        result = monte_carlo_null_test(
+            windows, series_burstiness(bursty_window(), min_events), min_events=min_events
+        )
+        assert [asn for asn, _ in table.skipped] == [1, 2, 3, 4]
+        assert result.skipped_windows == 4
+        assert result.null_samples == tuple(row.b_corrected for row in table.rows)
+        assert [row.asn for row in table.rows] == list(range(10, 35))
 
 
 def test_calibration_smoke():

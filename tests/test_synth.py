@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from bgpburst.burstiness import burstiness_corrected, inter_arrivals
+from bgpburst.burstiness import series_burstiness
 from bgpburst.events import build_series, build_volume_series, write_event_lines
 from bgpburst.synth import (
     GeneratorSpec,
@@ -41,19 +41,19 @@ class TestGenerateStream:
 
     def test_regular_process_is_perfectly_regular(self):
         series = generate_series(spec(process="regular", n=100))
-        b = burstiness_corrected(inter_arrivals(series))
+        b = series_burstiness(series).b_corrected
         assert b == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_poisson_process_centers_on_zero(self, seed):
         series = generate_series(spec(seed=seed))
-        b = burstiness_corrected(inter_arrivals(series))
+        b = series_burstiness(series).b_corrected
         assert abs(b) <= 0.05
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pareto_process_is_bursty(self, seed):
         series = generate_series(spec(process="pareto", seed=seed))
-        b = burstiness_corrected(inter_arrivals(series))
+        b = series_burstiness(series).b_corrected
         assert b > 0.25
 
     @pytest.mark.parametrize("process", ["regular", "poisson", "pareto"])
