@@ -116,13 +116,15 @@ class Manifest:
     in write(), once the command has succeeded; discard() removes the rest.
     """
 
-    def __init__(self, command: str, argv: list[str], out: str, seed: int | None):
+    def __init__(self, command: str, argv: list[str], out: str):
         self.started = time.time()
         self.out = Path(out)
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise CliError(f"cannot create output directory {self.out}: {exc}") from exc
+            raise CliError(
+                f"cannot create output directory {reprlib.repr(str(self.out))}: {exc.strerror or exc}"
+            ) from exc
         self.pending: dict[str, Path] = {}  # output name -> its temporary file
         self.doc = {
             "tool": "bgpburst",
@@ -130,7 +132,7 @@ class Manifest:
             "command": command,
             "argv": argv,
             "config": {},
-            "seed": seed,
+            "seed": None,  # simulate sets its --seed
             "inputs": [],
             "outputs": [],
         }
@@ -140,7 +142,7 @@ class Manifest:
         try:
             data = path.read_bytes()
         except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from exc
+            raise CliError(f"cannot read {reprlib.repr(str(path))}: {exc.strerror or exc}") from exc
         self.doc["inputs"].append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
         return data
 
@@ -189,7 +191,9 @@ class Manifest:
             self.doc["duration_s"] = round(time.time() - self.started, 3)
             (self.out / "manifest.json").write_text(_json_text(self.doc), encoding="utf-8")
         except OSError as exc:
-            raise CliError(f"cannot publish outputs in {self.out}: {exc}") from exc
+            raise CliError(
+                f"cannot publish outputs in {reprlib.repr(str(self.out))}: {exc.strerror or exc}"
+            ) from exc
 
     def discard(self) -> None:
         """Remove the temporary files of outputs not published."""
@@ -633,6 +637,7 @@ def cmd_simulate(args, manifest: Manifest) -> int:
     seed = args.seed or 0
     if not -INT_LIMIT < seed < INT_LIMIT:
         raise CliError(f"--seed must have at most {INT_DIGITS} digits")
+    manifest.doc["seed"] = args.seed
     done = []  # printed once every output is published
     for spec_path in map(Path, args.specs):
         where = str(spec_path)
@@ -662,9 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"bgpburst {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help=f"detector config file (or ${CONFIG_ENV_VAR})")
     common.add_argument("--out", default="bgpburst-out", help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="default RNG seed")
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", default=None, help=f"detector config file (or ${CONFIG_ENV_VAR})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", parents=[common], help="normalize MRT or canonical inputs")
@@ -673,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--collector", default=None, help="collector name for MRT input; filter otherwise")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("detect", parents=[common], help="run burstiness and volume detectors")
+    p = sub.add_parser("detect", parents=[configured], help="run burstiness and volume detectors")
     p.add_argument("events", help="canonical events file")
     p.add_argument("--asn", type=int, default=None)
     p.add_argument("--collector", default=None)
@@ -687,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write a per-event trace_*.csv beside each report")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("analyze", parents=[common], help="joint distribution and significance test")
+    p = sub.add_parser("analyze", parents=[configured], help="joint distribution and significance test")
     p.add_argument("events", help="canonical events file")
     p.add_argument("--collector", default=None)
     p.add_argument("--window", nargs=2, required=True, metavar=("START", "END"),
@@ -715,6 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="generate synthetic canonical streams")
     p.add_argument("specs", nargs="+", help="generator spec JSON files")
+    p.add_argument("--seed", type=int, default=None, help="seed of the specs that name none (default 0)")
     p.set_defaults(func=cmd_simulate)
     return parser
 
@@ -723,9 +729,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     manifest = None
     try:
-        manifest = Manifest(
-            args.command, sys.argv[1:] if argv is None else list(argv), args.out, args.seed
-        )
+        manifest = Manifest(args.command, sys.argv[1:] if argv is None else list(argv), args.out)
         return args.func(args, manifest)
     except (CliError, MrtParseError, EventFormatError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -244,12 +244,17 @@ def _fmt_metric(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
+def _csv_text(text: str) -> str:
+    """A free-text CSV field, quoted (RFC 4180) only when it holds a comma, quote or line break."""
+    return text if set(',"\r\n').isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
 def write_results_csv(rows: Iterable[EvaluationRow], out: IO[str]) -> None:
     out.write("incident,collector,detector,precision,recall,f1,tp,fp,fn,tn\n")
     for row in rows:
         ev = row.evaluation
         out.write(
-            f"{row.incident},{row.collector},{row.detector},"
+            f"{_csv_text(row.incident)},{_csv_text(row.collector)},{_csv_text(row.detector)},"
             f"{_fmt_metric(ev.precision)},{_fmt_metric(ev.recall)},{_fmt_metric(ev.f1)},"
             f"{ev.tp},{ev.fp},{ev.fn},{ev.tn}\n"
         )

@@ -2,11 +2,13 @@
 
 Canonical lines are read by one validating reader, scan_event_lines, into
 plain fields; parse_event_lines builds an AnnouncementEvent from each row,
-and MRT dumps and synthetic streams give events too.  One grouping pass
-turns rows or events into per-(origin AS, collector) timestamp and prefix
-columns, which become the timestamp series and per-second unique-prefix
-volume series that feed all downstream statistics.  read_groups goes from
-canonical text straight to those columns, without an event per line.
+and MRT dumps and synthetic streams give events too.  A per-(origin AS,
+collector) series is built from its timestamp and prefix columns, which
+series_from_columns and volume_from_columns turn into the timestamp series
+and per-second unique-prefix volume series that feed all downstream
+statistics.  read_groups goes from canonical text straight to every
+series' columns in one pass, without an event per line; build_series and
+build_volume_series take one pair's columns from events in memory.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import reprlib
 from _socket import AF_INET6, inet_ntop, inet_pton
 from bisect import bisect_left
 from itertools import compress, islice, repeat
-from operator import attrgetter, countOf, ge, gt, itemgetter
+from operator import countOf, ge, gt, itemgetter
 from typing import IO, Iterable, Iterator
 
 from .fields import INT_DIGITS, INT_LIMIT, OF_DIGITS as _OF_DIGITS, utf8_text
@@ -528,37 +530,35 @@ def _columns(groups: dict, key: tuple[int, str], prefixes: bool) -> tuple[list, 
     return columns
 
 
-def _group(groups: dict, rows: Iterable[tuple], prefixes: bool, items: bool = False) -> dict:
-    """Add the usable announcements among `rows` to their series' columns; returns `groups`.
+def _group(groups: dict, rows: Iterable[tuple], prefixes: bool) -> dict:
+    """Add the usable announcements among _scan_lines `rows` to their series' columns.
 
-    A row is an item followed by an event's fields in AnnouncementEvent's
-    slot order: a line from _scan_lines, or an event from _event_rows.
-    Each series' columns (see _columns) are in row order; with `items`,
-    the first one holds the items instead of the timestamps.
+    Each series' columns (see _columns) are in row order; returns `groups`.
     """
-    for item, ts, collector, prefix, kind, origin, _, ambiguous in rows:
+    for _, ts, collector, prefix, kind, origin, _, ambiguous in rows:
         # Withdrawals and ambiguous origins never contribute to statistics.
         if kind == ANNOUNCEMENT and not ambiguous:
             key = (origin, collector)
             columns = groups.get(key) or _columns(groups, key, prefixes)
-            columns[0].append(item if items else ts)
+            columns[0].append(ts)
             if prefixes:
                 columns[1].append(prefix)
     return groups
 
 
-_event_fields = attrgetter(*AnnouncementEvent.__slots__)
-
-
-def _event_rows(events: Iterable[AnnouncementEvent]) -> Iterator[tuple]:
-    return ((ev,) + _event_fields(ev) for ev in events)
+def _usable(events: Iterable[AnnouncementEvent]) -> Iterator[AnnouncementEvent]:
+    """The events that count toward statistics: withdrawals and ambiguous origins never do."""
+    return (ev for ev in events if ev.kind == ANNOUNCEMENT and not ev.ambiguous_origin)
 
 
 def build_series(
     events: Iterable[AnnouncementEvent], origin_asn: int, collector: str
 ) -> EventSeries:
     """Announcement timestamps for (origin_asn, collector), sorted."""
-    (timestamps,) = _group({}, _event_rows(events), False).get((origin_asn, collector), ([],))
+    timestamps = [
+        ev.timestamp for ev in _usable(events)
+        if ev.origin_asn == origin_asn and ev.collector == collector
+    ]
     return series_from_columns(origin_asn, collector, timestamps)
 
 
@@ -566,8 +566,10 @@ def build_volume_series(
     events: Iterable[AnnouncementEvent], origin_asn: int, collector: str
 ) -> VolumeSeries:
     """Unique announced prefixes per second for (origin_asn, collector)."""
-    timestamps, prefixes = _group({}, _event_rows(events), True).get((origin_asn, collector), ([], []))
-    return volume_from_columns(origin_asn, collector, timestamps, prefixes)
+    pair = [ev for ev in _usable(events) if ev.origin_asn == origin_asn and ev.collector == collector]
+    return volume_from_columns(
+        origin_asn, collector, [ev.timestamp for ev in pair], [ev.prefix for ev in pair]
+    )
 
 
 def series_keys(
@@ -579,8 +581,10 @@ def series_keys(
     series from a key's bucket gives the same result as building it from the
     whole event list, at the cost of the bucket instead of the list.
     """
-    groups = _group({}, _event_rows(events), False, items=True)
-    return {key: groups[key][0] for key in sorted(groups)}
+    groups: dict[tuple[int, str], list[AnnouncementEvent]] = {}
+    for ev in _usable(events):
+        groups.setdefault((ev.origin_asn, ev.collector), []).append(ev)
+    return {key: groups[key] for key in sorted(groups)}
 
 
 def read_groups(
@@ -619,9 +623,3 @@ def read_groups(
                 if prefixes:
                     columns[1].append(known[prefix])
     return {key: groups[key] for key in sorted(groups)}
-
-
-def write_volume_csv(volume: VolumeSeries, out: IO[str]) -> None:
-    out.write("ts,count\n")
-    for ts, count in zip(volume.timestamps, volume.counts):
-        out.write(f"{ts},{count}\n")

@@ -68,12 +68,8 @@ class IncidentSpec(FrozenRecord):
         self._set_fields(start, end, burst_gap, prefixes_per_second)
 
 
-def stream_prefix(asn: int) -> str:
-    """Stable synthetic prefix for a background stream."""
-    return f"10.{(asn >> 8) & 0xFF}.{asn & 0xFF}.0/24"
-
-
-def _pool_prefix(index: int) -> str:
+def stream_prefix(index: int) -> str:
+    """Stable synthetic background prefix: a stream's AS number, or an update pool index."""
     return f"10.{(index >> 8) & 0xFF}.{index & 0xFF}.0/24"
 
 
@@ -166,16 +162,10 @@ def inject_incident_events(
     _check_span((stamps[0], stamps[-1]), incident)
     origin = background[0].origin_asn
     collector = background[0].collector
+    per_second = incident.prefixes_per_second
     injected = [
-        AnnouncementEvent(
-            timestamp=tick,
-            collector=collector,
-            prefix=_incident_prefix(i),
-            kind=ANNOUNCEMENT,
-            origin_asn=origin,
-        )
-        for tick in range(incident.start, incident.end, incident.burst_gap)
-        for i in range(incident.prefixes_per_second)
+        AnnouncementEvent(tick, collector, _incident_prefix(i % per_second), ANNOUNCEMENT, origin)
+        for i, tick in enumerate(incident_timestamps(incident))
     ]
     return sorted(background + injected, key=lambda ev: ev.timestamp)
 
@@ -210,15 +200,7 @@ def update_stream(
         while k < batch_cap and rng.random() < batch_continue:
             k += 1
         for index in rng.sample(range(pool_size), k):
-            events.append(
-                AnnouncementEvent(
-                    timestamp=ts,
-                    collector=collector,
-                    prefix=_pool_prefix(index),
-                    kind=ANNOUNCEMENT,
-                    origin_asn=asn,
-                )
-            )
+            events.append(AnnouncementEvent(ts, collector, stream_prefix(index), ANNOUNCEMENT, asn))
         t += rng.expovariate(rate)
     return events
 

@@ -1,6 +1,7 @@
 import bz2
 import contextlib
 import copy
+import csv
 import functools
 import gzip
 import hashlib
@@ -667,6 +668,24 @@ class TestEvaluate:
         assert len(lines) == 3  # burstiness + volume rows
         burst_row = next(l for l in lines if ",burstiness," in l)
         assert burst_row.split(",")[4] == "1.000000"  # recall
+
+    def test_free_text_fields_are_quoted(self, sim_events, tmp_path):
+        incidents = [{
+            "name": 'burst, "x"', "asn": 64500, "start_utc": iso(START + 86400),
+            "end_utc": iso(START + 86400 + 3600), "kind": "large-scale",
+        }]
+        code, eval_out = self.run_pipeline(
+            sim_events, tmp_path, incidents, edit={"collector": "rrc,00"}
+        )
+        assert code == 0
+        with (eval_out / "results.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [10, 10, 10]
+        assert [row[:3] for row in rows[1:]] == [
+            ['burst, "x"', "rrc,00", "burstiness"], ['burst, "x"', "synth-collector", "volume"],
+        ]
+        lines = (eval_out / "results.csv").read_text().splitlines()
+        assert lines[1].startswith('"burst, ""x""","rrc,00",burstiness,')
 
     def test_incident_outside_bounds_is_config_error(self, sim_events, tmp_path):
         incidents = [
@@ -1401,10 +1420,35 @@ class TestManifest:
     def test_unreadable_input_is_one_error_text(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert main([*argv, "--out", "o"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: cannot read {argv[1]}: [Errno 2] No such file or directory: '{argv[1]}'\n"
-        )
+        assert capsys.readouterr().err == f"error: cannot read '{argv[1]}': No such file or directory\n"
         assert list((tmp_path / "o").iterdir()) == []
+
+    @EACH_COMMAND
+    def test_long_paths_give_short_errors(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        long = "x" * 100_000
+        err = assert_input_error(main([*argv, "--out", long]), capsys)
+        assert err.startswith("error: cannot create output directory 'xxx") and len(err) < 300, err[:300]
+        argv = [argv[0], long, *argv[2:]]
+        err = assert_input_error(main([*argv, "--out", "o"]), capsys)
+        assert err.startswith("error: cannot read 'xxx") and len(err) < 300, err[:300]
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "events.jsonl", "--config", "missing.conf"],
+        ["evaluate", "report.json", "--incidents", "incidents.json", "--config", "missing.conf"],
+        ["simulate", "spec.json", "--config", "missing.conf"],
+        ["ingest", "events.jsonl", "--seed", "5"],
+        ["detect", "events.jsonl", "--seed", "5"],
+        ["analyze", "events.jsonl", "--window", "0", "1", "--seed", "5"],
+        ["evaluate", "report.json", "--incidents", "incidents.json", "--seed", "5"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_option_of_another_command_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", "o"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_argv_is_the_one_main_was_given(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["host-program", "--host-flag"])

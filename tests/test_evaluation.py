@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 from importlib import resources
@@ -378,3 +379,17 @@ def test_results_csv_with_null_metrics():
     assert fields[3] == ""  # undefined precision stays empty, not zero
     assert fields[4] == "0.000000"
     assert fields[6:] == ["0", "0", "1", "55"]
+
+
+@given(st.lists(st.text(st.characters(blacklist_characters="\x00")), min_size=3, max_size=3))
+def test_results_csv_free_text_reads_back(texts):
+    # NUL is left out: Python 3.10's csv.reader refuses it in any field.
+    incident, collector, detector = texts
+    row = EvaluationRow(incident, collector, detector, evaluate_window({1}, [], 0, 7 * DAY, M))
+    buf = io.StringIO()
+    write_results_csv([row], buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue(), newline="")))
+    assert [len(r) for r in rows] == [10, 10]
+    assert rows[1][:3] == texts
+    if not any(c in text for text in texts for c in ',"\r\n'):  # written as it is
+        assert buf.getvalue().split("\n")[1].startswith(f"{incident},{collector},{detector},")

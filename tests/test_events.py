@@ -30,7 +30,6 @@ from bgpburst.events import (
     series_keys,
     volume_from_columns,
     write_event_lines,
-    write_volume_csv,
 )
 from canonical_lines import bad_lines, event_lines, good_lines, writer_lines
 from ref_events import ref_groups, ref_parse_lines
@@ -437,12 +436,6 @@ class TestBuildVolumeSeries:
         with pytest.raises(ValueError, match="2 volume timestamps but 1 counts"):
             VolumeSeries(1, "c", (1, 2), (1,))
 
-    def test_csv_export(self):
-        vol = VolumeSeries(1, "c", (100, 200), (2, 1))
-        buf = io.StringIO()
-        write_volume_csv(vol, buf)
-        assert buf.getvalue() == "ts,count\n100,2\n200,1\n"
-
 
 def test_series_keys_sorted_and_deduplicated():
     events = [_ev(1, asn=5, collector="b"), _ev(2, asn=5, collector="a"), _ev(3, asn=5, collector="a")]
@@ -486,6 +479,31 @@ def test_grouped_buckets_build_the_same_series(events):
         assert build_volume_series(bucket, asn, collector) == build_volume_series(
             events, asn, collector
         )
+
+
+@given(mixed_events_strategy)
+def test_builders_equal_reference_grouping(events):
+    """The event builders group events as the reference reader groups their lines."""
+    expected = ref_groups([ev.to_line() for ev in events])
+    groups = series_keys(events)
+    assert list(groups) == list(expected)
+    for (asn, collector), (timestamps, prefixes) in expected.items():
+        bucket = groups[asn, collector]
+        assert all(ev.kind == ANNOUNCEMENT and not ev.ambiguous_origin for ev in bucket)
+        assert [(ev.timestamp, ev.prefix) for ev in bucket] == list(zip(timestamps, prefixes))
+        assert build_series(events, asn, collector) == EventSeries(
+            asn, collector, tuple(sorted(timestamps))
+        )
+        per_second = {}
+        for ts, prefix in zip(timestamps, prefixes):
+            per_second.setdefault(ts, set()).add(prefix)
+        stamps = sorted(per_second)
+        assert build_volume_series(events, asn, collector) == VolumeSeries(
+            asn, collector, tuple(stamps), tuple(len(per_second[ts]) for ts in stamps)
+        )
+    absent = (4, "rrc00")  # the strategy's origins are 0-3
+    assert build_series(events, *absent) == EventSeries(*absent, ())
+    assert build_volume_series(events, *absent) == VolumeSeries(*absent, (), ())
 
 
 @given(
