@@ -379,9 +379,10 @@ def _scan_lines(
                         None if peer is None else int(peer), ambiguous is not None,
                     )
                     continue
-        ts, collector, prefix, kind, origin, peer, ambiguous = fields = _parse_line(line, lineno)
+        ts, collector, prefix, kind, origin, peer, ambiguous = _parse_line(line, lineno)
+        prefix = known.setdefault(prefix, prefix)
         head, tail = line_parts(ts, json.dumps(collector), peer, kind, origin, ambiguous)
-        yield (head + json.dumps(prefix) + tail, *fields)
+        yield head + json.dumps(prefix) + tail, ts, collector, prefix, kind, origin, peer, ambiguous
 
 
 def scan_event_lines(
@@ -424,28 +425,39 @@ def _rows_accepted(rows: list[tuple], known: dict[str, str]) -> bool:
     return True
 
 
-def _text_runs(text: str, known: dict[str, str]) -> Iterator[tuple[int, int, int, list | None]]:
+def _text_runs(text: str, known: dict[str, str]) -> Iterator[tuple[list[tuple], str]]:
     """Cut canonical text into runs of whole lines of about _CHUNK_CHARS.
 
-    Yields (start, end, lineno, rows) for the run text[start:end], whose
-    first line is line `lineno` of the text.  When every line of the run is
-    in writer form, with an origin if it announces and a prefix that
-    _check_prefix takes, rows are its _WRITER_LINES groups, one per line;
-    otherwise rows is None and the run is for the per-line reader.
+    Yields (rows, run) per run of lines: rows are its events' _WRITER_LINES
+    groups (ts, collector, prefix, origin_asn, type code, ambiguous flag,
+    every one a str), and run is the same events in writer form, one per
+    line, each ended by "\n".  A run whose every line is in writer form,
+    with an origin if it announces and a prefix that _check_prefix takes,
+    is matched by one findall and is its own text (without "\r");
+    any other run is read by _scan_lines, which rejects a bad line with its
+    line number in the whole text.  Every prefix read is added to `known`.
     """
     findall, head = _WRITER_LINES.findall, _WRITER_LINE.match
     start, lineno, size = 0, 1, len(text)
     while start < size:
         end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or size
         lines = text.count("\n", start, end) + (text[end - 1] != "\n")
-        rows = None
         # A run whose first line is out of writer form is read line by line,
         # without a findall that would scan all of it for nothing.
-        if head(text, start) is not None:
-            rows = findall(text, start, end)
-            if len(rows) != lines or not _rows_accepted(rows, known):
-                rows = None
-        yield start, end, lineno, rows
+        rows = findall(text, start, end) if head(text, start) is not None else ()
+        if len(rows) == lines and _rows_accepted(rows, known):
+            run = text[start:end]
+            if "\r" in run:  # a fast search, where replace() counts first
+                run = run.replace("\r", "")
+            yield rows, run if run[-1] == "\n" else run + "\n"
+        else:
+            scanned = list(_scan_lines(text[start:end].split("\n"), lineno, known))
+            rows = [
+                (str(ts), collector, prefix, "" if origin is None else str(origin),
+                 _KIND_CODE[kind], ',"ambiguous_origin":true' if ambiguous else "")
+                for _, ts, collector, prefix, kind, origin, _, ambiguous in scanned
+            ]
+            yield rows, "\n".join([fields[0] for fields in scanned] + [""])
         start, lineno = end, lineno + lines
 
 
@@ -456,32 +468,26 @@ def copy_event_text(
 
     Keeps only the events at `collector` and with origin `asn`, where given.
     Returns the counts of events read, of events written and of
-    announcements among them.  Without filters, a run of writer-form lines
-    is copied through as it is (without "\r"); every other line, and every
-    line when filtering, is written as scan_event_lines yields it, and is
+    announcements among them.  Each run of _text_runs is written as its
+    writer-form lines, and a filter keeps the lines whose rows it matches:
+    a run of writer-form lines is copied through as it is (without "\r"),
+    and every other line is written as scan_event_lines yields it, and is
     rejected as there, with the same line number.
     """
-    known: dict[str, str] = {}
+    filtered = collector is not None or asn is not None
+    origin = None if asn is None else str(asn)
     emitted = written = announcements = 0
-    if collector is None and asn is None:
-        runs = _text_runs(text, known)
-    else:
-        runs = [(0, len(text), 1, None)]  # one run, read line by line
-    for start, end, lineno, rows in runs:
-        if rows is None:
-            for line, _, coll, _, kind, origin, _, _ in _scan_lines(
-                text[start:end].split("\n"), lineno, known
-            ):
-                emitted += 1
-                if (collector is None or coll == collector) and (asn is None or origin == asn):
-                    out.write(line)
-                    out.write("\n")
-                    written += 1
-                    announcements += kind == ANNOUNCEMENT
-            continue
-        run = text[start:end].replace("\r", "")
-        out.write(run if run[-1] == "\n" else run + "\n")
+    for rows, run in _text_runs(text, {}):
         emitted += len(rows)
+        if filtered:
+            keep = [
+                (collector is None or row[1] == collector) and (origin is None or row[3] == origin)
+                for row in rows
+            ]
+            rows = list(compress(rows, keep))
+            # "\n" is the one line break in writer form: json.dumps escapes the others.
+            run = "".join(compress(run.splitlines(True), keep))
+        out.write(run)
         written += len(rows)
         announcements += countOf(map(_code_of, rows), "A")
     return emitted, written, announcements
@@ -520,30 +526,6 @@ def volume_from_columns(
     stamps = sorted(per_second)
     counts = tuple(map(len, map(per_second.__getitem__, stamps)))
     return VolumeSeries(origin_asn, collector, tuple(stamps), counts)
-
-
-def _columns(groups: dict, key: tuple[int, str], prefixes: bool) -> tuple[list, ...]:
-    """The columns of series `key`, new and empty if it has none yet."""
-    columns = groups.get(key)
-    if columns is None:
-        columns = groups[key] = ([], []) if prefixes else ([],)
-    return columns
-
-
-def _group(groups: dict, rows: Iterable[tuple], prefixes: bool) -> dict:
-    """Add the usable announcements among _scan_lines `rows` to their series' columns.
-
-    Each series' columns (see _columns) are in row order; returns `groups`.
-    """
-    for _, ts, collector, prefix, kind, origin, _, ambiguous in rows:
-        # Withdrawals and ambiguous origins never contribute to statistics.
-        if kind == ANNOUNCEMENT and not ambiguous:
-            key = (origin, collector)
-            columns = groups.get(key) or _columns(groups, key, prefixes)
-            columns[0].append(ts)
-            if prefixes:
-                columns[1].append(prefix)
-    return groups
 
 
 def _usable(events: Iterable[AnnouncementEvent]) -> Iterator[AnnouncementEvent]:
@@ -588,38 +570,30 @@ def series_keys(
 
 
 def read_groups(
-    source: str | Iterable[str] | IO[str], prefixes: bool = True
+    text: str, prefixes: bool = True
 ) -> dict[tuple[int, str], tuple[list[int], list[str]] | tuple[list[int]]]:
-    """Canonical events straight to per-series columns, in one pass.
+    """Canonical text straight to per-series columns, in one pass.
 
-    `source` is the whole text as one str, or its lines.  Returns what
-    series_keys(parse_event_lines(lines)) returns, with each bucket of
-    events replaced by its (timestamps, prefixes) columns: keys sorted,
-    each column in input order.  Pass the columns to series_from_columns
-    and volume_from_columns.  With prefixes=False the prefix column is left
-    out and each value is (timestamps,).  Lines are read, and rejected, as
-    by scan_event_lines; a text is read in runs of whole lines, each run of
-    writer-form lines by one regex call.
+    Returns what series_keys(parse_event_lines(text.split("\n"))) returns,
+    with each bucket of events replaced by its (timestamps, prefixes)
+    columns: keys sorted, each column in input order.  Pass the columns to
+    series_from_columns and volume_from_columns.  With prefixes=False the
+    prefix column is left out and each value is (timestamps,).  Lines are
+    read, and rejected, as by scan_event_lines; the text is read in runs of
+    whole lines, each run of writer-form lines by one regex call.
     """
-    groups: dict = {}
     known: dict[str, str] = {}
-    if not isinstance(source, str):
-        _group(groups, _scan_lines(source, 1, known), prefixes)
-        return {key: groups[key] for key in sorted(groups)}
-    by_text: dict[tuple[str, str], tuple[list, ...]] = {}  # (origin text, collector) -> columns
-    for start, end, lineno, rows in _text_runs(source, known):
-        if rows is None:
-            lines = source[start:end].split("\n")
-            _group(groups, _scan_lines(lines, lineno, known), prefixes)
-            continue
+    # (origin text, collector) -> columns; every origin text is an integer's own digits.
+    by_text: dict[tuple[str, str], tuple[list, ...]] = {}
+    for rows, _ in _text_runs(text, known):
         for ts, collector, prefix, origin, code, ambiguous in rows:
+            # Withdrawals and ambiguous origins never contribute to statistics.
             if code == "A" and not ambiguous:
                 columns = by_text.get((origin, collector))
                 if columns is None:
-                    columns = by_text[origin, collector] = _columns(
-                        groups, (int(origin), collector), prefixes
-                    )
+                    columns = by_text[origin, collector] = ([], []) if prefixes else ([],)
                 columns[0].append(int(ts))
                 if prefixes:
                     columns[1].append(known[prefix])
+    groups = {(int(origin), collector): columns for (origin, collector), columns in by_text.items()}
     return {key: groups[key] for key in sorted(groups)}

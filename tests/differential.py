@@ -9,11 +9,12 @@ and CASES seeded damaged copies of them, to the package's two routes to writer l
 reference decoder in ref_mrt.py.  The lines, the counters and the
 MrtParseError text and offset must be equal.  The reader check feeds CASES
 seeded lists of canonical lines (writer form, the same events spelt other
-ways, blank lines, and damaged lines) to `scan_event_lines`,
-`parse_event_lines` and `read_groups` (on the lines, and on their text
-read in runs of a seeded length), and to the frozen reference reader in
-ref_events.py: the fields, the writer-form lines, the columns and the
-error text must be equal.  The time check compares
+ways, blank lines, and damaged lines) to `scan_event_lines` and
+`parse_event_lines`, and their text, read in runs of a seeded length, to
+`read_groups` and to `copy_event_text` with and without filters.  The
+frozen reference reader in ref_events.py reads the same lines: the
+fields, the writer-form lines, the columns, the copied text and its
+counts, and the error text must be equal.  The time check compares
 `parse_utc` with `reference_utc`, an RFC 3339 reader written without
 regular expressions or datetime, on a few edge texts and CASES seeded
 texts, valid and not.  The detector check runs `detect_events` and
@@ -56,7 +57,14 @@ from bgpburst.detector import (
     intensity_update,
 )
 from bgpburst.evaluation import parse_utc
-from bgpburst.events import EventSeries, VolumeSeries, parse_event_lines, read_groups, scan_event_lines
+from bgpburst.events import (
+    EventSeries,
+    VolumeSeries,
+    copy_event_text,
+    parse_event_lines,
+    read_groups,
+    scan_event_lines,
+)
 from bgpburst.mrt import MrtParseError, parse_mrt_updates
 
 COLLECTOR = "route-views.test"
@@ -244,6 +252,27 @@ def _read(read, source):
         return "error", type(exc).__name__, str(exc)
 
 
+# The (collector, asn) filters copy_event_text is run with.
+COPY_FILTERS = [(None, None), ("rrc00", None), (None, 0), ("a b", 2**32 - 1)]
+
+
+def _copied(text: str, collector: str | None, asn: int | None):
+    out = io.StringIO()
+    counts = copy_event_text(text, out, collector, asn)
+    return out.getvalue(), counts
+
+
+def _copied_by_lines(text: str, collector: str | None, asn: int | None):
+    """What copy_event_text writes and counts, from the reference reader."""
+    read = ref_events.ref_parse_lines(text.split("\n"))
+    kept = [
+        ev for ev in read
+        if (collector is None or ev.collector == collector) and (asn is None or ev.origin_asn == asn)
+    ]
+    announcements = sum(ev.kind == ref_events.ANNOUNCEMENT for ev in kept)
+    return "".join(ev.to_line() + "\n" for ev in kept), (len(read), len(kept), announcements)
+
+
 def reader_mismatches(rng: random.Random) -> list[str]:
     """The readers whose outcome on seeded canonical lines differs from the reference reader's."""
     lines = canonical_lines(rng)
@@ -258,10 +287,11 @@ def reader_mismatches(rng: random.Random) -> list[str]:
     try:
         for prefixes in (True, False):
             expected = _read(lambda ls: ref_events.ref_groups(ls, prefixes), lines)
-            if _read(lambda ls: read_groups(ls, prefixes), lines) != expected:
-                found.append(f"read_groups lines prefixes={prefixes}")
             if _read(lambda t: read_groups(t, prefixes), text) != expected:
                 found.append(f"read_groups text prefixes={prefixes}")
+        for filters in COPY_FILTERS:
+            if _read(lambda t: _copied(t, *filters), text) != _read(lambda t: _copied_by_lines(t, *filters), text):
+                found.append(f"copy_event_text filters={filters}")
     finally:
         events._CHUNK_CHARS = chunk
     return found

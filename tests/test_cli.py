@@ -16,13 +16,14 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden_corpus as gc
 import mrt_golden as golden
-from bgpburst import mrt
+from bgpburst import events, mrt
 from bgpburst.cli import main
 from bgpburst.detector import CONFIG_KEYS
 from bgpburst.events import (
@@ -1694,3 +1695,108 @@ class TestDocumentFuzz:
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert outputs == []
+
+
+# Bytes that line readers treat specially, put into valid files by the input fuzz.
+SPECIAL_BYTES = [b"\r", b"\n", b"\n\n", b"\r\n", b"\r\n\r\n", b"\x00", b"\xff", b'"', b"\\", b" "]
+
+
+@st.composite
+def byte_mutations(draw, base):
+    """`base` with one to three edits: bytes inserted at a line end, or
+    inserted, written over or deleted at any byte."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            line_ends = [at for at, byte in enumerate(data) if byte == ord("\n")]
+            at = draw(st.sampled_from(line_ends or [len(data)]))
+            data[at:at] = draw(st.sampled_from(SPECIAL_BYTES))
+            continue
+        at = draw(st.integers(0, len(data)))
+        piece = draw(st.sampled_from(SPECIAL_BYTES) | st.binary(min_size=1, max_size=3))
+        how = draw(st.sampled_from(["insert", "overwrite", "delete"]))
+        if how == "insert":
+            data[at:at] = piece
+        elif how == "overwrite":
+            data[at:at + len(piece)] = piece
+        else:
+            del data[at:at + draw(st.integers(1, 8))]
+    return bytes(data)
+
+
+class TestInputFuzz:
+    """main() on an events or MRT input: random bytes, or a valid file with
+    a few bytes changed.  The canonical file spans several runs of lines."""
+
+    COMMANDS = {
+        "ingest": ["ingest"],
+        "ingest --asn": ["ingest", "--asn", "64500"],
+        "ingest --collector": ["ingest", "--collector", "rrc00"],
+        "detect": ["detect"],
+        "analyze": ["analyze", "--window", str(START), str(START + 3600), "--collector", "rrc00"],
+    }
+    CHUNK_CHARS = 512
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        """A writer-form events file of several runs, and the golden MRT file."""
+        lines = [
+            AnnouncementEvent(
+                START + 60 * i, ["rrc00", "linx"][i % 3 == 0], f"10.{i % 7}.0.0/16",
+                WITHDRAWAL if i % 5 == 4 else ANNOUNCEMENT,
+                origin_asn=None if i % 5 == 4 else 64500 + i % 2,
+                peer_asn=[None, 3356][i % 2], ambiguous_origin=i % 11 == 10,
+            ).to_line()
+            for i in range(40)
+        ]
+        text = "".join(line + "\n" for line in lines)
+        with mock.patch.object(events, "_CHUNK_CHARS", self.CHUNK_CHARS):
+            assert len(list(events._text_runs(text, {}))) > 2
+        return {"events": text.encode(), "mrt": golden.golden_file()[0]}
+
+    def run(self, command, data):
+        """main() on `data` into an --out that already holds a file; its code,
+        stderr, and --out's files before and after."""
+        work = Path(tempfile.mkdtemp(prefix="input-"))
+        try:
+            path = work / "input"
+            path.write_bytes(data)
+            out = work / "out"
+            out.mkdir()
+            (out / "kept.txt").write_text("kept\n")
+            before = {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
+            err = io.StringIO()
+            argv = [command[0], str(path), *command[1:], "--out", str(out)]
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    mock.patch.object(events, "_CHUNK_CHARS", self.CHUNK_CHARS):
+                code = main(argv)
+            after = {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
+            return code, err.getvalue(), before, after
+        finally:
+            shutil.rmtree(work)
+
+    @pytest.mark.parametrize("command, base", [
+        *((command, "events") for command in COMMANDS),
+        *((command, "mrt") for command in COMMANDS if command.startswith("ingest")),
+    ])
+    def test_valid_input_passes(self, inputs, command, base):
+        code, err, _, after = self.run(self.COMMANDS[command], inputs[base])
+        assert code == 0, err
+        assert "manifest.json" in after
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_input_is_read_or_refused_in_one_line(self, inputs, command, data):
+        # detect and analyze read canonical events only.
+        bases = ["random", "events", "mrt"] if command.startswith("ingest") else ["random", "events"]
+        base = data.draw(st.sampled_from(bases), label="base")
+        if base == "random":
+            payload = data.draw(st.binary(max_size=300), label="input")
+        else:
+            payload = data.draw(byte_mutations(inputs[base]), label="input")
+        code, err, before, after = self.run(self.COMMANDS[command], payload)
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert after == before

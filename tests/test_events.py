@@ -535,7 +535,7 @@ class TestFusedReader:
     @settings(max_examples=300, deadline=None)
     @given(event_lines)
     def test_readers_equal_reference(self, lines):
-        assert _outcome(read_groups, lines) == _outcome(ref_groups, lines)
+        assert _outcome(read_groups, "\n".join(lines)) == _outcome(ref_groups, lines)
         assert _outcome(lambda ls: list(scan_event_lines(ls)), lines) == _outcome(
             _fields_of_ref, lines
         )
@@ -565,21 +565,20 @@ class TestFusedReader:
     def test_error_line_numbers_count_blank_lines(self):
         lines = [_ev(1).to_line(), "", '{"ts":2,"collector":"c","prefix":"10.0.0.0/8","type":"A"}']
         with pytest.raises(EventFormatError, match="^line 3: missing field 'origin_asn'$"):
-            read_groups(lines)
+            read_groups("\n".join(lines))
 
     def test_bad_prefix_in_writer_form_keeps_its_error(self):
         line = _ev(1, prefix="10.0.0.0/33").to_line()
         with pytest.raises(EventFormatError) as expected:
             list(parse_event_lines([line]))
         with pytest.raises(EventFormatError) as err:
-            read_groups([line])
+            read_groups(line)
         assert str(err.value) == str(expected.value)
 
     def test_each_distinct_prefix_is_stored_once(self):
         lines = [_ev(ts, prefix="2001:db8::/32").to_line() for ts in range(3)]
-        for source in (lines, "\n".join(lines)):
-            ((_, prefixes),) = read_groups(source).values()
-            assert prefixes[0] is prefixes[1] is prefixes[2]
+        ((_, prefixes),) = read_groups("\n".join(lines)).values()
+        assert prefixes[0] is prefixes[1] is prefixes[2]
 
     def test_columns_build_the_same_series(self):
         events = [_ev(5), _ev(3, prefix="10.1.0.0/16"), _ev(5, prefix="10.1.0.0/16"), _ev(5)]
@@ -640,7 +639,6 @@ class TestChunkScanner:
             for prefixes in (True, False):
                 expected = _outcome(lambda ls: ref_groups(ls, prefixes), lines)
                 assert _outcome(lambda t: read_groups(t, prefixes), text) == expected
-                assert _outcome(lambda ls: read_groups(ls, prefixes), lines) == expected
             assert _outcome(lambda t: _copied(t, *filters), text) == _outcome(
                 lambda t: _copied_by_lines(t, *filters), text
             )
@@ -648,10 +646,28 @@ class TestChunkScanner:
     def test_writer_runs_are_copied_through(self):
         lines = [_ev(ts, prefix=f"10.{ts}.0.0/16").to_line() for ts in range(50)]
         text = "\r\n".join(lines)
-        with mock.patch.object(events, "_CHUNK_CHARS", 300):
+        scan = mock.patch.object(events, "_scan_lines", wraps=events._scan_lines)
+        with mock.patch.object(events, "_CHUNK_CHARS", 300), scan as scanned:
             runs = list(events._text_runs(text, {}))
-        assert len(runs) > 1 and all(rows is not None for *_, rows in runs)
-        assert _copied(text, None, None) == ("".join(line + "\n" for line in lines), (50, 50, 50))
+        assert len(runs) > 1 and not scanned.called
+        assert [row[0] for rows, _ in runs for row in rows] == [str(ts) for ts in range(50)]
+        copied = "".join(line + "\n" for line in lines)
+        assert "".join(run for _, run in runs) == copied
+        assert _copied(text, None, None) == (copied, (50, 50, 50))
+
+    @pytest.mark.parametrize("filters", [("rrc00", None), (None, 4761), ("linx", 4761), ("x", None)])
+    def test_filtered_writer_runs_are_not_read_line_by_line(self, filters):
+        lines = [
+            _ev(ts, asn=4761 + ts % 2, collector=["linx", "rrc00"][ts % 3 == 0], kind=kind).to_line()
+            for ts in range(60) for kind in (ANNOUNCEMENT, WITHDRAWAL)
+        ]
+        text = "\n".join(lines) + "\n"
+        scan = mock.patch.object(events, "_scan_lines", wraps=events._scan_lines)
+        with mock.patch.object(events, "_CHUNK_CHARS", 500), scan as scanned:
+            copied = _copied(text, *filters)
+            assert len(list(events._text_runs(text, {}))) > 1
+        assert not scanned.called
+        assert copied == _copied_by_lines(text, *filters)
 
     @pytest.mark.parametrize("bad, error", [
         (_ev(1).to_line().replace('"origin_asn":', '"origin_asn":0'), "invalid JSON"),
