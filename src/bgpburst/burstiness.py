@@ -39,12 +39,7 @@ class InsufficientNullDataError(ValueError):
 
 
 class BurstinessResult(FrozenRecord):
-    __slots__ = ("mu", "sigma", "b_raw", "b_corrected", "n_events")
-
-    def __init__(
-        self, mu: float, sigma: float, b_raw: float, b_corrected: float | None, n_events: int
-    ):
-        self._set_fields(mu, sigma, b_raw, b_corrected, n_events)
+    __slots__ = ("mu", "sigma", "b_raw", "b_corrected", "n_events")  # b_corrected may be None
 
 
 def inter_arrivals(series: EventSeries) -> tuple[float, ...]:
@@ -149,25 +144,13 @@ def _window_burstiness(series: EventSeries, min_events: int) -> float | None:
 class ActivityRow(FrozenRecord):
     __slots__ = ("asn", "b_corrected", "count", "quadrant")
 
-    def __init__(self, asn: int, b_corrected: float, count: int, quadrant: int):
-        self._set_fields(asn, b_corrected, count, quadrant)
-
 
 class JointActivityTable(FrozenRecord):
     """Per-AS burstiness vs announcement volume over one window, with the
     two 95th-percentile thresholds that cut the plane into quadrants."""
 
     __slots__ = ("window", "rows", "b_p95", "count_p95", "skipped")
-
-    def __init__(
-        self,
-        window: tuple[int, int],
-        rows: tuple[ActivityRow, ...],
-        b_p95: float,
-        count_p95: float,
-        skipped: tuple[tuple[int, int], ...] = (),  # (asn, count) without a coefficient
-    ):
-        self._set_fields(window, rows, b_p95, count_p95, skipped)
+    _defaults = {"skipped": ()}  # (asn, count) of each AS without a coefficient
 
 
 def _quadrant(b: float, count: int, b_p95: float, count_p95: float) -> int:
@@ -259,19 +242,7 @@ class SignificanceResult(FrozenRecord):
     __slots__ = (
         "observed_b", "null_samples", "empirical_p", "significant", "alpha_sig", "skipped_windows",
     )
-
-    def __init__(
-        self,
-        observed_b: float,
-        null_samples: tuple[float, ...],
-        empirical_p: float,
-        significant: bool,
-        alpha_sig: float,
-        skipped_windows: int = 0,
-    ):
-        self._set_fields(
-            observed_b, null_samples, empirical_p, significant, alpha_sig, skipped_windows,
-        )
+    _defaults = {"skipped_windows": 0}
 
     def as_dict(self) -> dict:
         return {**super().as_dict(), "null_samples": list(self.null_samples)}

@@ -113,15 +113,22 @@ class Manifest:
 
     Inputs are hashed from the bytes read, outputs from the bytes written.
     An output goes to a temporary file under --out and takes its name only
-    in write(), once the command has succeeded; discard() removes the rest.
+    in write(), once the command has succeeded; discard() removes the rest,
+    and the directories made for --out when nothing was published.
     """
 
     def __init__(self, command: str, argv: list[str], out: str):
         self.started = time.time()
         self.out = Path(out)
+        self.created: list[Path] = []  # directories made for --out, deepest first
         try:
+            for directory in (self.out, *self.out.parents):
+                if directory.exists():
+                    break
+                self.created.append(directory)
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
+            self._remove_created()
             raise CliError(
                 f"cannot create output directory {reprlib.repr(str(self.out))}: {exc.strerror or exc}"
             ) from exc
@@ -190,15 +197,24 @@ class Manifest:
             self.pending.clear()
             self.doc["duration_s"] = round(time.time() - self.started, 3)
             (self.out / "manifest.json").write_text(_json_text(self.doc), encoding="utf-8")
+            self.created.clear()  # they hold the outputs now
         except OSError as exc:
             raise CliError(
                 f"cannot publish outputs in {reprlib.repr(str(self.out))}: {exc.strerror or exc}"
             ) from exc
 
     def discard(self) -> None:
-        """Remove the temporary files of outputs not published."""
+        """Remove the temporary files of outputs not published, then the
+        directories made for --out if nothing was published in them."""
         for partial in self.pending.values():
             partial.unlink(missing_ok=True)
+        self._remove_created()
+
+    def _remove_created(self) -> None:
+        """rmdir each directory made for --out, deepest first, if it is empty."""
+        for directory in self.created:
+            with contextlib.suppress(OSError):  # not empty, or never made
+                directory.rmdir()
 
 
 _UNIX_SECONDS = re.compile(r"-?([0-9]+)")
@@ -462,6 +478,14 @@ def cmd_analyze(args, manifest: Manifest) -> int:
     for i, asn in enumerate(args.target_asn):
         if asn in args.target_asn[:i]:
             raise CliError(f"--target-asn names AS{asn} more than once")
+    if not args.target_asn:
+        for option, value in (
+            ("--null-windows", args.null_windows),
+            ("--null-events", args.null_events),
+            ("--incidents", args.incidents),
+        ):
+            if value is not None:
+                raise CliError(f"{option} is used only with --target-asn")
     min_events = _resolve_detector_config(args, manifest)[0].min_events
     try:
         check_null_test_settings(args.k, args.alpha_sig)

@@ -139,15 +139,7 @@ class TraceRow(NamedTuple):
 
 class AnomalyReport(FrozenRecord):
     __slots__ = ("origin_asn", "collector", "anomalous_timestamps", "trace")
-
-    def __init__(
-        self,
-        origin_asn: int,
-        collector: str,
-        anomalous_timestamps: tuple[int, ...],
-        trace: tuple[TraceRow, ...] | None = None,
-    ):
-        self._set_fields(origin_asn, collector, anomalous_timestamps, trace)
+    _defaults = {"trace": None}  # or a TraceRow per observed value
 
 
 def _band_report(

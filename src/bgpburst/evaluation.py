@@ -128,26 +128,6 @@ class BinnedEvaluation(FrozenRecord):
         "tp", "fp", "fn", "tn", "precision", "recall", "f1",
     )
 
-    def __init__(
-        self,
-        t0: int,
-        t1: int,
-        m: int,
-        n_bins: int,
-        truth_bins: frozenset[int],
-        detected_bins: frozenset[int],
-        tp: int,
-        fp: int,
-        fn: int,
-        tn: int,
-        precision: float | None,
-        recall: float | None,
-        f1: float | None,
-    ):
-        self._set_fields(
-            t0, t1, m, n_bins, truth_bins, detected_bins, tp, fp, fn, tn, precision, recall, f1,
-        )
-
 
 def score(
     truth_bins: set[int] | frozenset[int],
@@ -206,9 +186,6 @@ def evaluate_window(
 
 class EvaluationRow(FrozenRecord):
     __slots__ = ("incident", "collector", "detector", "evaluation")
-
-    def __init__(self, incident: str, collector: str, detector: str, evaluation: BinnedEvaluation):
-        self._set_fields(incident, collector, detector, evaluation)
 
 
 def evaluate_incident(

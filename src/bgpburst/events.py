@@ -70,8 +70,14 @@ class Record:
     """Value semantics for the package's record classes, without generated code.
 
     A subclass's fields are its parent's, then its own __slots__ in order.
-    Its __init__ checks the arguments, then passes every field's value, in
-    order, to self._set_fields.  Records are equal when they are of the same
+    The shared __init__ takes the fields by position, then by name, in that
+    order; a field left out takes its value from the class's _defaults.  A
+    record with rules of its own keeps its own __init__, which checks the
+    arguments and then passes every field's value, in order, to
+    self._set_fields: DetectorConfig, IncidentWindow, GeneratorSpec,
+    IncidentSpec and VolumeSeries for their checks, MrtParseResult for its
+    fresh default objects, and AnnouncementEvent and EventSeries, whose slot
+    setters are the hot path.  Records are equal when they are of the same
     class with equal fields, and repr shows Name(field=value, ...).  A plain
     Record is mutable and so unhashable; FrozenRecord is neither.
     """
@@ -79,9 +85,32 @@ class Record:
     __slots__ = ()
     __hash__ = None
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}  # field -> its value when left out
 
     def __init_subclass__(cls):
         cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        given = len(values)
+        if named or given != len(fields):  # else every field by position
+            name = self.__class__.__qualname__
+            if given > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} fields but {given} were given")
+            for field in fields[:given]:
+                if field in named:
+                    raise TypeError(f"{name}() got field {field!r} by position and by name")
+            values = list(values)
+            for field in fields[given:]:
+                if field in named:
+                    values.append(named.pop(field))
+                elif field in self._defaults:
+                    values.append(self._defaults[field])
+                else:
+                    raise TypeError(f"{name}() missing field {field!r}")
+            if named:
+                raise TypeError(f"{name}() got an unknown field {next(iter(named))!r}")
+        self._set_fields(*values)
 
     def _set_fields(self, *values) -> None:
         """Write one value per field, in order, past FrozenRecord.__setattr__."""

@@ -78,24 +78,7 @@ class MrtStats(Record):
         "malformed_paths", "nlri_seen", "events_emitted", "events_dropped", "announcements",
         "withdrawals",
     )
-
-    def __init__(
-        self,
-        records_total: int = 0,
-        records_skipped: int = 0,
-        updates_parsed: int = 0,
-        malformed_updates: int = 0,
-        malformed_paths: int = 0,
-        nlri_seen: int = 0,
-        events_emitted: int = 0,
-        events_dropped: int = 0,
-        announcements: int = 0,
-        withdrawals: int = 0,
-    ):
-        self._set_fields(
-            records_total, records_skipped, updates_parsed, malformed_updates, malformed_paths,
-            nlri_seen, events_emitted, events_dropped, announcements, withdrawals,
-        )
+    _defaults = dict.fromkeys(__slots__, 0)
 
 
 class MrtParseResult(Record):

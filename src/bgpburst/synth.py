@@ -210,17 +210,6 @@ class IncidentScenario(FrozenRecord):
 
     __slots__ = ("events", "asn", "collector", "bounds", "incident_start", "incident_end")
 
-    def __init__(
-        self,
-        events: list[AnnouncementEvent],
-        asn: int,
-        collector: str,
-        bounds: tuple[int, int],
-        incident_start: int,
-        incident_end: int,
-    ):
-        self._set_fields(events, asn, collector, bounds, incident_start, incident_end)
-
 
 def incident_scenario(
     seed: int = 1,

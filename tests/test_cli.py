@@ -145,7 +145,7 @@ class TestSimulate:
         specs = [write_sim_spec(tmp_path / d / "spec.json", seed=i) for i, d in enumerate("ab")]
         out = tmp_path / "o"
         assert_input_error(main(["simulate", *map(str, specs), "--out", str(out)]), capsys)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     WHOLE = "must be a whole number of at most 18 digits, got"
 
@@ -175,7 +175,7 @@ class TestSimulate:
         spec.write_text(json.dumps(doc).replace('"VALUE"', value))
         out = tmp_path / "o"
         assert message in assert_input_error(main(["simulate", str(spec), "--out", str(out)]), capsys)
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_non_string_collector_is_input_error(self, tmp_path, capsys):
         spec = write_sim_spec(tmp_path / "spec.json")
@@ -198,7 +198,7 @@ class TestSimulate:
         err = assert_input_error(main(["simulate", str(spec), "--out", str(out)]), capsys)
         where = str(spec) if part is None else f"{spec}: {part}"
         assert err == f"error: {where}: unknown field '{field}'\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_null_incident_is_none(self, tmp_path):
         plain = write_sim_spec(tmp_path / "plain.json")
@@ -321,7 +321,7 @@ class TestIngest:
         out = tmp_path / "o"
         code = main(["ingest", str(sim_events), "--collector", "r\udcff", "--out", str(out)])
         assert "is not UTF-8 text" in assert_input_error(code, capsys)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_mistyped_canonical_fields_are_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -341,7 +341,7 @@ class TestIngest:
         second.write_bytes(bad)
         out = tmp_path / "o"
         assert_input_error(main(["ingest", str(sim_events), str(second), "--out", str(out)]), capsys)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_failed_ingest_keeps_earlier_events(self, sim_events, tmp_path, capsys):
         out = tmp_path / "o"
@@ -524,7 +524,7 @@ class TestDetect:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "'a b'" in err and "'a_b'" in err and "--collector" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         assert main(["detect", str(events), "--collector", "a b", "--out", str(out)]) == 0
         assert len(manifest_of(out)["outputs"]) == 2
 
@@ -570,7 +570,7 @@ class TestDetect:
         out = tmp_path / "o"
         code = main(["detect", str(sim_events), "--config", str(config), "--out", str(out)])
         assert_input_error(code, capsys)
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_integral_float_config_accepted(self, sim_events, tmp_path):
         config = tmp_path / "detector.conf"
@@ -785,7 +785,7 @@ class TestEvaluate:
         code, out = self.run_pipeline(sim_events, tmp_path, [self.INCIDENT], edit={"flags": []})
         report = tmp_path / "detect" / "report_burstiness_AS64500_synth-collector.json"
         assert assert_input_error(code, capsys) == f"error: {report}: unknown field 'flags'\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_unknown_incident_field_is_input_error(self, sim_events, tmp_path, capsys):
         (tmp_path / "note").mkdir()
@@ -796,7 +796,7 @@ class TestEvaluate:
         assert assert_input_error(code, capsys) == (
             f"error: incident config {incidents}: entry 1: unknown field 'nite'\n"
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_second_report_of_a_series_is_input_error(self, sim_events, tmp_path, capsys, order):
@@ -812,7 +812,7 @@ class TestEvaluate:
         assert assert_input_error(code, capsys) == (
             f"error: {first} and {second} are both 'burstiness' reports for AS64500 at 'synth-collector'\n"
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit", [{"kind": "k" * 100_000}, {"asn": "5" * 100_000}, {"n" * 100_000: 1}])
     def test_long_incident_value_gives_a_short_error(self, sim_events, tmp_path, capsys, edit):
@@ -824,7 +824,7 @@ class TestEvaluate:
             sim_events, tmp_path, [self.INCIDENT], "--t0", "x" * 100_000, "--t1", str(START)
         )
         assert len(assert_input_error(code, capsys)) < 300
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_flags_outside_t0_t1_are_input_error(self, sim_events, tmp_path, capsys):
         code, _ = self.run_pipeline(
@@ -865,13 +865,13 @@ class TestEvaluate:
             sim_events, tmp_path, [self.INCIDENT], *(x for kv in bounds.items() for x in kv)
         )
         assert "more than 18 digits" in assert_input_error(code, capsys)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_nonpositive_bin_length_is_input_error(self, sim_events, tmp_path, capsys):
         code, out = self.run_pipeline(sim_events, tmp_path, [self.INCIDENT], "--m", "0")
         assert code == 2
         assert capsys.readouterr().err == self.BAD_BIN_LENGTH
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_bin_length_is_checked_before_reports_are_matched(self, sim_events, tmp_path, capsys):
         incidents = [{**self.INCIDENT, "asn": 4761}]  # no report is for AS4761
@@ -1095,7 +1095,7 @@ class TestAnalyze:
         ]
         code = self.significance_run(corpus_events, tmp_path, nulls, flag, value)
         assert_input_error(code, capsys)
-        assert list((tmp_path / "analyze").iterdir()) == []
+        assert not (tmp_path / "analyze").exists()
 
     def test_repeated_target_asn_fails_before_reading(self, tmp_path, capsys):
         out = tmp_path / "analyze"
@@ -1106,7 +1106,19 @@ class TestAnalyze:
         ])
         assert code == 2
         assert capsys.readouterr().err == "error: --target-asn names AS64500 more than once\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--null-windows", "--null-events", "--incidents"])
+    def test_null_window_options_without_target_asn_fail_before_reading(
+        self, tmp_path, capsys, option
+    ):
+        out = tmp_path / "analyze"
+        code = main([
+            "analyze", str(tmp_path / "absent.jsonl"), "--window", "0", "100",
+            option, str(tmp_path / "absent"), "--out", str(out),
+        ])
+        assert assert_input_error(code, capsys) == f"error: {option} is used only with --target-asn\n"
+        assert not out.exists()
 
     def test_k_below_the_usable_minimum_fails_before_reading(self, tmp_path, capsys):
         out = tmp_path / "analyze"
@@ -1118,7 +1130,7 @@ class TestAnalyze:
         assert assert_input_error(code, capsys) == (
             "error: bad Monte Carlo settings: null sample count k must be >= 20, got 5\n"
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_long_collector_gives_a_short_error(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
@@ -1422,7 +1434,18 @@ class TestManifest:
         monkeypatch.chdir(tmp_path)
         assert main([*argv, "--out", "o"]) == 2
         assert capsys.readouterr().err == f"error: cannot read '{argv[1]}': No such file or directory\n"
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()
+
+    @EACH_COMMAND
+    def test_failed_run_removes_the_out_directories_it_made(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "old").mkdir()
+        assert_input_error(main([*argv, "--out", "new/deeper"]), capsys)
+        assert_input_error(main([*argv, "--out", "old/new/deeper"]), capsys)
+        err = assert_input_error(main([*argv, "--out", "old/new/" + "x" * 300]), capsys)
+        assert err.startswith("error: cannot create output directory 'old/new/xxx"), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
+        assert list((tmp_path / "old").iterdir()) == []
 
     @EACH_COMMAND
     def test_long_paths_give_short_errors(self, tmp_path, monkeypatch, capsys, argv):
@@ -1475,12 +1498,13 @@ class TestManifest:
         return {**gc.write_inputs(tmp_path), "incidents": incidents, "spec": spec}
 
     def analyze_argv(self, golden, *targets):
-        return [
+        argv = [
             "analyze", str(golden["events"]), "--collector", "rrc00",
             "--window", str(START + 80_000), str(START + 100_000),
-            "--null-windows", str(golden["nulls"]),
-            *(arg for asn in targets for arg in ("--target-asn", str(asn))),
         ]
+        if targets:  # the null windows are refused without a target
+            argv += ["--null-windows", str(golden["nulls"])]
+        return argv + [arg for asn in targets for arg in ("--target-asn", str(asn))]
 
     def test_analyze_lists_its_incidents_file(self, golden, tmp_path):
         out = tmp_path / "analyze"
@@ -1665,7 +1689,8 @@ class TestDocumentFuzz:
         }
 
     def run(self, argv, doc):
-        """main() on `doc` in place of DOC; its code, stderr and --out directory."""
+        """main() on `doc` in place of DOC; its code, stderr and --out's files,
+        or None when --out was not left behind."""
         work = Path(tempfile.mkdtemp(prefix="doc-"))
         try:
             path = work / "doc.json"
@@ -1674,7 +1699,7 @@ class TestDocumentFuzz:
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = main([str(path) if arg == "DOC" else arg for arg in argv] + ["--out", str(out)])
-            return code, err.getvalue(), sorted(p.name for p in out.iterdir())
+            return code, err.getvalue(), sorted(p.name for p in out.iterdir()) if out.exists() else None
         finally:
             shutil.rmtree(work)
 
@@ -1694,7 +1719,7 @@ class TestDocumentFuzz:
         assert code in (0, 2), err
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert outputs == []
+            assert outputs is None
 
 
 # Bytes that line readers treat specially, put into valid files by the input fuzz.

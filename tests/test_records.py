@@ -1,13 +1,15 @@
 """Value semantics of the package's record classes.
 
-Each record is a plain class with __slots__ and its own __init__: equal when
-of the same class with equal fields, repr as Name(field=value, ...), frozen
-records hashable and read-only, MrtStats and MrtParseResult mutable.  An
-__init__ checks its arguments and then writes every field with one
-Record._set_fields call, one value per field in field order; a subclass's
-fields are its parent's followed by its own __slots__.  Each fixture below
-gives its fields pairwise distinct values, so a value written to the wrong
-field shows.
+Each record is a plain class with __slots__: equal when of the same class
+with equal fields, repr as Name(field=value, ...), frozen records hashable
+and read-only, MrtStats and MrtParseResult mutable.  A record without rules
+of its own is built by Record's shared __init__, which takes the fields by
+position, then by name, and the rest from the class's _defaults; a record
+with rules checks its arguments in its own __init__.  Either writes every
+field with one Record._set_fields call, one value per field in field order;
+a subclass's fields are its parent's followed by its own __slots__.  Each
+fixture below gives its fields pairwise distinct values, so a value written
+to the wrong field shows.
 """
 
 import copy
@@ -176,6 +178,51 @@ def test_mutable_records_assign_and_are_unhashable(cls, fields):
         hash(record)
 
 
+# The records built by Record's shared __init__.
+SHARED_INIT = [
+    BurstinessResult, ActivityRow, JointActivityTable, SignificanceResult, AnomalyReport,
+    BinnedEvaluation, EvaluationRow, IncidentScenario, MrtStats,
+]
+SHARED = [(cls, fields) for cls, fields in RECORDS if cls in SHARED_INIT]
+
+
+def test_shared_init_is_records_own_for_exactly_these():
+    assert [cls for cls, _ in RECORDS if cls.__init__ is Record.__init__] == SHARED_INIT
+
+
+@pytest.mark.parametrize("cls, fields", SHARED, ids=[cls.__name__ for cls, _ in SHARED])
+class TestSharedInit:
+    def test_too_many_values(self, cls, fields):
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\) takes {len(fields)} fields but"):
+            cls(*fields.values(), 0)
+
+    def test_unknown_field(self, cls, fields):
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\) got an unknown field 'extra'$"):
+            cls(**fields, extra=0)
+
+    def test_field_by_position_and_by_name(self, cls, fields):
+        first = next(iter(fields))
+        with pytest.raises(TypeError, match=f"got field '{first}' by position and by name$"):
+            cls(fields[first], **fields)
+        with pytest.raises(TypeError, match=f"got field '{first}' by position and by name$"):
+            cls(*fields.values(), **{first: fields[first]})
+
+    def test_missing_field_takes_its_default_or_fails(self, cls, fields):
+        for name in fields:
+            given = {key: value for key, value in fields.items() if key != name}
+            if name in cls._defaults:
+                assert getattr(cls(**given), name) == cls._defaults[name]
+                continue
+            with pytest.raises(TypeError, match=f"^{cls.__name__}\\(\\) missing field '{name}'$"):
+                cls(**given)
+
+    def test_position_then_name(self, cls, fields):
+        values = list(fields.values())
+        for split in range(len(fields) + 1):
+            named = dict(list(fields.items())[split:])
+            assert cls(*values[:split], **named) == cls(**fields)
+
+
 class Pair(Record):
     __slots__ = ("first", "second")
 
@@ -214,6 +261,9 @@ def test_defaults():
         "AnnouncementEvent(timestamp=1, collector='c', prefix='10.0.0.0/8', "
         "kind='withdrawal', origin_asn=None, peer_asn=None, ambiguous_origin=False)"
     )
+    assert JointActivityTable((0, 10), (), 0.25, 9.0).skipped == ()
+    assert SignificanceResult(0.5, (0.1,), 0.5, False, 0.05).skipped_windows == 0
+    assert AnomalyReport(64500, "rrc00", (7,)).trace is None
     assert DetectorConfig().as_dict() == {
         "r": 1 / 300, "omega": 200, "delta": 2.0, "warmup": 0, "variance_floor": 1e-9,
         "min_events": 5,
