@@ -279,9 +279,18 @@ def _resolve_detector_config(args, manifest: Manifest) -> tuple[DetectorConfig, 
 # ---------------------------------------------------------------- ingest
 
 
-# Canonical input: its first non-space byte opens a JSON object, or there is
-# none.  Matched in place, where lstrip() would copy the whole payload.
-_CANONICAL_HEAD = re.compile(rb"[ \t\n\r\x0b\x0c]*(?:\{|\Z)")
+# Canonical input: after an optional UTF-8 byte order mark and the UTF-8 of
+# any whitespace that str.strip() removes, its first byte opens a JSON
+# object, or there is none.  Matched in place, where lstrip() would copy the
+# whole payload.  A byte order mark, like any line that is not JSON, is then
+# refused by the line reader with its own error.  An MRT dump opens with its
+# first record's 4-byte timestamp and a record type below 256, so it matches
+# only if that timestamp opens with these bytes or "{": before 1988, or
+# after 2034 (the BOM's 0xEFBBBF.. is in 2097).
+_CANONICAL_HEAD = re.compile(
+    rb"(?:\xef\xbb\xbf)?(?:[\t-\r\x1c- ]|\xc2[\x85\xa0]|\xe1\x9a\x80|\xe2\x80[\x80-\x8a\xa8\xa9\xaf]"
+    rb"|\xe2\x81\x9f|\xe3\x80\x80)*(?:\{|\Z)"
+)
 
 
 def _prefix_lines(head: str, prefixes: list[str], tail: str) -> str:

@@ -1,12 +1,14 @@
 """Normalized announcement events, canonical line format, and series builders.
 
-Canonical lines are read by one validating reader, scan_event_lines, into
-plain fields; parse_event_lines builds an AnnouncementEvent from each row,
-and MRT dumps and synthetic streams give events too.  A per-(origin AS,
-collector) series is built from its timestamp and prefix columns, which
-series_from_columns and volume_from_columns turn into the timestamp series
-and per-second unique-prefix volume series that feed all downstream
-statistics.  read_groups goes from canonical text straight to every
+A canonical line has one validating reader, which parse_event_lines turns
+into an AnnouncementEvent per line; MRT dumps and synthetic streams give
+events too.  Canonical text is read in runs of whole lines: a run of lines
+in the form every writer emits is matched by one regex call, and in any
+other run only the lines out of that form go to the line reader.  A
+per-(origin AS, collector) series is built from its timestamp and prefix
+columns, which series_from_columns and volume_from_columns turn into the
+timestamp series and per-second unique-prefix volume series that feed all
+downstream statistics.  read_groups goes from canonical text straight to every
 series' columns in one pass, without an event per line; build_series and
 build_volume_series take one pair's columns from events in memory.
 """
@@ -21,7 +23,7 @@ import reprlib
 # socket's own functions, from its C module: socket.py builds enums on import.
 from _socket import AF_INET6, inet_ntop, inet_pton
 from bisect import bisect_left
-from itertools import compress, islice, repeat
+from itertools import compress, count, islice, repeat
 from operator import countOf, ge, gt, itemgetter
 from typing import IO, Iterable, Iterator
 
@@ -351,93 +353,44 @@ def _parse_line(line: str, lineno: int) -> tuple[int, str, str, str, int | None,
     return ts, collector, prefix, kind, origin, peer, ambiguous
 
 
-# One line exactly as AnnouncementEvent.to_line writes it, with %s for the
-# pattern of its peer_asn.  json.dumps escapes `"`, `\`, control characters
-# and non-ASCII, so an unescaped printable-ASCII string decodes to its own
-# text; integers carry no sign or leading zero, and have at most INT_DIGITS.
+# One line exactly as AnnouncementEvent.to_line writes it.  json.dumps
+# escapes `"`, `\`, control characters and non-ASCII, so an unescaped
+# printable-ASCII string decodes to its own text; integers carry no sign or
+# leading zero, and have at most INT_DIGITS.  Groups: ts, collector, prefix,
+# origin_asn, type code, ambiguous flag.  peer_asn, which no row uses, has
+# none: a seventh group makes each findall ~15% slower.
 _INT = rf"(?:[1-9][0-9]{{0,{INT_DIGITS - 1}}}|0)"
 _TEXT = r'[ !#-\[\]-~]*'
 _WRITER_FORM = (
-    rf'\{{"ts":({_INT}),"collector":"({_TEXT})"(?:,"peer_asn":%s)?,'
+    rf'\{{"ts":({_INT}),"collector":"({_TEXT})"(?:,"peer_asn":{_INT})?,'
     rf'"prefix":"({_TEXT})"(?:,"origin_asn":({_INT}))?,'
     rf'"type":"([AW])"(,"ambiguous_origin":true)?\}}'
 )
-# Groups: ts, collector, peer_asn, prefix, origin_asn, type code, ambiguous flag.
-_WRITER_LINE = re.compile(_WRITER_FORM % f"({_INT})")
 # Every line of a text that is in writer form once stripped: a line ending
 # in "\r\n" is one, and strip() takes nothing else off a writer-form line.
-# The same groups but peer_asn, which runs of text do not use: a seventh
-# group makes each findall ~15% slower.
-_WRITER_LINES = re.compile(rf"^{_WRITER_FORM % _INT}\r?$", re.MULTILINE)
+_WRITER_LINES = re.compile(rf"^{_WRITER_FORM}\r?$", re.MULTILINE)
+# One row per line, up to the end of the text searched: a line out of writer
+# form matches the catch-all, and its row is all "".  Without the literal
+# head of _WRITER_LINES each findall is ~15% slower, so it reads only runs
+# that _WRITER_LINES does not take whole.
+_LINES = re.compile(rf"^(?:{_WRITER_FORM}|.*)\r?$", re.MULTILINE)
 # The length of a run of lines before it is extended to the end of its last
 # line: ~600 lines per findall, while a run's rows stay small.
 _CHUNK_CHARS = 1 << 16
 _prefix_of, _origin_of, _code_of = itemgetter(2), itemgetter(3), itemgetter(4)
 
 
-def _scan_lines(
-    source: Iterable[str] | IO[str], lineno: int, known: dict[str, str]
-) -> Iterator[tuple[str, int, str, str, str, int | None, int | None, bool]]:
-    """scan_event_lines with the first line numbered `lineno`.
-
-    `known` maps each prefix text already checked to its first instance,
-    which every later event with that prefix shares; new prefixes that
-    pass the check are added.
-    """
-    match = _WRITER_LINE.fullmatch
-    for lineno, line in enumerate(source, start=lineno):
-        line = line.strip()
-        if not line:
-            continue
-        m = match(line)
-        if m is not None:
-            ts, collector, peer, prefix, origin, code, ambiguous = m.groups()
-            if origin is not None or code == "W":
-                checked = known.get(prefix)
-                if checked is None:
-                    try:
-                        _check_prefix(prefix)
-                    except EventFormatError:
-                        pass  # the per-line reader raises it with the line number
-                    else:
-                        checked = known[prefix] = prefix
-                if checked is not None:
-                    yield (
-                        line, int(ts), collector, checked, _CODE_KIND[code],
-                        None if origin is None else int(origin),
-                        None if peer is None else int(peer), ambiguous is not None,
-                    )
-                    continue
-        ts, collector, prefix, kind, origin, peer, ambiguous = _parse_line(line, lineno)
-        prefix = known.setdefault(prefix, prefix)
-        head, tail = line_parts(ts, json.dumps(collector), peer, kind, origin, ambiguous)
-        yield head + json.dumps(prefix) + tail, ts, collector, prefix, kind, origin, peer, ambiguous
-
-
-def scan_event_lines(
-    source: Iterable[str] | IO[str],
-) -> Iterator[tuple[str, int, str, str, str, int | None, int | None, bool]]:
-    """Parse canonical lines into plain fields, without event objects.
-
-    Yields (line, timestamp, collector, prefix, kind, origin_asn, peer_asn,
-    ambiguous_origin) per event, where `line` is the event in writer form:
-    the input line itself when it already is its own to_line(), else its
-    re-serialisation.  A writer-form line is matched by one regex, any other
-    is decoded as JSON; blank lines are skipped, and a bad line raises
-    EventFormatError with its 1-based line number.
-    """
-    return _scan_lines(source, 1, {})
-
-
 def parse_event_lines(source: Iterable[str] | IO[str]) -> Iterator[AnnouncementEvent]:
     """Parse canonical line-delimited events; blank lines are ignored.
 
-    One AnnouncementEvent per scan_event_lines row, which accepts and
-    rejects each line.  Raises EventFormatError with the 1-based line
-    number on any bad line.
+    One AnnouncementEvent per stripped, nonblank line, read by the one
+    validating reader of a line.  Raises EventFormatError with the 1-based
+    line number on any bad line.
     """
-    for _, ts, collector, prefix, kind, origin, peer, ambiguous in _scan_lines(source, 1, {}):
-        yield AnnouncementEvent(ts, collector, prefix, kind, origin, peer, ambiguous)
+    for lineno, line in enumerate(source, start=1):
+        line = line.strip()
+        if line:
+            yield AnnouncementEvent(*_parse_line(line, lineno))
 
 
 def _rows_accepted(rows: list[tuple], known: dict[str, str]) -> bool:
@@ -454,6 +407,38 @@ def _rows_accepted(rows: list[tuple], known: dict[str, str]) -> bool:
     return True
 
 
+def _line_rows(
+    rows: list[tuple], lines: list[str], lineno: int, known: dict[str, str]
+) -> tuple[list[tuple], str]:
+    """The rows and writer-form text of a run that is not all in writer form.
+
+    `rows` holds the _LINES row of each of `lines`, the first numbered
+    `lineno`.  A writer-form row is kept with its line (without "\r"); every
+    other nonblank line is read by _parse_line, and gives a row of the same
+    six strings and its writer form.  If a writer-form row is refused, every
+    line is read by _parse_line, which raises at the first bad one.
+    """
+    if not _rows_accepted([row for row in rows if row[0]], known):
+        rows = repeat(("",))
+    kept, text = [], []
+    for lineno, row, line in zip(count(lineno), rows, lines):
+        if row[0]:
+            kept.append(row)
+            text.append(line.rstrip("\r"))
+            continue
+        line = line.strip()
+        if line:
+            ts, collector, prefix, kind, origin, peer, ambiguous = _parse_line(line, lineno)
+            prefix = known.setdefault(prefix, prefix)
+            kept.append((
+                str(ts), collector, prefix, "" if origin is None else str(origin),
+                _KIND_CODE[kind], ',"ambiguous_origin":true' if ambiguous else "",
+            ))
+            head, tail = line_parts(ts, json.dumps(collector), peer, kind, origin, ambiguous)
+            text.append(head + json.dumps(prefix) + tail)
+    return kept, "".join([line + "\n" for line in text])
+
+
 def _text_runs(text: str, known: dict[str, str]) -> Iterator[tuple[list[tuple], str]]:
     """Cut canonical text into runs of whole lines of about _CHUNK_CHARS.
 
@@ -462,17 +447,18 @@ def _text_runs(text: str, known: dict[str, str]) -> Iterator[tuple[list[tuple], 
     every one a str), and run is the same events in writer form, one per
     line, each ended by "\n".  A run whose every line is in writer form,
     with an origin if it announces and a prefix that _check_prefix takes,
-    is matched by one findall and is its own text (without "\r");
-    any other run is read by _scan_lines, which rejects a bad line with its
-    line number in the whole text.  Every prefix read is added to `known`.
+    is matched by one findall and is its own text (without "\r").  Any
+    other run is matched again by _LINES, one row per line, and _line_rows
+    reads the lines out of writer form, rejecting a bad line with its line
+    number in the whole text.  Every prefix read is added to `known`.
     """
-    findall, head = _WRITER_LINES.findall, _WRITER_LINE.match
+    findall, head = _WRITER_LINES.findall, _WRITER_LINES.match
     start, lineno, size = 0, 1, len(text)
     while start < size:
         end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or size
         lines = text.count("\n", start, end) + (text[end - 1] != "\n")
-        # A run whose first line is out of writer form is read line by line,
-        # without a findall that would scan all of it for nothing.
+        # A run whose first line is out of writer form skips the findall
+        # that would scan all of it for nothing.
         rows = findall(text, start, end) if head(text, start) is not None else ()
         if len(rows) == lines and _rows_accepted(rows, known):
             run = text[start:end]
@@ -480,13 +466,10 @@ def _text_runs(text: str, known: dict[str, str]) -> Iterator[tuple[list[tuple], 
                 run = run.replace("\r", "")
             yield rows, run if run[-1] == "\n" else run + "\n"
         else:
-            scanned = list(_scan_lines(text[start:end].split("\n"), lineno, known))
-            rows = [
-                (str(ts), collector, prefix, "" if origin is None else str(origin),
-                 _KIND_CODE[kind], ',"ambiguous_origin":true' if ambiguous else "")
-                for _, ts, collector, prefix, kind, origin, _, ambiguous in scanned
-            ]
-            yield rows, "\n".join([fields[0] for fields in scanned] + [""])
+            # Up to the run's last "\n", so that its last line gives the last row.
+            stop = end - (text[end - 1] == "\n")
+            rows = _LINES.findall(text, start, stop)
+            yield _line_rows(rows, text[start:stop].split("\n"), lineno, known)
         start, lineno = end, lineno + lines
 
 
@@ -499,9 +482,9 @@ def copy_event_text(
     Returns the counts of events read, of events written and of
     announcements among them.  Each run of _text_runs is written as its
     writer-form lines, and a filter keeps the lines whose rows it matches:
-    a run of writer-form lines is copied through as it is (without "\r"),
-    and every other line is written as scan_event_lines yields it, and is
-    rejected as there, with the same line number.
+    a line in writer form is copied through as it is (without "\r"), and
+    every other line is re-serialised from its fields, or rejected with its
+    line number, as parse_event_lines reads it.
     """
     filtered = collector is not None or asn is not None
     origin = None if asn is None else str(asn)
@@ -608,7 +591,7 @@ def read_groups(
     columns: keys sorted, each column in input order.  Pass the columns to
     series_from_columns and volume_from_columns.  With prefixes=False the
     prefix column is left out and each value is (timestamps,).  Lines are
-    read, and rejected, as by scan_event_lines; the text is read in runs of
+    read, and rejected, as by parse_event_lines; the text is read in runs of
     whole lines, each run of writer-form lines by one regex call.
     """
     known: dict[str, str] = {}

@@ -3,7 +3,8 @@
 `event_lines` draws lists of lines that the frozen reference reader in
 ref_events.py accepts: most are AnnouncementEvent.to_line() output, the
 rest are the same events written another way (escapes, raw non-ASCII,
-key order, spacing, `\\r`, explicit defaults) or blank.  Half of the
+key order, spacing, `\\r`, explicit defaults), blank, or only whitespace
+that str.strip() removes (`\\x85` and `\\u2028` among it).  Half of the
 lists carry one more line at a random place that breaks the contract or
 leaves writer form (leading zeros, other JSON types for integers,
 integers of 18 digits and more, a lone surrogate in the collector, an
@@ -26,6 +27,8 @@ PREFIXES = [
     "::1.2.3.4/128", "::/0",
 ]
 BAD_PREFIXES = ["010.0.0.0/8", "10.0.0.0/33", "256.0.0.0/8", "2001:db8::/129", "", "x"]
+# Lines that strip() leaves empty: the readers end a line at "\n" alone.
+WHITESPACE = [" ", "\t", " \r", "\x0c", "\x85", "\u2028"]
 
 
 def _events(prefixes):
@@ -78,6 +81,7 @@ REWRITES = [
     lambda line: _compact(dict(reversed(_record(line).items()))),
     lambda line: json.dumps(_record(line)),
     lambda line: f"  {line}\r",
+    lambda line: "".join(WHITESPACE) + line + "".join(reversed(WHITESPACE)),
     lambda line: line.replace(",", ",\r", 1),
     lambda line: line.replace('"type":"', '"type" :"', 1),
     lambda line: line[:-1] + ',"ambiguous_origin":false}',
@@ -111,7 +115,7 @@ writer_lines = _good.map(AnnouncementEvent.to_line)
 good_lines = st.one_of(
     writer_lines,
     st.builds(lambda ev, rewrite: rewrite(ev.to_line()), _good, st.sampled_from(REWRITES)),
-    st.just(""),
+    st.sampled_from(["", *WHITESPACE]),
 )
 bad_lines = st.one_of(
     _events(BAD_PREFIXES).map(AnnouncementEvent.to_line),

@@ -278,6 +278,24 @@ class TestIngest:
         bad.write_bytes(NON_UTF8_EVENTS)
         assert_input_error(main(["ingest", str(bad), "--out", str(tmp_path / "o")]), capsys)
 
+    def test_byte_order_mark_is_refused_as_canonical_text(self, tmp_path, capsys):
+        bom = tmp_path / "bom.jsonl"
+        bom.write_bytes(b"\xef\xbb\xbf" + NON_UTF8_EVENTS.replace(b"\xff", b""))
+        errors = [
+            assert_input_error(main([command, str(bom), "--out", str(tmp_path / command)]), capsys)
+            for command in ("detect", "ingest")
+        ]
+        assert errors[0].startswith(f"error: {bom}: line 1: invalid JSON: Unexpected UTF-8 BOM")
+        assert errors[1] == errors[0]
+
+    def test_file_led_by_any_whitespace_is_canonical(self, tmp_path):
+        line = AnnouncementEvent(START, "rrc00", "10.0.0.0/8", ANNOUNCEMENT, origin_asn=1).to_line()
+        spaces = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+        source = tmp_path / "spaced.jsonl"
+        source.write_bytes(f"{spaces}\n{line}\n".encode())
+        assert main(["ingest", str(source), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "events.jsonl").read_text() == line + "\n"
+
     @pytest.mark.parametrize(
         "name, data",
         [
@@ -1825,3 +1843,140 @@ class TestInputFuzz:
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert after == before
+
+
+# Command-line text near the forms the options take, and of any form.
+ARG_TEXTS = st.one_of(
+    st.sampled_from([
+        "", " ", "0", "-1", "+5", " 64500 ", "1_000", "٣", "0x10", "1e3", "nan", "9" * 19, "9" * 5000,
+        "-", "--out", "c\ud800", "\x00", "é☃", f" {iso(START)} ", "2014-02-30T00:00:00Z",
+        "1969-12-31T23:59:59Z", "9999-12-31T23:59:59-23:59", "0000-01-01", "2014-05-13 00:00:00.5+01:30",
+        "2014-05-13t00:00z",
+    ]),
+    st.integers(min_value=-(2**64), max_value=2**64).map(str),
+    st.text(max_size=24),
+)
+
+
+def valid_or_any(*valid):
+    """One of `valid`, or any command-line text."""
+    return st.sampled_from(valid) | ARG_TEXTS
+
+
+# Flat config files: key=value lines, comments and lines of any form.
+CONFIG_TEXTS = st.lists(
+    st.one_of(
+        st.builds(
+            "{} = {}".format,
+            st.sampled_from([*CONFIG_KEYS, "R", "omega x", ""]),
+            ARG_TEXTS | st.sampled_from(["1/300", "1/0", "0/0", "1e400", "-0", "200.0", "200.9", "1e-400"]),
+        ),
+        st.sampled_from(["# note", "", "omega", "=", "==1"]),
+        st.text(max_size=24),
+    ),
+    max_size=6,
+).map("\n".join)
+
+
+class TestArgvFuzz:
+    """main() on the text of its options: --asn, --collector, --window,
+    --target-asn, --t0/--t1, the bin length and a flat --config file."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        """An events file of two collectors, its reports, incidents and null windows."""
+        tmp = tmp_path_factory.mktemp("argv")
+        lines = [
+            AnnouncementEvent(
+                START + 60 * i, ["rrc00", "linx"][i % 3 == 0], f"10.{i % 7}.0.0/16", ANNOUNCEMENT,
+                origin_asn=64500 + i % 2,
+            ).to_line()
+            for i in range(200)
+        ]
+        events = tmp / "events.jsonl"
+        events.write_text("".join(line + "\n" for line in lines))
+        assert main(["detect", str(events), "--collector", "rrc00", "--out", str(tmp / "detect")]) == 0
+        incidents = tmp / "incidents.json"
+        incidents.write_text(json.dumps([{
+            "name": "burst", "asn": 64500, "start_utc": iso(START + 600), "end_utc": iso(START + 1200),
+            "kind": "large-scale",
+        }]))
+        nulls = tmp / "nulls.json"
+        nulls.write_text(json.dumps([[START + k * 60, START + k * 60 + 3000] for k in range(20, 160)]))
+        return {
+            "events": str(events), "reports": sorted(map(str, (tmp / "detect").glob("report_*.json"))),
+            "incidents": str(incidents), "nulls": str(nulls),
+        }
+
+    @staticmethod
+    def argv(draw, paths):
+        """One command's argv, each text option drawn or left out, and the
+        text of its flat --config file or None."""
+        asns = valid_or_any("64500", "64501")
+        collectors = valid_or_any("rrc00", "linx")
+        times = valid_or_any(str(START), iso(START + 6_000), str(START + 12_000), iso(START + 12_000))
+
+        def option(flag, texts):
+            return [flag, draw(texts)] if draw(st.booleans()) else []
+
+        command = draw(st.sampled_from(["ingest", "detect", "analyze", "evaluate"]))
+        if command == "ingest":
+            return ["ingest", paths["events"], *option("--asn", asns), *option("--collector", collectors)], None
+        if command == "evaluate":
+            return [
+                "evaluate", *paths["reports"], "--incidents", paths["incidents"],
+                *option("--t0", times), *option("--t1", times), *option("--m", valid_or_any("600", "3600")),
+            ], None
+        if command == "detect":
+            argv = ["detect", paths["events"], *option("--asn", asns), *option("--collector", collectors)]
+        else:
+            # The events span two collectors, so analyze needs --collector.
+            argv = ["analyze", paths["events"], "--window", draw(times), draw(times), "--collector", draw(collectors)]
+            for _ in range(draw(st.integers(0, 2))):
+                argv += ["--target-asn", draw(asns), "--null-windows", paths["nulls"], "--k", "20"]
+        return argv, draw(st.none() | CONFIG_TEXTS)
+
+    def run(self, argv, config):
+        """main() on `argv`, with `config` as its --config file; its code (2
+        for a usage error), stderr and whether --out was left behind."""
+        work = Path(tempfile.mkdtemp(prefix="argv-"))
+        try:
+            if config is not None:
+                (work / "detector.conf").write_text(config, encoding="utf-8", errors="surrogatepass")
+                argv = [*argv, "--config", str(work / "detector.conf")]
+            out = work / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main([*argv, "--out", str(out)])
+                except SystemExit as exc:
+                    code = exc.code
+            return code, err.getvalue(), out.exists()
+        finally:
+            shutil.rmtree(work)
+
+    def test_valid_options_pass(self, paths):
+        window = ["--window", str(START), iso(START + 12_000)]
+        for argv, config in [
+            (["ingest", paths["events"], "--asn", "64500", "--collector", "linx"], None),
+            (["detect", paths["events"], "--asn", "64501", "--collector", "rrc00"], "r = 1/300\nomega = 20\n"),
+            (["analyze", paths["events"], *window, "--collector", "rrc00", "--target-asn", "64500",
+              "--null-windows", paths["nulls"], "--k", "20"], "# min_events\nmin_events = 5"),
+            (["evaluate", *paths["reports"], "--incidents", paths["incidents"],
+              "--t0", iso(START), "--t1", str(START + 12_000), "--m", "600"], None),
+        ]:
+            code, err, left = self.run(argv, config)
+            assert (code, left) == (0, True), err
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_options_are_read_or_refused_in_one_line(self, paths, data):
+        argv, config = self.argv(data.draw, paths)
+        code, err, left = self.run(argv, config)
+        assert code in (0, 2), err
+        if code == 2:
+            # main's own errors lead their one line; argparse's follows its usage.
+            errors = [line for line in err.splitlines() if "error: " in line]
+            assert len(errors) == 1 and err.endswith("\n"), err
+            assert err.startswith("error: ") or errors[0].startswith("bgpburst"), err
+            assert not left

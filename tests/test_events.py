@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import differential
 from bgpburst import events
 from bgpburst.events import (
     _KIND_CODE,
@@ -25,13 +26,12 @@ from bgpburst.events import (
     copy_event_text,
     parse_event_lines,
     read_groups,
-    scan_event_lines,
     series_from_columns,
     series_keys,
     volume_from_columns,
     write_event_lines,
 )
-from canonical_lines import bad_lines, event_lines, good_lines, writer_lines
+from canonical_lines import WHITESPACE, bad_lines, event_lines, good_lines, writer_lines
 from ref_events import ref_groups, ref_parse_lines
 
 
@@ -536,31 +536,16 @@ class TestFusedReader:
     @given(event_lines)
     def test_readers_equal_reference(self, lines):
         assert _outcome(read_groups, "\n".join(lines)) == _outcome(ref_groups, lines)
-        assert _outcome(lambda ls: list(scan_event_lines(ls)), lines) == _outcome(
-            _fields_of_ref, lines
-        )
         assert _outcome(
             lambda ls: [(ev.to_line(), *ev.as_dict().values()) for ev in parse_event_lines(ls)],
             lines,
         ) == _outcome(_fields_of_ref, lines)
 
-    def test_writer_lines_are_passed_through(self):
-        events = [
-            _ev(1),
-            _ev(2, kind=WITHDRAWAL, prefix="2001:db8::/32"),
-            AnnouncementEvent(3, "c", "10.0.0.0/8", ANNOUNCEMENT, origin_asn=0, peer_asn=0,
-                              ambiguous_origin=True),
-        ]
-        lines = [ev.to_line() for ev in events]
-        rows = list(scan_event_lines(lines))
-        assert len(rows) == len(lines)
-        assert all(row[0] is line for row, line in zip(rows, lines))
-
     def test_other_forms_are_reserialised(self):
         lines = ['{"type":"W","prefix":"10.0.0.0/8","collector":"c","ts":5}', "\r", ""]
-        assert [row[0] for row in scan_event_lines(lines)] == [
-            '{"ts":5,"collector":"c","prefix":"10.0.0.0/8","type":"W"}'
-        ]
+        assert differential.copied("\n".join(lines), None, None) == (
+            '{"ts":5,"collector":"c","prefix":"10.0.0.0/8","type":"W"}\n', (1, 1, 0)
+        )
 
     def test_error_line_numbers_count_blank_lines(self):
         lines = [_ev(1).to_line(), "", '{"ts":2,"collector":"c","prefix":"10.0.0.0/8","type":"A"}']
@@ -607,23 +592,6 @@ def event_texts(draw):
     return text
 
 
-def _copied(text, collector, asn):
-    out = io.StringIO()
-    counts = copy_event_text(text, out, collector, asn)
-    return out.getvalue(), counts
-
-
-def _copied_by_lines(text, collector, asn):
-    """What copy_event_text writes and counts, from the reference reader."""
-    events = ref_parse_lines(text.split("\n"))
-    kept = [
-        ev for ev in events
-        if (collector is None or ev.collector == collector) and (asn is None or ev.origin_asn == asn)
-    ]
-    text = "".join(ev.to_line() + "\n" for ev in kept)
-    return text, (len(events), len(kept), sum(ev.kind == ANNOUNCEMENT for ev in kept))
-
-
 class TestChunkScanner:
     """A text read in runs of whole lines gives what the reference reader gives."""
 
@@ -631,7 +599,7 @@ class TestChunkScanner:
     @given(
         event_texts(),
         st.integers(min_value=1, max_value=200),
-        st.sampled_from([(None, None), ("rrc00", None), (None, 0), ("a b", 2**32 - 1)]),
+        st.sampled_from(differential.COPY_FILTERS),
     )
     def test_runs_read_as_lines(self, text, chunk, filters):
         lines = text.split("\n")
@@ -639,21 +607,21 @@ class TestChunkScanner:
             for prefixes in (True, False):
                 expected = _outcome(lambda ls: ref_groups(ls, prefixes), lines)
                 assert _outcome(lambda t: read_groups(t, prefixes), text) == expected
-            assert _outcome(lambda t: _copied(t, *filters), text) == _outcome(
-                lambda t: _copied_by_lines(t, *filters), text
+            assert _outcome(lambda t: differential.copied(t, *filters), text) == _outcome(
+                lambda t: differential.copied_by_lines(t, *filters), text
             )
 
     def test_writer_runs_are_copied_through(self):
         lines = [_ev(ts, prefix=f"10.{ts}.0.0/16").to_line() for ts in range(50)]
         text = "\r\n".join(lines)
-        scan = mock.patch.object(events, "_scan_lines", wraps=events._scan_lines)
-        with mock.patch.object(events, "_CHUNK_CHARS", 300), scan as scanned:
+        by_line = mock.patch.object(events, "_line_rows", wraps=events._line_rows)
+        with mock.patch.object(events, "_CHUNK_CHARS", 300), by_line as read_by_line:
             runs = list(events._text_runs(text, {}))
-        assert len(runs) > 1 and not scanned.called
+        assert len(runs) > 1 and not read_by_line.called
         assert [row[0] for rows, _ in runs for row in rows] == [str(ts) for ts in range(50)]
         copied = "".join(line + "\n" for line in lines)
         assert "".join(run for _, run in runs) == copied
-        assert _copied(text, None, None) == (copied, (50, 50, 50))
+        assert differential.copied(text, None, None) == (copied, (50, 50, 50))
 
     @pytest.mark.parametrize("filters", [("rrc00", None), (None, 4761), ("linx", 4761), ("x", None)])
     def test_filtered_writer_runs_are_not_read_line_by_line(self, filters):
@@ -662,12 +630,40 @@ class TestChunkScanner:
             for ts in range(60) for kind in (ANNOUNCEMENT, WITHDRAWAL)
         ]
         text = "\n".join(lines) + "\n"
-        scan = mock.patch.object(events, "_scan_lines", wraps=events._scan_lines)
-        with mock.patch.object(events, "_CHUNK_CHARS", 500), scan as scanned:
-            copied = _copied(text, *filters)
+        by_line = mock.patch.object(events, "_line_rows", wraps=events._line_rows)
+        with mock.patch.object(events, "_CHUNK_CHARS", 500), by_line as read_by_line:
+            copied = differential.copied(text, *filters)
             assert len(list(events._text_runs(text, {}))) > 1
-        assert not scanned.called
-        assert copied == _copied_by_lines(text, *filters)
+        assert not read_by_line.called
+        assert copied == differential.copied_by_lines(text, *filters)
+
+    def test_lines_out_of_writer_form_alone_go_to_the_line_reader(self):
+        # Runs of one group each: writer-form lines, a blank line, a
+        # whitespace-only line and a key-reordered line, every group as long.
+        groups = []
+        for group in range(12):
+            lines = [
+                _ev(1000 + 10 * group + i, asn=4761 + i % 2, collector=f"rrc0{i % 3}").to_line()
+                for i in range(8)
+            ]
+            lines[5] = json.dumps(dict(reversed(json.loads(lines[5]).items())), separators=(",", ":"))
+            lines[2:2] = ["", (WHITESPACE[group % len(WHITESPACE)] * 2)[:2]]
+            groups.append("".join(line + "\n" for line in lines))
+        text = "".join(groups)
+        by_line = mock.patch.object(events, "_line_rows", wraps=events._line_rows)
+        parse = mock.patch.object(events, "_parse_line", wraps=events._parse_line)
+        with mock.patch.object(events, "_CHUNK_CHARS", len(groups[0])):
+            with by_line as read_by_line, parse as parsed:
+                assert sum(len(rows) for rows, _ in events._text_runs(text, {})) == 12 * 8
+            assert [(len(call.args[0]), len(call.args[1])) for call in read_by_line.call_args_list] == [
+                (10, 10)
+            ] * 12
+            assert parsed.call_count == 12
+            lines = text.split("\n")
+            for prefixes in (True, False):
+                assert read_groups(text, prefixes) == ref_groups(lines, prefixes)
+            for filters in [(None, None), ("rrc01", None), (None, 4762)]:
+                assert differential.copied(text, *filters) == differential.copied_by_lines(text, *filters)
 
     @pytest.mark.parametrize("bad, error", [
         (_ev(1).to_line().replace('"origin_asn":', '"origin_asn":0'), "invalid JSON"),
