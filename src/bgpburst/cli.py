@@ -38,6 +38,7 @@ from .burstiness import (
     write_significance_json,
 )
 from .detector import (
+    CONFIG_FIELDS,
     CONFIG_KEYS,
     AnomalyReport,
     DetectorConfig,
@@ -65,8 +66,8 @@ from .events import (
     write_event_lines,
 )
 from .fields import (
-    ANY, INT_DIGITS, INT_LIMIT, INTEGER, INTEGER_LIST, INTEGER_PAIR, REAL, TEXT, TIME, WHOLE,
-    ConfigurationError, optional, parse_utc, read_json, read_record, utf8_text,
+    ANY, INSTANT, INTEGER, INTEGER_LIST, INTEGER_PAIR, NONNEGATIVE, REAL, TEXT, TIME, WHOLE,
+    ConfigurationError, optional, read_json, read_record, read_setting,
 )
 from .mrt import MrtParseError, MrtStats, decompress, read_updates
 
@@ -153,17 +154,13 @@ class Manifest:
         self.doc["inputs"].append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
         return data
 
-    def _partial(self, name: str) -> tuple[Path, Path]:
-        """The path of output `name`, and of the temporary file it is written to."""
-        target = self.out / name
-        if name in self.pending:
-            raise CliError(f"two outputs would be written to {target}")
-        return target, self.out / f".{name}.{os.getpid()}.tmp"
-
     @contextlib.contextmanager
     def output(self, name: str) -> Iterator[IO[str]]:
         """A UTF-8 text handle, with \\n line endings, for `name` under --out."""
-        target, partial = self._partial(name)
+        target = self.out / name
+        if name in self.pending:
+            raise CliError(f"two outputs would be written to {target}")
+        partial = self.out / f".{name}.{os.getpid()}.tmp"
         try:
             raw = partial.open("wb")
             self.pending[name] = partial  # only once it is ours to remove
@@ -174,20 +171,9 @@ class Manifest:
             raise CliError(f"cannot write {reprlib.repr(str(target))}: {exc.strerror or exc}") from exc
         self.doc["outputs"].append({"path": str(target), "sha256": digesting.sha256.hexdigest()})
 
-    def write_text(self, name: str, text: str) -> None:
-        """Write the whole of output `name` in one call: encoded, hashed, written."""
-        target, partial = self._partial(name)
-        data = text.encode("utf-8")
-        try:
-            with partial.open("wb") as fh:
-                self.pending[name] = partial
-                fh.write(data)
-        except OSError as exc:
-            raise CliError(f"cannot write {reprlib.repr(str(target))}: {exc.strerror or exc}") from exc
-        self.doc["outputs"].append({"path": str(target), "sha256": hashlib.sha256(data).hexdigest()})
-
     def write_json(self, name: str, doc) -> None:
-        self.write_text(name, _json_text(doc))
+        with self.output(name) as fh:
+            fh.write(_json_text(doc))
 
     def write(self) -> None:
         """Publish the outputs in the order written, then manifest.json."""
@@ -215,22 +201,6 @@ class Manifest:
         for directory in self.created:
             with contextlib.suppress(OSError):  # not empty, or never made
                 directory.rmdir()
-
-
-_UNIX_SECONDS = re.compile(r"-?([0-9]+)")
-
-
-def _parse_time(text: str) -> int:
-    text = text.strip()
-    seconds = _UNIX_SECONDS.fullmatch(text)
-    if seconds is not None:
-        if len(seconds[1]) > INT_DIGITS:
-            raise CliError(f"cannot parse time {reprlib.repr(text)}: more than {INT_DIGITS} digits")
-        return int(text)
-    try:
-        return parse_utc(text)
-    except ValueError as exc:
-        raise CliError(f"cannot parse time {reprlib.repr(text)}: {exc}") from exc
 
 
 def _decode_utf8(path: Path, data: bytes) -> str:
@@ -344,8 +314,6 @@ def _ingest_input(manifest: Manifest, path: Path, args, fh) -> tuple[dict, int, 
 
 
 def cmd_ingest(args, manifest: Manifest) -> int:
-    if args.collector is not None and not utf8_text(args.collector):
-        raise CliError(f"--collector {reprlib.repr(args.collector)} is not UTF-8 text")
     manifest.doc["config"] = {"asn": args.asn, "collector": args.collector}
     per_input = []
     written = announcements = 0
@@ -481,19 +449,15 @@ def _series_of(groups: dict, asn: int, collector: str):
 
 
 def cmd_analyze(args, manifest: Manifest) -> int:
-    window = (_parse_time(args.window[0]), _parse_time(args.window[1]))
+    window = tuple(args.window)
     if window[0] >= window[1]:
         raise CliError("analysis window start must precede end")
     for i, asn in enumerate(args.target_asn):
         if asn in args.target_asn[:i]:
             raise CliError(f"--target-asn names AS{asn} more than once")
     if not args.target_asn:
-        for option, value in (
-            ("--null-windows", args.null_windows),
-            ("--null-events", args.null_events),
-            ("--incidents", args.incidents),
-        ):
-            if value is not None:
+        for option in ("--null-windows", "--null-events", "--incidents"):
+            if getattr(args, option[2:].replace("-", "_")) is not None:
                 raise CliError(f"{option} is used only with --target-asn")
     min_events = _resolve_detector_config(args, manifest)[0].min_events
     try:
@@ -602,7 +566,7 @@ def cmd_evaluate(args, manifest: Manifest) -> int:
     docs = _load_reports(manifest, args.reports)
     incidents = load_incidents(Path(args.incidents), manifest.read)
     if args.t0 is not None:
-        bounds = (_parse_time(args.t0), _parse_time(args.t1))
+        bounds = (args.t0, args.t1)
     else:
         spans = [doc["span"] for doc in docs if doc["span"] != [0, 0]]
         if not spans:
@@ -667,14 +631,11 @@ def _spec_from_doc(doc, seed: int, where: str) -> tuple[GeneratorSpec, IncidentS
 def cmd_simulate(args, manifest: Manifest) -> int:
     from .synth import generate_stream, inject_incident_events
 
-    seed = args.seed or 0
-    if not -INT_LIMIT < seed < INT_LIMIT:
-        raise CliError(f"--seed must have at most {INT_DIGITS} digits")
     manifest.doc["seed"] = args.seed
     done = []  # printed once every output is published
     for spec_path in map(Path, args.specs):
         where = str(spec_path)
-        spec, incident = _spec_from_doc(read_json(manifest.read(spec_path), where), seed, where)
+        spec, incident = _spec_from_doc(read_json(manifest.read(spec_path), where), args.seed or 0, where)
         try:
             events = generate_stream(spec)
             if incident is not None:
@@ -707,61 +668,81 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", parents=[common], help="normalize MRT or canonical inputs")
     p.add_argument("inputs", nargs="+", help="MRT dumps or canonical .jsonl files (gz/bz2 ok)")
-    p.add_argument("--asn", type=int, default=None, help="keep only this origin AS")
-    p.add_argument("--collector", default=None, help="collector name for MRT input; filter otherwise")
+    p.add_argument("--asn", help="keep only this origin AS")
+    p.add_argument("--collector", help="collector name for MRT input; filter otherwise")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("detect", parents=[configured], help="run burstiness and volume detectors")
     p.add_argument("events", help="canonical events file")
-    p.add_argument("--asn", type=int, default=None)
-    p.add_argument("--collector", default=None)
+    p.add_argument("--asn")
+    p.add_argument("--collector")
     p.add_argument("--detector", choices=("both", "burstiness", "volume"), default="both")
-    p.add_argument("--r", type=float, default=None, help="intensity decay factor (default 1/300)")
-    p.add_argument("--omega", type=int, default=None, help="moving-average window length (default 200)")
-    p.add_argument("--delta", type=float, default=None, help="band width in standard deviations (default 2)")
-    p.add_argument("--warmup", type=int, default=None, help="suppress flags for the first N events")
-    p.add_argument("--variance-floor", dest="variance_floor", type=float, default=None)
+    p.add_argument("--r", help="intensity decay factor (default 1/300)")
+    p.add_argument("--omega", help="moving-average window length (default 200)")
+    p.add_argument("--delta", help="band width in standard deviations (default 2)")
+    p.add_argument("--warmup", help="suppress flags for the first N events")
+    p.add_argument("--variance-floor")
     p.add_argument("--trace", action="store_true",
                    help="also write a per-event trace_*.csv beside each report")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("analyze", parents=[configured], help="joint distribution and significance test")
     p.add_argument("events", help="canonical events file")
-    p.add_argument("--collector", default=None)
+    p.add_argument("--collector")
     p.add_argument("--window", nargs=2, required=True, metavar=("START", "END"),
                    help="analysis window (unix seconds or RFC 3339, UTC)")
-    p.add_argument("--target-asn", dest="target_asn", type=int, action="append", default=[],
-                   help="AS to significance-test (repeatable)")
-    p.add_argument("--null-windows", dest="null_windows", default=None,
+    p.add_argument("--target-asn", action="append", default=[], help="AS to significance-test (repeatable)")
+    p.add_argument("--null-windows", default=None,
                    help="JSON list of no-incident windows")
-    p.add_argument("--null-events", dest="null_events", default=None,
+    p.add_argument("--null-events", default=None,
                    help="canonical events file for null windows (default: main events)")
     p.add_argument("--incidents", default=None, help="incident config for overlap validation")
-    p.add_argument("--min-events", dest="min_events", type=int, default=None,
-                   help="announcements required for a burstiness value (default 5)")
-    p.add_argument("--k", type=int, default=100, help="null sample count")
-    p.add_argument("--alpha-sig", dest="alpha_sig", type=float, default=0.05)
+    p.add_argument("--min-events", help="announcements required for a burstiness value (default 5)")
+    p.add_argument("--k", default=100, help="null sample count")
+    p.add_argument("--alpha-sig", default=0.05)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("evaluate", parents=[common], help="score detector reports against incidents")
     p.add_argument("reports", nargs="+", help="report JSON files from the detect command")
     p.add_argument("--incidents", required=True, help="incident config JSON")
-    p.add_argument("--m", type=int, default=DEFAULT_BIN_SECONDS, help="bin length in seconds")
-    p.add_argument("--t0", default=None, help="study start (unix or RFC 3339)")
-    p.add_argument("--t1", default=None, help="study end, exclusive")
+    p.add_argument("--m", default=DEFAULT_BIN_SECONDS, help="bin length in seconds")
+    p.add_argument("--t0", help="study start (unix or RFC 3339)")
+    p.add_argument("--t1", help="study end, exclusive")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("simulate", parents=[common], help="generate synthetic canonical streams")
     p.add_argument("specs", nargs="+", help="generator spec JSON files")
-    p.add_argument("--seed", type=int, default=None, help="seed of the specs that name none (default 0)")
+    p.add_argument("--seed", help="seed of the specs that name none (default 0)")
     p.set_defaults(func=cmd_simulate)
     return parser
+
+
+# Each option that gives a setting as text, with the field kind that setting
+# has in a file: --omega 200.0 reads as omega = 200.0 does in a config file,
+# and --asn as origin_asn does in events.  Paths and --detector are not read.
+OPTION_KINDS = {
+    **{"--" + key.replace("_", "-"): kind for key, kind in CONFIG_FIELDS.items()},
+    "--asn": NONNEGATIVE, "--target-asn": NONNEGATIVE, "--collector": TEXT, "--seed": WHOLE,
+    "--k": WHOLE, "--alpha-sig": REAL, "--m": WHOLE, "--window": INSTANT, "--t0": INSTANT, "--t1": INSTANT,
+}
+
+
+def _read_options(args) -> None:
+    """Replace the text of each option in OPTION_KINDS that `args` holds with its value."""
+    for option, kind in OPTION_KINDS.items():
+        dest = option[2:].replace("-", "_")
+        value = getattr(args, dest, None)
+        if isinstance(value, list):  # --window, --target-asn
+            setattr(args, dest, [read_setting(text, kind, option) for text in value])
+        elif isinstance(value, str):  # not a default
+            setattr(args, dest, read_setting(value, kind, option))
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     manifest = None
     try:
+        _read_options(args)  # before --out is made
         manifest = Manifest(args.command, sys.argv[1:] if argv is None else list(argv), args.out)
         return args.func(args, manifest)
     except (CliError, MrtParseError, EventFormatError, ConfigurationError) as exc:

@@ -18,7 +18,7 @@ from typing import IO, NamedTuple, Sequence
 
 from .burstiness import DEFAULT_MIN_EVENTS
 from .events import EventSeries, FrozenRecord, VolumeSeries
-from .fields import REAL, WHOLE, ConfigurationError, optional, read_json, read_record
+from .fields import REAL, WHOLE, ConfigurationError, optional, read_json, read_record, read_text
 
 DEFAULT_DECAY = 1.0 / 300.0
 DEFAULT_WINDOW = 200
@@ -78,15 +78,13 @@ CONFIG_FIELDS = {
 }
 
 
-def _parse_scalar(text: str) -> float | str:
-    """The number a flat value spells, where r = 1/300 is a fraction, or
-    else the text itself, which CONFIG_FIELDS then refuses by name."""
-    text = text.strip()
-    num, slash, den = text.partition("/")
-    try:
-        return float(num) / float(den) if slash else float(num)
-    except (ValueError, ZeroDivisionError):
-        return text
+def _parse_scalar(text: str) -> int | float | str:
+    """A flat value by read_text, where r = 1/300 is a fraction of two numbers;
+    other text stays text, which CONFIG_FIELDS then refuses by name."""
+    num, slash, den = map(read_text, text.partition("/"))
+    if slash and not isinstance(num, str) and not isinstance(den, str) and den:
+        return float(num) / float(den)
+    return text.strip() if slash else num
 
 
 def parse_config(text: str, where: str = "config") -> dict:

@@ -77,11 +77,12 @@ class Record:
     record with rules of its own keeps its own __init__, which checks the
     arguments and then passes every field's value, in order, to
     self._set_fields: DetectorConfig, IncidentWindow, GeneratorSpec,
-    IncidentSpec and VolumeSeries for their checks, MrtParseResult for its
-    fresh default objects, and AnnouncementEvent and EventSeries, whose slot
-    setters are the hot path.  Records are equal when they are of the same
-    class with equal fields, and repr shows Name(field=value, ...).  A plain
-    Record is mutable and so unhashable; FrozenRecord is neither.
+    IncidentSpec, EventSeries and VolumeSeries for their checks,
+    MrtParseResult for its fresh default objects, and AnnouncementEvent,
+    the hot path, which writes each slot with its own setter.  Records are
+    equal when they are of the same class with equal fields, and repr shows
+    Name(field=value, ...).  A plain Record is mutable and so unhashable;
+    FrozenRecord is neither.
     """
 
     __slots__ = ()
@@ -145,7 +146,7 @@ class FrozenRecord(Record):
 
     __init__ writes the fields past the __setattr__ here, which refuses every
     later assignment: with Record._set_fields, or with each slot's own setter
-    in AnnouncementEvent and EventSeries.
+    in AnnouncementEvent.
     """
 
     __slots__ = ()
@@ -242,9 +243,7 @@ class EventSeries(FrozenRecord):
     def __init__(self, origin_asn: int, collector: str, timestamps: tuple[int, ...]):
         if any(map(gt, timestamps, islice(timestamps, 1, None))):
             raise ValueError("timestamps must be nondecreasing")
-        _set_series_origin_asn(self, origin_asn)
-        _set_series_collector(self, collector)
-        _set_series_timestamps(self, timestamps)
+        self._set_fields(origin_asn, collector, timestamps)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -261,12 +260,6 @@ class EventSeries(FrozenRecord):
         kept = ts[bisect_left(ts, start):bisect_left(ts, end)]
         return EventSeries(self.origin_asn, self.collector, kept)
 
-
-# Built once per series and per window it is restricted to, so likewise:
-# 0.6 us for three timestamps against 1.3 us through Record._set_fields.
-_set_series_origin_asn, _set_series_collector, _set_series_timestamps = (
-    getattr(EventSeries, name).__set__ for name in EventSeries.__slots__
-)
 
 
 class VolumeSeries(FrozenRecord):

@@ -1,7 +1,7 @@
-"""The rules for values read from outside the program, and one reader for
-the JSON documents the CLI takes: read_record reads each document by its
-closed field table, and every failure reads `WHERE: ...`, with values shown
-through reprlib so that a message stays one short line.
+"""The rules for values read from outside the program, and one reader each
+for the JSON documents the CLI takes and for settings given as text: each
+failure names where it is, with values shown through reprlib so that a
+message stays one short line.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def optional(kind: Kind) -> Kind:
     return kind._replace(required=False)
 
 
-def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not -INT_LIMIT < value < INT_LIMIT:
+def _integer(value, low: int = 1 - INT_LIMIT) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < INT_LIMIT:
         raise ValueError(value)
     return value
 
@@ -111,7 +111,8 @@ def _real(value) -> float:
 
 
 INTEGER = Kind(f"an integer{OF_DIGITS}", _integer)
-# Integral floats pass too: a key=value file reads 200 as 200.0.
+NONNEGATIVE = Kind(f"a nonnegative integer{OF_DIGITS}", lambda value: _integer(value, 0))
+# Integral floats pass too: 200.0 reads as 200, as JSON and read_text give it.
 WHOLE = Kind(
     f"a whole number{OF_DIGITS}",
     lambda value: _integer(int(value) if isinstance(value, float) and value.is_integer() else value),
@@ -119,9 +120,35 @@ WHOLE = Kind(
 REAL = Kind("a real number", _real)
 TEXT = Kind("a string without lone surrogates", _text)
 TIME = Kind("an RFC 3339 time string", parse_utc)
+INSTANT = Kind(f"an integer{OF_DIGITS} or an RFC 3339 time string",  # unix seconds or a time
+               lambda value: parse_utc(value) if isinstance(value, str) else _integer(value))
 INTEGER_PAIR = Kind(f"a pair of integers{OF_DIGITS}", lambda value: _integers(value, 2))
 INTEGER_LIST = Kind(f"a list of integers{OF_DIGITS}", _integers)
 ANY = Kind("any JSON value", lambda value: value)
+
+
+# Stripped, a setting's text is an integer (an optional "-" and 1 to
+# INT_DIGITS ASCII digits: group 1) or a real (ASCII decimal or exponent
+# text), or else stays text: "1_000", "inf" and non-ASCII digits stay text.
+_NUMBER_TEXT = re.compile(rf"(-?[0-9]{{1,{INT_DIGITS}}})|[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def read_text(text: str) -> int | float | str:
+    """The number that a setting's `text` spells, or else the text stripped."""
+    text = text.strip()
+    number = _NUMBER_TEXT.fullmatch(text)
+    if number is None:
+        return text
+    return int(text) if number[1] else float(text)  # float: inf past its range, as in JSON
+
+
+def read_setting(text: str, kind: Kind, where: str):
+    """A setting's `text`, such as an option's, read as a field of `kind`: by
+    read_text, or as given for text.  Errors read `WHERE must be KIND, got TEXT`."""
+    try:
+        return kind.read(text if kind.read is _text else read_text(text))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{where} must be {kind.text}, got {reprlib.repr(text)}") from None
 
 
 def read_json(data: bytes | str, where: str):

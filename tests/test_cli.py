@@ -5,6 +5,7 @@ import csv
 import functools
 import gzip
 import hashlib
+import argparse
 import io
 import json
 import math
@@ -24,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import golden_corpus as gc
 import mrt_golden as golden
 from bgpburst import events, mrt
-from bgpburst.cli import main
+from bgpburst.cli import OPTION_KINDS, build_parser, main
 from bgpburst.detector import CONFIG_KEYS
 from bgpburst.events import (
     ANNOUNCEMENT,
@@ -77,6 +78,9 @@ def assert_input_error(code, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
 
+
+# How a time option's text that is neither unix seconds nor RFC 3339 is refused.
+TIME_REFUSED = "must be an integer of at most 18 digits or an RFC 3339 time string, got"
 
 NON_UTF8_EVENTS = b'{"ts":1,"collector":"c\xff","prefix":"10.0.0.0/8","origin_asn":1,"type":"A"}\n'
 
@@ -216,7 +220,9 @@ class TestSimulate:
             del doc["generator"]["seed"]
             spec.write_text(json.dumps(doc))
         code = main(["simulate", str(spec), "--seed", "1" * 19, "--out", str(tmp_path / "o")])
-        assert assert_input_error(code, capsys) == "error: --seed must have at most 18 digits\n"
+        assert assert_input_error(code, capsys) == (
+            f"error: --seed must be a whole number of at most 18 digits, got '{'1' * 19}'\n"
+        )
 
 
 class TestIngest:
@@ -338,7 +344,7 @@ class TestIngest:
         # How argv holds the byte string r\xff: Python decodes it with surrogateescape.
         out = tmp_path / "o"
         code = main(["ingest", str(sim_events), "--collector", "r\udcff", "--out", str(out)])
-        assert "is not UTF-8 text" in assert_input_error(code, capsys)
+        assert "--collector must be a string without lone surrogates" in assert_input_error(code, capsys)
         assert not out.exists()
 
     def test_mistyped_canonical_fields_are_input_error(self, tmp_path, capsys):
@@ -882,7 +888,7 @@ class TestEvaluate:
         code, out = self.run_pipeline(
             sim_events, tmp_path, [self.INCIDENT], *(x for kv in bounds.items() for x in kv)
         )
-        assert "more than 18 digits" in assert_input_error(code, capsys)
+        assert assert_input_error(code, capsys).startswith(f"error: {flag} {TIME_REFUSED} '111")
         assert not out.exists()
 
     def test_nonpositive_bin_length_is_input_error(self, sim_events, tmp_path, capsys):
@@ -1031,7 +1037,9 @@ class TestAnalyze:
     def test_window_of_over_18_digits_is_input_error(self, corpus_events, tmp_path, capsys, window):
         out = tmp_path / "analyze"
         code = main(["analyze", str(corpus_events), "--window", *window, "--out", str(out)])
-        assert "more than 18 digits" in assert_input_error(code, capsys)
+        bad = next(text for text in window if len(text) > 18)
+        err = assert_input_error(code, capsys)
+        assert err.startswith(f"error: --window {TIME_REFUSED} '{bad[:4]}"), err
 
     def test_rfc3339_window_accepted(self, corpus_events, tmp_path):
         out = tmp_path / "analyze"
@@ -1849,6 +1857,7 @@ class TestInputFuzz:
 ARG_TEXTS = st.one_of(
     st.sampled_from([
         "", " ", "0", "-1", "+5", " 64500 ", "1_000", "٣", "0x10", "1e3", "nan", "9" * 19, "9" * 5000,
+        "1_0", "\u0661\u0660\u0660", "\u0660.\u0665", "9" * 22, "200.0", " 1396310400 ", "1e2", ".5", "inf",
         "-", "--out", "c\ud800", "\x00", "é☃", f" {iso(START)} ", "2014-02-30T00:00:00Z",
         "1969-12-31T23:59:59Z", "9999-12-31T23:59:59-23:59", "0000-01-01", "2014-05-13 00:00:00.5+01:30",
         "2014-05-13t00:00z",
@@ -1869,7 +1878,9 @@ CONFIG_TEXTS = st.lists(
         st.builds(
             "{} = {}".format,
             st.sampled_from([*CONFIG_KEYS, "R", "omega x", ""]),
-            ARG_TEXTS | st.sampled_from(["1/300", "1/0", "0/0", "1e400", "-0", "200.0", "200.9", "1e-400"]),
+            ARG_TEXTS | st.sampled_from([
+                "1/300", "1/0", "0/0", "1e400", "-0", "200.0", "200.9", "1e-400", "\u0662\u0660\u0660", "1/3_00",
+            ]),
         ),
         st.sampled_from(["# note", "", "omega", "=", "==1"]),
         st.text(max_size=24),
@@ -1879,8 +1890,8 @@ CONFIG_TEXTS = st.lists(
 
 
 class TestArgvFuzz:
-    """main() on the text of its options: --asn, --collector, --window,
-    --target-asn, --t0/--t1, the bin length and a flat --config file."""
+    """main() on the text of its options: --asn, --collector, --omega, --r,
+    --window, --target-asn, --t0/--t1, the bin length and a flat --config file."""
 
     @pytest.fixture(scope="class")
     def paths(self, tmp_path_factory):
@@ -1928,7 +1939,10 @@ class TestArgvFuzz:
                 *option("--t0", times), *option("--t1", times), *option("--m", valid_or_any("600", "3600")),
             ], None
         if command == "detect":
-            argv = ["detect", paths["events"], *option("--asn", asns), *option("--collector", collectors)]
+            argv = [
+                "detect", paths["events"], *option("--asn", asns), *option("--collector", collectors),
+                *option("--omega", valid_or_any("200", "200.0")), *option("--r", valid_or_any("0.005", "1e-3")),
+            ]
         else:
             # The events span two collectors, so analyze needs --collector.
             argv = ["analyze", paths["events"], "--window", draw(times), draw(times), "--collector", draw(collectors)]
@@ -1967,6 +1981,69 @@ class TestArgvFuzz:
         ]:
             code, err, left = self.run(argv, config)
             assert (code, left) == (0, True), err
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["ingest", "--asn", "\u0663"], None, "--asn must be a nonnegative integer of at most 18 digits, got '\u0663'"),
+        (["ingest", "--asn", "1_000"], None, "--asn must be a nonnegative integer of at most 18 digits, got '1_000'"),
+        (["detect", "--asn", "9" * 22], None, f"--asn must be a nonnegative integer of at most 18 digits, got '{'9' * 22}'"),
+        (["detect", "--asn", "-1"], None, "--asn must be a nonnegative integer of at most 18 digits, got '-1'"),
+        (["analyze", "--k", "\u0661\u0660\u0660"], None,
+         "--k must be a whole number of at most 18 digits, got '\u0661\u0660\u0660'"),
+        (["detect", "--r", "\u0660.\u0665"], None, "--r must be a real number, got '\u0660.\u0665'"),
+        (["detect", "--omega", "1_0"], None, "--omega must be a whole number of at most 18 digits, got '1_0'"),
+        (["detect"], "omega = \u0662\u0660\u0660\n",
+         "field 'omega' must be a whole number of at most 18 digits, got '\u0662\u0660\u0660'"),
+        (["detect"], f"r = {'9' * 5000}\n", "r must be finite"),
+    ], ids=["ingest-asn-arabic", "ingest-asn-underscore", "detect-asn-22-digits", "detect-asn-negative",
+            "analyze-k-arabic", "detect-r-arabic", "detect-omega-underscore", "config-omega-arabic",
+            "config-r-5000-digits"])
+    def test_option_text_out_of_the_input_rules_is_refused(self, paths, argv, config, message):
+        command, *options = argv
+        if command == "analyze":
+            options = ["--window", str(START), str(START + 12_000), "--collector", "rrc00", *options]
+        code, err, left = self.run([command, paths["events"], *options], config)
+        assert (code, left) == (2, False), err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1, err
+
+    def test_option_text_reads_as_the_same_setting_in_a_file(self, paths, tmp_path):
+        """--omega 200.0 is omega = 200, and a time option's text is stripped."""
+        config = tmp_path / "detector.conf"
+        config.write_text("omega = 200\n")
+        detect = ["detect", paths["events"]]
+        evaluate = ["evaluate", *paths["reports"], "--incidents", paths["incidents"], "--t1", str(START + 12_000)]
+        for same in (
+            [[*detect, "--config", str(config)], [*detect, "--omega", "200.0"], [*detect, "--omega", " 200 "]],
+            [[*evaluate, "--t0", str(START)], [*evaluate, "--t0", f" {START} "], [*evaluate, "--t0", f"\t{START}\n"]],
+        ):
+            digests = []
+            for i, argv in enumerate(same):
+                out = tmp_path / f"{argv[0]}{i}"
+                assert main([*argv, "--out", str(out)]) == 0
+                digests.append(output_digests(out))
+            assert digests[1:] == digests[:1] * 2
+
+    def test_collector_is_taken_as_given(self, tmp_path):
+        """--collector is text: neither read as a number nor stripped."""
+        events = tmp_path / "events.jsonl"
+        lines = [
+            AnnouncementEvent(START + i, collector, "10.0.0.0/8", ANNOUNCEMENT, origin_asn=1).to_line() + "\n"
+            for i, collector in enumerate(["64500", " rrc00", "rrc00"])
+        ]
+        events.write_text("".join(lines))
+        for collector, kept in [("64500", lines[:1]), (" rrc00", lines[1:2])]:
+            out = tmp_path / f"o{len(collector)}"
+            assert main(["ingest", str(events), "--collector", collector, "--out", str(out)]) == 0
+            assert (out / "events.jsonl").read_text() == "".join(kept)
+
+    def test_every_option_with_a_value_is_read_by_its_kind(self):
+        """Paths and --detector aside, no option bypasses OPTION_KINDS."""
+        (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            option for command in commands.values() for action in command._actions if action.nargs != 0
+            for option in action.option_strings
+        }
+        paths = {"--out", "--config", "--null-windows", "--null-events", "--incidents"}
+        assert options - paths - {"--detector"} == set(OPTION_KINDS)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
