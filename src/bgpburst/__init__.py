@@ -52,10 +52,8 @@ from .mrt import MrtParseResult, MrtStats, parse_mrt_updates, read_updates
 _SYNTH_NAMES = (
     "GeneratorSpec",
     "IncidentSpec",
-    "generate_series",
     "generate_stream",
     "incident_scenario",
-    "inject_incident",
     "inject_incident_events",
     "update_stream",
 )

@@ -133,7 +133,9 @@ class Manifest:
             raise CliError(
                 f"cannot create output directory {reprlib.repr(str(self.out))}: {exc.strerror or exc}"
             ) from exc
-        self.pending: dict[str, Path] = {}  # output name -> its temporary file
+        # What an output's name is joined to, as text: Path("." or "") / name is name.
+        self.prefix = "" if self.out == Path() else os.path.join(self.out, "")
+        self.pending: dict[str, tuple[str, str]] = {}  # output name -> (temporary file, path)
         self.doc = {
             "tool": "bgpburst",
             "version": __version__,
@@ -157,19 +159,19 @@ class Manifest:
     @contextlib.contextmanager
     def output(self, name: str) -> Iterator[IO[str]]:
         """A UTF-8 text handle, with \\n line endings, for `name` under --out."""
-        target = self.out / name
+        target = self.prefix + name  # every name is one path component
         if name in self.pending:
             raise CliError(f"two outputs would be written to {target}")
-        partial = self.out / f".{name}.{os.getpid()}.tmp"
+        partial = f"{self.prefix}.{name}.{os.getpid()}.tmp"
         try:
-            raw = partial.open("wb")
-            self.pending[name] = partial  # only once it is ours to remove
+            raw = open(partial, "wb")
+            self.pending[name] = partial, target  # only once it is ours to remove
             digesting = _Digesting(raw)
             with io.TextIOWrapper(digesting, encoding="utf-8", newline="\n") as fh:
                 yield fh
         except OSError as exc:
-            raise CliError(f"cannot write {reprlib.repr(str(target))}: {exc.strerror or exc}") from exc
-        self.doc["outputs"].append({"path": str(target), "sha256": digesting.sha256.hexdigest()})
+            raise CliError(f"cannot write {reprlib.repr(target)}: {exc.strerror or exc}") from exc
+        self.doc["outputs"].append({"path": target, "sha256": digesting.sha256.hexdigest()})
 
     def write_json(self, name: str, doc) -> None:
         with self.output(name) as fh:
@@ -178,8 +180,8 @@ class Manifest:
     def write(self) -> None:
         """Publish the outputs in the order written, then manifest.json."""
         try:
-            for name, partial in self.pending.items():
-                os.replace(partial, self.out / name)
+            for partial, target in self.pending.values():
+                os.replace(partial, target)
             self.pending.clear()
             self.doc["duration_s"] = round(time.time() - self.started, 3)
             (self.out / "manifest.json").write_text(_json_text(self.doc), encoding="utf-8")
@@ -192,8 +194,9 @@ class Manifest:
     def discard(self) -> None:
         """Remove the temporary files of outputs not published, then the
         directories made for --out if nothing was published in them."""
-        for partial in self.pending.values():
-            partial.unlink(missing_ok=True)
+        for partial, _ in self.pending.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(partial)
         self._remove_created()
 
     def _remove_created(self) -> None:

@@ -17,7 +17,6 @@ from typing import IO, Callable, Iterable, Mapping
 from .detector import AnomalyReport
 from .events import FrozenRecord
 from .fields import ANY, TEXT, TIME, WHOLE, ConfigurationError, optional, read_json, read_record
-from .fields import parse_utc  # noqa: F401  (exported here too)
 
 DEFAULT_BIN_SECONDS = 10800  # 3 hours
 

@@ -9,8 +9,9 @@ per-(origin AS, collector) series is built from its timestamp and prefix
 columns, which series_from_columns and volume_from_columns turn into the
 timestamp series and per-second unique-prefix volume series that feed all
 downstream statistics.  read_groups goes from canonical text straight to every
-series' columns in one pass, without an event per line; build_series and
-build_volume_series take one pair's columns from events in memory.
+series' columns in one pass, without an event per line, and series_keys
+gives the same columns from events in memory; build_series and
+build_volume_series build one pair's series from series_keys.
 """
 
 from __future__ import annotations
@@ -533,19 +534,32 @@ def volume_from_columns(
     return VolumeSeries(origin_asn, collector, tuple(stamps), counts)
 
 
-def _usable(events: Iterable[AnnouncementEvent]) -> Iterator[AnnouncementEvent]:
-    """The events that count toward statistics: withdrawals and ambiguous origins never do."""
-    return (ev for ev in events if ev.kind == ANNOUNCEMENT and not ev.ambiguous_origin)
+def series_keys(
+    events: Iterable[AnnouncementEvent],
+) -> dict[tuple[int, str], tuple[list[int], list[str]]]:
+    """Events in memory to per-series columns, in one pass: read_groups' twin.
+
+    Returns what read_groups returns for the events' lines: every (origin
+    AS, collector) pair with a usable announcement, keys sorted, to its
+    (timestamps, prefixes) columns in input order.
+    """
+    groups: dict[tuple[int, str], tuple[list[int], list[str]]] = {}
+    for ev in events:
+        # Withdrawals and ambiguous origins never contribute to statistics.
+        if ev.kind == ANNOUNCEMENT and not ev.ambiguous_origin:
+            columns = groups.get((ev.origin_asn, ev.collector))
+            if columns is None:
+                columns = groups[ev.origin_asn, ev.collector] = ([], [])
+            columns[0].append(ev.timestamp)
+            columns[1].append(ev.prefix)
+    return {key: groups[key] for key in sorted(groups)}
 
 
 def build_series(
     events: Iterable[AnnouncementEvent], origin_asn: int, collector: str
 ) -> EventSeries:
     """Announcement timestamps for (origin_asn, collector), sorted."""
-    timestamps = [
-        ev.timestamp for ev in _usable(events)
-        if ev.origin_asn == origin_asn and ev.collector == collector
-    ]
+    timestamps, _ = series_keys(events).get((origin_asn, collector), ((), ()))
     return series_from_columns(origin_asn, collector, timestamps)
 
 
@@ -553,25 +567,8 @@ def build_volume_series(
     events: Iterable[AnnouncementEvent], origin_asn: int, collector: str
 ) -> VolumeSeries:
     """Unique announced prefixes per second for (origin_asn, collector)."""
-    pair = [ev for ev in _usable(events) if ev.origin_asn == origin_asn and ev.collector == collector]
-    return volume_from_columns(
-        origin_asn, collector, [ev.timestamp for ev in pair], [ev.prefix for ev in pair]
-    )
-
-
-def series_keys(
-    events: Iterable[AnnouncementEvent],
-) -> dict[tuple[int, str], list[AnnouncementEvent]]:
-    """Usable announcements grouped by (origin_asn, collector) in one pass.
-
-    Keys come in sorted order and each bucket keeps input order.  Building a
-    series from a key's bucket gives the same result as building it from the
-    whole event list, at the cost of the bucket instead of the list.
-    """
-    groups: dict[tuple[int, str], list[AnnouncementEvent]] = {}
-    for ev in _usable(events):
-        groups.setdefault((ev.origin_asn, ev.collector), []).append(ev)
-    return {key: groups[key] for key in sorted(groups)}
+    timestamps, prefixes = series_keys(events).get((origin_asn, collector), ((), ()))
+    return volume_from_columns(origin_asn, collector, timestamps, prefixes)
 
 
 def read_groups(
@@ -579,13 +576,13 @@ def read_groups(
 ) -> dict[tuple[int, str], tuple[list[int], list[str]] | tuple[list[int]]]:
     """Canonical text straight to per-series columns, in one pass.
 
-    Returns what series_keys(parse_event_lines(text.split("\n"))) returns,
-    with each bucket of events replaced by its (timestamps, prefixes)
-    columns: keys sorted, each column in input order.  Pass the columns to
-    series_from_columns and volume_from_columns.  With prefixes=False the
-    prefix column is left out and each value is (timestamps,).  Lines are
-    read, and rejected, as by parse_event_lines; the text is read in runs of
-    whole lines, each run of writer-form lines by one regex call.
+    series_keys(parse_event_lines(lines)) == read_groups("\n".join(lines)):
+    every pair with a usable announcement, keys sorted, to its (timestamps,
+    prefixes) columns in input order.  Pass the columns to series_from_columns
+    and volume_from_columns.  With prefixes=False the prefix column is left
+    out and each value is (timestamps,).  Lines are read, and rejected, as by
+    parse_event_lines; the text is read in runs of whole lines, each run of
+    writer-form lines by one regex call.
     """
     known: dict[str, str] = {}
     # (origin text, collector) -> columns; every origin text is an integer's own digits.

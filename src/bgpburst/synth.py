@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import reprlib
 
-from .events import ANNOUNCEMENT, AnnouncementEvent, EventSeries, FrozenRecord
+from .events import ANNOUNCEMENT, AnnouncementEvent, FrozenRecord
 from .fields import INT_DIGITS, INT_LIMIT, utf8_text
 
 PROCESS_REGULAR = "regular"
@@ -121,10 +121,6 @@ def generate_stream(spec: GeneratorSpec) -> list[AnnouncementEvent]:
     ]
 
 
-def generate_series(spec: GeneratorSpec) -> EventSeries:
-    return EventSeries(spec.asn, spec.collector, generate_timestamps(spec))
-
-
 def incident_timestamps(incident: IncidentSpec) -> list[int]:
     """One timestamp per injected announcement, burst_gap apart, repeated
     prefixes_per_second times per active second."""
@@ -134,32 +130,19 @@ def incident_timestamps(incident: IncidentSpec) -> list[int]:
     return out
 
 
-def _check_span(series_span: tuple[int, int] | None, incident: IncidentSpec) -> None:
-    if series_span is None:
-        raise ValueError("cannot inject into an empty background")
-    first, last = series_span
-    if incident.start < first or incident.end > last + 1:
-        raise ValueError(
-            f"incident [{incident.start}, {incident.end}) outside "
-            f"background span [{first}, {last}]"
-        )
-
-
-def inject_incident(background: EventSeries, incident: IncidentSpec) -> EventSeries:
-    """Merge incident announcements into a background series, sorted."""
-    _check_span(background.span, incident)
-    merged = sorted(list(background.timestamps) + incident_timestamps(incident))
-    return EventSeries(background.origin_asn, background.collector, tuple(merged))
-
-
 def inject_incident_events(
     background: list[AnnouncementEvent], incident: IncidentSpec
 ) -> list[AnnouncementEvent]:
     """Event-level injection: distinct synthetic prefixes per active second."""
     if not background:
         raise ValueError("cannot inject into an empty background")
-    stamps = sorted(ev.timestamp for ev in background)
-    _check_span((stamps[0], stamps[-1]), incident)
+    first = min(ev.timestamp for ev in background)
+    last = max(ev.timestamp for ev in background)
+    if incident.start < first or incident.end > last + 1:
+        raise ValueError(
+            f"incident [{incident.start}, {incident.end}) outside "
+            f"background span [{first}, {last}]"
+        )
     origin = background[0].origin_asn
     collector = background[0].collector
     per_second = incident.prefixes_per_second

@@ -57,7 +57,6 @@ from bgpburst.detector import (
     ema_update,
     intensity_update,
 )
-from bgpburst.evaluation import parse_utc
 from bgpburst.events import (
     EventSeries,
     VolumeSeries,
@@ -65,6 +64,7 @@ from bgpburst.events import (
     parse_event_lines,
     read_groups,
 )
+from bgpburst.fields import parse_utc
 from bgpburst.mrt import MrtParseError, parse_mrt_updates
 
 COLLECTOR = "route-views.test"

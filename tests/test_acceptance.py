@@ -32,7 +32,7 @@ from bgpburst.events import (
     write_event_lines,
 )
 from bgpburst.mrt import parse_mrt_updates
-from bgpburst.synth import GeneratorSpec, generate_series, incident_scenario
+from bgpburst.synth import GeneratorSpec, generate_stream, incident_scenario
 
 
 def _report(name, detail):
@@ -42,7 +42,8 @@ def _report(name, detail):
 def test_criterion_1_burstiness_limits():
     started = time.perf_counter()
 
-    regular = generate_series(GeneratorSpec("regular", 300.0, 500, 0, 1, "c", 0))
+    spec = GeneratorSpec("regular", 300.0, 500, 0, 1, "c", 0)
+    regular = build_series(generate_stream(spec), 1, "c")
     result = series_burstiness(regular)
     assert abs(result.b_raw - (-1.0)) < 1e-12
     assert abs(result.b_corrected - (-1.0)) < 1e-12

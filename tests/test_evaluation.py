@@ -20,10 +20,10 @@ from bgpburst.evaluation import (
     evaluate_window,
     incident_bins,
     load_incidents,
-    parse_utc,
     score,
     write_results_csv,
 )
+from bgpburst.fields import parse_utc
 
 DAY = 86400
 M = 10800

@@ -438,11 +438,15 @@ class TestBuildVolumeSeries:
 
 
 def test_series_keys_sorted_and_deduplicated():
-    events = [_ev(1, asn=5, collector="b"), _ev(2, asn=5, collector="a"), _ev(3, asn=5, collector="a")]
+    events = [
+        _ev(1, asn=5, collector="b"),
+        _ev(2, asn=5, collector="a"),
+        _ev(3, asn=5, collector="a", prefix="10.1.0.0/16"),
+    ]
     groups = series_keys(events)
     assert list(groups) == [(5, "a"), (5, "b")]
-    assert groups[5, "a"] == events[1:]
-    assert groups[5, "b"] == events[:1]
+    assert groups[5, "a"] == ([2, 3], ["10.0.0.0/8", "10.1.0.0/16"])
+    assert groups[5, "b"] == ([1], ["10.0.0.0/8"])
 
 
 def test_series_keys_skips_unusable_events():
@@ -469,15 +473,17 @@ mixed_events_strategy = st.lists(
 
 
 @given(mixed_events_strategy)
-def test_grouped_buckets_build_the_same_series(events):
+def test_grouped_columns_build_the_same_series(events):
     groups = series_keys(events)
     usable = [ev for ev in events if ev.kind == ANNOUNCEMENT and not ev.ambiguous_origin]
     assert list(groups) == sorted({(ev.origin_asn, ev.collector) for ev in usable})
-    for (asn, collector), bucket in groups.items():
-        assert bucket == [ev for ev in usable if (ev.origin_asn, ev.collector) == (asn, collector)]
-        assert build_series(bucket, asn, collector) == build_series(events, asn, collector)
-        assert build_volume_series(bucket, asn, collector) == build_volume_series(
-            events, asn, collector
+    for (asn, collector), (timestamps, prefixes) in groups.items():
+        pair = [ev for ev in usable if (ev.origin_asn, ev.collector) == (asn, collector)]
+        assert timestamps == [ev.timestamp for ev in pair]
+        assert prefixes == [ev.prefix for ev in pair]
+        assert build_series(events, asn, collector) == series_from_columns(asn, collector, timestamps)
+        assert build_volume_series(events, asn, collector) == volume_from_columns(
+            asn, collector, timestamps, prefixes
         )
 
 
@@ -485,12 +491,8 @@ def test_grouped_buckets_build_the_same_series(events):
 def test_builders_equal_reference_grouping(events):
     """The event builders group events as the reference reader groups their lines."""
     expected = ref_groups([ev.to_line() for ev in events])
-    groups = series_keys(events)
-    assert list(groups) == list(expected)
+    assert list(series_keys(events).items()) == list(expected.items())
     for (asn, collector), (timestamps, prefixes) in expected.items():
-        bucket = groups[asn, collector]
-        assert all(ev.kind == ANNOUNCEMENT and not ev.ambiguous_origin for ev in bucket)
-        assert [(ev.timestamp, ev.prefix) for ev in bucket] == list(zip(timestamps, prefixes))
         assert build_series(events, asn, collector) == EventSeries(
             asn, collector, tuple(sorted(timestamps))
         )
@@ -540,6 +542,14 @@ class TestFusedReader:
             lambda ls: [(ev.to_line(), *ev.as_dict().values()) for ev in parse_event_lines(ls)],
             lines,
         ) == _outcome(_fields_of_ref, lines)
+
+    @settings(max_examples=300, deadline=None)
+    @given(event_lines)
+    def test_series_keys_equals_read_groups(self, lines):
+        """Events in memory and canonical text reach the same columns, keys in the same order."""
+        assert _outcome(
+            lambda ls: list(series_keys(list(parse_event_lines(ls))).items()), lines
+        ) == _outcome(lambda text: list(read_groups(text).items()), "\n".join(lines))
 
     def test_other_forms_are_reserialised(self):
         lines = ['{"type":"W","prefix":"10.0.0.0/8","collector":"c","ts":5}', "\r", ""]

@@ -8,20 +8,20 @@ from bgpburst.burstiness import (
     joint_sidecar,
     write_joint_csv,
 )
-from bgpburst.events import EventSeries
-from bgpburst.synth import GeneratorSpec, generate_series
+from bgpburst.events import EventSeries, build_series
+from bgpburst.synth import GeneratorSpec, generate_stream
 
 WINDOW = (0, 86400)
 
 
 def poisson_series(asn, seed, n=50, gap=600.0):
     spec = GeneratorSpec("poisson", gap, n, 0, asn, "c", seed)
-    return generate_series(spec)
+    return build_series(generate_stream(spec), asn, "c")
 
 
 def pareto_series(asn, seed, n=400, gap=120.0):
     spec = GeneratorSpec("pareto", gap, n, 0, asn, "c", seed, pareto_alpha=1.3)
-    return generate_series(spec)
+    return build_series(generate_stream(spec), asn, "c")
 
 
 class TestQuadrants:

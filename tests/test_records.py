@@ -271,8 +271,8 @@ def test_defaults():
 
 
 SYNTH_NAMES = [
-    "GeneratorSpec", "IncidentSpec", "generate_series", "generate_stream",
-    "incident_scenario", "inject_incident", "inject_incident_events", "update_stream",
+    "GeneratorSpec", "IncidentSpec", "generate_stream", "incident_scenario",
+    "inject_incident_events", "update_stream",
 ]
 
 

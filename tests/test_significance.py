@@ -11,12 +11,13 @@ from bgpburst.burstiness import (
     series_burstiness,
     write_significance_json,
 )
-from bgpburst.events import EventSeries
-from bgpburst.synth import GeneratorSpec, generate_series
+from bgpburst.events import EventSeries, build_series
+from bgpburst.synth import GeneratorSpec, generate_stream
 
 
 def poisson_window(asn, seed, n=60, gap=300.0):
-    return generate_series(GeneratorSpec("poisson", gap, n, 0, asn, "c", seed))
+    spec = GeneratorSpec("poisson", gap, n, 0, asn, "c", seed)
+    return build_series(generate_stream(spec), asn, "c")
 
 
 def bursty_window(asn=1):
