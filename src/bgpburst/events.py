@@ -2,9 +2,9 @@
 
 A canonical line has one validating reader, which parse_event_lines turns
 into an AnnouncementEvent per line; MRT dumps and synthetic streams give
-events too.  Canonical text is read in runs of whole lines: a run of lines
-in the form every writer emits is matched by one regex call, and in any
-other run only the lines out of that form go to the line reader.  A
+events too.  Canonical text is read in runs of whole lines, each matched
+once by one regex split: its lines in the form every writer emits give
+the matches, and only the lines between them go to the line reader.  A
 per-(origin AS, collector) series is built from its timestamp and prefix
 columns, which series_from_columns and volume_from_columns turn into the
 timestamp series and per-second unique-prefix volume series that feed all
@@ -24,8 +24,8 @@ import reprlib
 # socket's own functions, from its C module: socket.py builds enums on import.
 from _socket import AF_INET6, inet_ntop, inet_pton
 from bisect import bisect_left
-from itertools import compress, count, islice, repeat
-from operator import countOf, ge, gt, itemgetter
+from itertools import compress, islice, repeat
+from operator import countOf, ge, gt
 from typing import IO, Iterable, Iterator
 
 from .fields import INT_DIGITS, INT_LIMIT, OF_DIGITS as _OF_DIGITS, utf8_text
@@ -352,7 +352,7 @@ def _parse_line(line: str, lineno: int) -> tuple[int, str, str, str, int | None,
 # printable-ASCII string decodes to its own text; integers carry no sign or
 # leading zero, and have at most INT_DIGITS.  Groups: ts, collector, prefix,
 # origin_asn, type code, ambiguous flag.  peer_asn, which no row uses, has
-# none: a seventh group makes each findall ~15% slower.
+# none: a seventh group makes each split ~6% slower.
 _INT = rf"(?:[1-9][0-9]{{0,{INT_DIGITS - 1}}}|0)"
 _TEXT = r'[ !#-\[\]-~]*'
 _WRITER_FORM = (
@@ -363,15 +363,9 @@ _WRITER_FORM = (
 # Every line of a text that is in writer form once stripped: a line ending
 # in "\r\n" is one, and strip() takes nothing else off a writer-form line.
 _WRITER_LINES = re.compile(rf"^{_WRITER_FORM}\r?$", re.MULTILINE)
-# One row per line, up to the end of the text searched: a line out of writer
-# form matches the catch-all, and its row is all "".  Without the literal
-# head of _WRITER_LINES each findall is ~15% slower, so it reads only runs
-# that _WRITER_LINES does not take whole.
-_LINES = re.compile(rf"^(?:{_WRITER_FORM}|.*)\r?$", re.MULTILINE)
 # The length of a run of lines before it is extended to the end of its last
-# line: ~600 lines per findall, while a run's rows stay small.
+# line: ~600 lines per split, while a run's columns stay small.
 _CHUNK_CHARS = 1 << 16
-_prefix_of, _origin_of, _code_of = itemgetter(2), itemgetter(3), itemgetter(4)
 
 
 def parse_event_lines(source: Iterable[str] | IO[str]) -> Iterator[AnnouncementEvent]:
@@ -387,12 +381,13 @@ def parse_event_lines(source: Iterable[str] | IO[str]) -> Iterator[AnnouncementE
             yield AnnouncementEvent(*_parse_line(line, lineno))
 
 
-def _rows_accepted(rows: list[tuple], known: dict[str, str]) -> bool:
+def _rows_accepted(columns: list[list], known: dict[str, str]) -> bool:
     """Whether every row announces with an origin and has a prefix that
     _check_prefix takes; the new prefixes are added to `known`."""
-    if ("", "A") in zip(map(_origin_of, rows), map(_code_of, rows)):
+    _, _, prefixes, origins, codes, _ = columns
+    if (None, "A") in zip(origins, codes):
         return False
-    for prefix in set(map(_prefix_of, rows)).difference(known):
+    for prefix in set(prefixes).difference(known):
         try:
             _check_prefix(prefix)
         except EventFormatError:
@@ -401,70 +396,75 @@ def _rows_accepted(rows: list[tuple], known: dict[str, str]) -> bool:
     return True
 
 
-def _line_rows(
-    rows: list[tuple], lines: list[str], lineno: int, known: dict[str, str]
-) -> tuple[list[tuple], str]:
-    """The rows and writer-form text of a run that is not all in writer form.
-
-    `rows` holds the _LINES row of each of `lines`, the first numbered
-    `lineno`.  A writer-form row is kept with its line (without "\r"); every
-    other nonblank line is read by _parse_line, and gives a row of the same
-    six strings and its writer form.  If a writer-form row is refused, every
-    line is read by _parse_line, which raises at the first bad one.
-    """
-    if not _rows_accepted([row for row in rows if row[0]], known):
-        rows = repeat(("",))
-    kept, text = [], []
-    for lineno, row, line in zip(count(lineno), rows, lines):
-        if row[0]:
-            kept.append(row)
-            text.append(line.rstrip("\r"))
-            continue
-        line = line.strip()
-        if line:
-            ts, collector, prefix, kind, origin, peer, ambiguous = _parse_line(line, lineno)
-            prefix = known.setdefault(prefix, prefix)
-            kept.append((
-                str(ts), collector, prefix, "" if origin is None else str(origin),
-                _KIND_CODE[kind], ',"ambiguous_origin":true' if ambiguous else "",
-            ))
-            head, tail = line_parts(ts, json.dumps(collector), peer, kind, origin, ambiguous)
-            text.append(head + json.dumps(prefix) + tail)
-    return kept, "".join([line + "\n" for line in text])
-
-
-def _text_runs(text: str, known: dict[str, str]) -> Iterator[tuple[list[tuple], str]]:
+def _text_runs(text: str, known: dict[str, str]) -> Iterator[tuple[list[list], str]]:
     """Cut canonical text into runs of whole lines of about _CHUNK_CHARS.
 
-    Yields (rows, run) per run of lines: rows are its events' _WRITER_LINES
-    groups (ts, collector, prefix, origin_asn, type code, ambiguous flag,
-    every one a str), and run is the same events in writer form, one per
-    line, each ended by "\n".  A run whose every line is in writer form,
-    with an origin if it announces and a prefix that _check_prefix takes,
-    is matched by one findall and is its own text (without "\r").  Any
-    other run is matched again by _LINES, one row per line, and _line_rows
-    reads the lines out of writer form, rejecting a bad line with its line
-    number in the whole text.  Every prefix read is added to `known`.
+    Yields (columns, run) per run, matched once by _WRITER_LINES.split:
+    columns are its events' groups as six lists (ts, collector, prefix,
+    origin_asn, type code, ambiguous flag; a str, or None for an optional
+    group left out), and run is the same events in writer form, each line
+    ended by "\n".  A run of writer-form lines is its own text (without
+    "\r"); in any other, _read_gaps reads the lines between the matches.  A
+    run with a row that announces without an origin, or with a prefix that
+    _check_prefix refuses, is read by _parse_line whole, which raises at its
+    first bad line.  Every prefix read is added to `known`.
     """
-    findall, head = _WRITER_LINES.findall, _WRITER_LINES.match
     start, lineno, size = 0, 1, len(text)
     while start < size:
         end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or size
-        lines = text.count("\n", start, end) + (text[end - 1] != "\n")
-        # A run whose first line is out of writer form skips the findall
-        # that would scan all of it for nothing.
-        rows = findall(text, start, end) if head(text, start) is not None else ()
-        if len(rows) == lines and _rows_accepted(rows, known):
-            run = text[start:end]
-            if "\r" in run:  # a fast search, where replace() counts first
-                run = run.replace("\r", "")
-            yield rows, run if run[-1] == "\n" else run + "\n"
-        else:
-            # Up to the run's last "\n", so that its last line gives the last row.
-            stop = end - (text[end - 1] == "\n")
-            rows = _LINES.findall(text, start, stop)
-            yield _line_rows(rows, text[start:stop].split("\n"), lineno, known)
-        start, lineno = end, lineno + lines
+        run = text[start:end]
+        parts = _WRITER_LINES.split(run)
+        columns = [parts[group::7] for group in range(1, 7)]
+        if not _rows_accepted(columns, known):
+            parts, columns = [run], [[] for _ in columns]
+        gaps = parts[::7]
+        if gaps[0] or gaps.count("\n") < len(columns[0]):
+            run, lineno = _read_gaps(run, gaps, columns, lineno, known)
+        else:  # every line is a match, and ends in "\n"
+            lineno += len(columns[0])
+        if "\r" in run:  # a fast search, where replace() counts first
+            run = run.replace("\r", "")
+        yield columns, run
+        start = end
+
+
+def _read_gaps(run: str, gaps: list, columns: list, lineno: int, known: dict) -> tuple[str, int]:
+    """The writer-form text of a run with lines out of writer form, and the
+    number of the next run's first line.
+
+    A writer-form line always matches at the start of its line, so gaps[i],
+    the text before the run's i-th match (or after its last), holds exactly
+    the lines out of writer form there; past the first gap, each opens with
+    the "\n" that ends the match before it.  Each nonblank line of a gap is
+    read by _parse_line, and its row is spliced into `columns` before the match.
+    """
+    pieces, at, added, last, before = [], 0, 0, len(gaps) - 1, -1
+    read = [i for i, gap in enumerate(gaps) if gap != "\n"]
+    if gaps[0] == "\n":  # a blank first line: no match's "\n" opens the first gap
+        read.insert(0, 0)
+    for i in read:
+        gap = gaps[i]
+        # No writer-form line between gaps holds a gap's text; the next match's start speeds find.
+        pos = 0 if i == 0 else len(run) - len(gap) if i == last else run.find(
+            f'{gap}{{"ts":{columns[0][i + added]}', at)
+        pieces.append(run[at:pos])
+        rows, forms = [], ["\n"] if i else []
+        # From the line of the match before the gap; matches are one line each.
+        for lineno, line in enumerate(gap.split("\n"), lineno + i - 1 - before):
+            line = line.strip()
+            if line:
+                ts, collector, prefix, kind, origin, peer, ambiguous = _parse_line(line, lineno)
+                prefix = known.setdefault(prefix, prefix)
+                rows.append((str(ts), collector, prefix, None if origin is None else str(origin),
+                             _KIND_CODE[kind], ',"ambiguous_origin":true' if ambiguous else None))
+                head, tail = line_parts(ts, json.dumps(collector), peer, kind, origin, ambiguous)
+                forms.append(head + json.dumps(prefix) + tail + "\n")
+        pieces += forms
+        for column, values in zip(columns, zip(*rows)):
+            column[i + added:i + added] = values
+        added, at, before = added + len(rows), pos + len(gap), i
+    pieces.append(run[at:])
+    return "".join(pieces), lineno + last - before
 
 
 def copy_event_text(
@@ -483,19 +483,19 @@ def copy_event_text(
     filtered = collector is not None or asn is not None
     origin = None if asn is None else str(asn)
     emitted = written = announcements = 0
-    for rows, run in _text_runs(text, {}):
-        emitted += len(rows)
+    for (_, collectors, _, origins, codes, _), run in _text_runs(text, {}):
+        emitted += len(codes)
         if filtered:
             keep = [
-                (collector is None or row[1] == collector) and (origin is None or row[3] == origin)
-                for row in rows
+                (collector is None or c == collector) and (origin is None or o == origin)
+                for c, o in zip(collectors, origins)
             ]
-            rows = list(compress(rows, keep))
+            codes = list(compress(codes, keep))
             # "\n" is the one line break in writer form: json.dumps escapes the others.
             run = "".join(compress(run.splitlines(True), keep))
         out.write(run)
-        written += len(rows)
-        announcements += countOf(map(_code_of, rows), "A")
+        written += len(codes)
+        announcements += countOf(codes, "A")
     return emitted, written, announcements
 
 
@@ -587,10 +587,10 @@ def read_groups(
     known: dict[str, str] = {}
     # (origin text, collector) -> columns; every origin text is an integer's own digits.
     by_text: dict[tuple[str, str], tuple[list, ...]] = {}
-    for rows, _ in _text_runs(text, known):
-        for ts, collector, prefix, origin, code, ambiguous in rows:
+    for columns, _ in _text_runs(text, known):
+        for ts, collector, prefix, origin, code, ambiguous in zip(*columns):
             # Withdrawals and ambiguous origins never contribute to statistics.
-            if code == "A" and not ambiguous:
+            if code == "A" and ambiguous is None:
                 columns = by_text.get((origin, collector))
                 if columns is None:
                     columns = by_text[origin, collector] = ([], []) if prefixes else ([],)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import ipaddress
 import json
@@ -602,6 +603,29 @@ def event_texts(draw):
     return text
 
 
+def _reordered(line):
+    """A writer-form line with its keys in reverse order: the same event out of writer form."""
+    return json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":"))
+
+
+@contextlib.contextmanager
+def _counted_writer_lines():
+    """Patch events._WRITER_LINES with a wrapper that records the name of each method called."""
+    calls, pattern = [], events._WRITER_LINES
+
+    class Counted:
+        def __getattr__(self, name):
+            method = getattr(pattern, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return call
+
+    with mock.patch.object(events, "_WRITER_LINES", Counted()):
+        yield calls
+
+
 class TestChunkScanner:
     """A text read in runs of whole lines gives what the reference reader gives."""
 
@@ -624,11 +648,11 @@ class TestChunkScanner:
     def test_writer_runs_are_copied_through(self):
         lines = [_ev(ts, prefix=f"10.{ts}.0.0/16").to_line() for ts in range(50)]
         text = "\r\n".join(lines)
-        by_line = mock.patch.object(events, "_line_rows", wraps=events._line_rows)
+        by_line = mock.patch.object(events, "_parse_line", wraps=events._parse_line)
         with mock.patch.object(events, "_CHUNK_CHARS", 300), by_line as read_by_line:
             runs = list(events._text_runs(text, {}))
         assert len(runs) > 1 and not read_by_line.called
-        assert [row[0] for rows, _ in runs for row in rows] == [str(ts) for ts in range(50)]
+        assert [ts for columns, _ in runs for ts in columns[0]] == [str(ts) for ts in range(50)]
         copied = "".join(line + "\n" for line in lines)
         assert "".join(run for _, run in runs) == copied
         assert differential.copied(text, None, None) == (copied, (50, 50, 50))
@@ -640,7 +664,7 @@ class TestChunkScanner:
             for ts in range(60) for kind in (ANNOUNCEMENT, WITHDRAWAL)
         ]
         text = "\n".join(lines) + "\n"
-        by_line = mock.patch.object(events, "_line_rows", wraps=events._line_rows)
+        by_line = mock.patch.object(events, "_parse_line", wraps=events._parse_line)
         with mock.patch.object(events, "_CHUNK_CHARS", 500), by_line as read_by_line:
             copied = differential.copied(text, *filters)
             assert len(list(events._text_runs(text, {}))) > 1
@@ -656,24 +680,85 @@ class TestChunkScanner:
                 _ev(1000 + 10 * group + i, asn=4761 + i % 2, collector=f"rrc0{i % 3}").to_line()
                 for i in range(8)
             ]
-            lines[5] = json.dumps(dict(reversed(json.loads(lines[5]).items())), separators=(",", ":"))
+            lines[5] = _reordered(lines[5])
             lines[2:2] = ["", (WHITESPACE[group % len(WHITESPACE)] * 2)[:2]]
             groups.append("".join(line + "\n" for line in lines))
         text = "".join(groups)
-        by_line = mock.patch.object(events, "_line_rows", wraps=events._line_rows)
         parse = mock.patch.object(events, "_parse_line", wraps=events._parse_line)
         with mock.patch.object(events, "_CHUNK_CHARS", len(groups[0])):
-            with by_line as read_by_line, parse as parsed:
-                assert sum(len(rows) for rows, _ in events._text_runs(text, {})) == 12 * 8
-            assert [(len(call.args[0]), len(call.args[1])) for call in read_by_line.call_args_list] == [
-                (10, 10)
-            ] * 12
-            assert parsed.call_count == 12
+            with _counted_writer_lines() as calls, parse as parsed:
+                runs = list(events._text_runs(text, {}))
+            assert len(runs) == len(calls) == 12
+            assert sum(len(columns[0]) for columns, _ in runs) == 12 * 8
+            assert [call.args[1] for call in parsed.call_args_list] == [10 * group + 8 for group in range(12)]
             lines = text.split("\n")
             for prefixes in (True, False):
                 assert read_groups(text, prefixes) == ref_groups(lines, prefixes)
             for filters in [(None, None), ("rrc01", None), (None, 4762)]:
                 assert differential.copied(text, *filters) == differential.copied_by_lines(text, *filters)
+
+    @pytest.mark.parametrize("chunk", [1, 150, 400, 1 << 16])
+    def test_each_run_is_matched_once(self, chunk):
+        """One _WRITER_LINES call per run, clean or mixed, and one _parse_line
+        call per nonblank line out of writer form."""
+        lines = [
+            _ev(ts, asn=4761 + ts % 2, collector=["linx", "rrc00"][ts % 3 == 0]).to_line()
+            for ts in range(40)
+        ]
+        odd = {5: "", 11: " \t", 17: _reordered(lines[17]), 23: "\r", 31: " " + _reordered(lines[31])}
+        mixed = [odd.get(at, line) for at, line in enumerate(lines)]
+        for text, parsed_lines in [
+            ("\n".join(lines) + "\n", []),
+            ("\n".join(mixed) + "\n", [18, 32]),
+            ("\n".join(mixed[:23]), [18]),  # ends in a writer-form line without "\n"
+        ]:
+            parse = mock.patch.object(events, "_parse_line", wraps=events._parse_line)
+            with mock.patch.object(events, "_CHUNK_CHARS", chunk), _counted_writer_lines() as calls, \
+                    parse as parsed:
+                runs = len(list(events._text_runs(text, {})))
+            assert runs > 1 or chunk > len(text)
+            assert calls == ["split"] * runs
+            assert [call.args[1] for call in parsed.call_args_list] == parsed_lines
+
+    @pytest.mark.parametrize("lines", [
+        pytest.param(["", _ev(1).to_line(), _ev(2).to_line()], id="opens-with-a-blank-line"),
+        pytest.param([_ev(1).to_line(), "", "", _ev(2).to_line(), _ev(3).to_line()], id="run-opens-blank"),
+        pytest.param(
+            [_ev(1).to_line(), " " + _reordered(_ev(2).to_line()), _ev(3, collector="rrc00").to_line()],
+            id="run-opens-odd",
+        ),
+        pytest.param(
+            [_ev(1).to_line(), "", " \t", _reordered(_ev(2, asn=4762).to_line()), "\r", _ev(3).to_line()],
+            id="odd-lines-only",
+        ),
+        pytest.param([_ev(1).to_line(), "\r", _ev(2, kind=WITHDRAWAL).to_line()], id="lone-cr"),
+        pytest.param([_ev(1).to_line(), "", _ev(2).to_line(), "", _ev(3).to_line()], id="equal-gaps"),
+        pytest.param(
+            [_ev(1).to_line(), _reordered(_ev(2).to_line()), _ev(3).to_line(),
+             _reordered(_ev(4, collector="rrc00").to_line()), _ev(5).to_line()],
+            id="two-odd-lines",
+        ),
+        pytest.param([_ev(1).to_line(), _ev(2).to_line(), _reordered(_ev(3).to_line())], id="ends-odd"),
+        pytest.param([_ev(1).to_line(), _ev(2).to_line(), " \t"], id="ends-whitespace"),
+        pytest.param(
+            [_ev(1).to_line(), "", _ev(2).to_line(), _ev(3, prefix="10.0.0.0/33").to_line(), _ev(4).to_line()],
+            id="bad-prefix-in-a-mixed-run",
+        ),
+    ])
+    def test_run_edges_read_as_lines(self, lines):
+        """Every cut of a small text into runs reads as the reference reader
+        reads it, the last line with no final "\\n"."""
+        text = "\n".join(lines)
+        for chunk in range(1, len(text) + 2):
+            with mock.patch.object(events, "_CHUNK_CHARS", chunk):
+                for prefixes in (True, False):
+                    assert _outcome(lambda t: read_groups(t, prefixes), text) == _outcome(
+                        lambda ls: ref_groups(ls, prefixes), lines
+                    )
+                for filters in [(None, None), ("rrc00", None), (None, 4761), ("linx", 4761)]:
+                    assert _outcome(lambda t: differential.copied(t, *filters), text) == _outcome(
+                        lambda t: differential.copied_by_lines(t, *filters), text
+                    )
 
     @pytest.mark.parametrize("bad, error", [
         (_ev(1).to_line().replace('"origin_asn":', '"origin_asn":0'), "invalid JSON"),
