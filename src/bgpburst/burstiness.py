@@ -16,9 +16,9 @@ from itertools import islice
 from operator import add, sub
 from typing import IO, Iterable, Sequence
 
+from .detector import DEFAULT_MIN_EVENTS
 from .events import EventSeries, FrozenRecord
 
-DEFAULT_MIN_EVENTS = 5
 MIN_NULL_SAMPLES = 20  # usable null windows a significance test needs, so the least k
 
 

@@ -397,7 +397,7 @@ def cmd_detect(args, manifest: Manifest) -> int:
     for asn, collector in keys:
         timestamps, prefixes = groups[asn, collector]
         series = series_from_columns(asn, collector, timestamps)
-        span = series.span or (0, 0)
+        span = series.span
         if args.detector in ("both", "burstiness"):
             report = detect_events(series, config, collect_trace=args.trace)
             _write_report(manifest, "burstiness", report, span, snapshot)
@@ -565,6 +565,8 @@ def cmd_evaluate(args, manifest: Manifest) -> int:
         raise CliError(f"--m must be a bin length of at least 1 second, got {args.m}")
     if (args.t0 is None) != (args.t1 is None):
         raise CliError("--t0 and --t1 go together: pass both or neither")
+    if args.t0 is not None and args.t0 >= args.t1:
+        raise CliError(f"--t0 {args.t0}, --t1 {args.t1}: t0 must precede t1")
     manifest.doc["config"] = {"m": args.m}
     docs = _load_reports(manifest, args.reports)
     incidents = load_incidents(Path(args.incidents), manifest.read)

@@ -16,7 +16,6 @@ from itertools import compress, islice, repeat
 from operator import lt, mul, sub
 from typing import IO, NamedTuple, Sequence
 
-from .burstiness import DEFAULT_MIN_EVENTS
 from .events import EventSeries, FrozenRecord, VolumeSeries
 from .fields import REAL, WHOLE, ConfigurationError, optional, read_json, read_record, read_text
 
@@ -24,6 +23,7 @@ DEFAULT_DECAY = 1.0 / 300.0
 DEFAULT_WINDOW = 200
 DEFAULT_DELTA = 2.0
 DEFAULT_VARIANCE_FLOOR = 1e-9
+DEFAULT_MIN_EVENTS = 5
 
 
 class OutOfOrderError(ValueError):

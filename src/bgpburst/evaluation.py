@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import reprlib
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .detector import AnomalyReport
 from .events import FrozenRecord
 from .fields import ANY, TEXT, TIME, WHOLE, ConfigurationError, optional, read_json, read_record
+
+if TYPE_CHECKING:
+    from .detector import AnomalyReport
 
 DEFAULT_BIN_SECONDS = 10800  # 3 hours
 

@@ -865,6 +865,15 @@ class TestEvaluate:
         assert code == 2
         assert capsys.readouterr().err.endswith(": t0 must precede t1\n")
 
+    def test_reversed_t0_t1_is_refused_before_reports_are_matched(self, sim_events, tmp_path, capsys):
+        # No report matches the incident's AS, and the bounds are still the error.
+        code, out = self.run_pipeline(
+            sim_events, tmp_path, [{**self.INCIDENT, "asn": 64999}],
+            "--t0", str(START + 100_000), "--t1", str(START + 80_000),
+        )
+        assert assert_input_error(code, capsys).endswith(": t0 must precede t1\n")
+        assert not out.exists()
+
     def test_span_above_2_53_is_binned_exactly(self, tmp_path):
         events = tmp_path / "events.jsonl"
         events.write_text("".join(

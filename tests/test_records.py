@@ -13,6 +13,7 @@ to the wrong field shows.
 """
 
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -270,40 +271,65 @@ def test_defaults():
     }
 
 
-SYNTH_NAMES = [
-    "GeneratorSpec", "IncidentSpec", "generate_stream", "incident_scenario",
-    "inject_incident_events", "update_stream",
+# The package's exports: its layers and the public names each defines.
+EXPORTS = [
+    "AnnouncementEvent", "AnomalyReport", "BinnedEvaluation", "BurstinessResult",
+    "DetectorConfig", "EvaluationRow", "EventSeries", "GeneratorSpec", "IncidentSpec",
+    "IncidentWindow", "JointActivityTable", "MrtParseResult", "MrtStats", "SignificanceResult",
+    "VolumeSeries", "bin_timestamps", "build_series", "build_volume_series", "burstiness",
+    "burstiness_raw", "detect_events", "detect_volume", "detector", "ema_update",
+    "evaluate_incident", "evaluate_window", "evaluation", "events", "fields",
+    "finite_size_correction", "generate_stream", "incident_bins", "incident_scenario",
+    "inject_incident_events", "intensity_update", "inter_arrivals", "joint_distribution",
+    "load_incidents", "monte_carlo_null_test", "mrt", "parse_event_lines", "parse_mrt_updates",
+    "read_groups", "read_updates", "score", "series_burstiness", "series_from_columns",
+    "series_keys", "synth", "update_stream", "volume_from_columns", "write_event_lines",
 ]
 
 
-def test_package_exports_synth_names():
-    from bgpburst import GeneratorSpec as exported
-
-    assert exported is GeneratorSpec
-    assert set(SYNTH_NAMES) | {"synth"} <= set(bgpburst.__all__)
-    assert bgpburst.update_stream is bgpburst.synth.update_stream
-    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+def test_package_exports_each_name_from_its_layer():
+    assert bgpburst.__all__ == EXPORTS
+    assert set(EXPORTS) <= set(dir(bgpburst))
+    for name in EXPORTS:
+        value = getattr(bgpburst, name)
+        if isinstance(value, type(bgpburst)):
+            assert value is sys.modules[f"bgpburst.{name}"]
+        else:
+            assert value is getattr(sys.modules[value.__module__], name)
+    star = {}
+    exec("from bgpburst import *", star)
+    assert all(star[name] is getattr(bgpburst, name) for name in EXPORTS)
+    with pytest.raises(AttributeError, match="^module 'bgpburst' has no attribute 'nothing'$"):
         bgpburst.nothing
 
 
-# A fresh interpreter: importing the package leaves synth unloaded, and the
-# first use of one of its names loads it.
-LAZY_SYNTH_PROBE = """
-import sys
-import bgpburst
-assert "bgpburst.synth" not in sys.modules
-from bgpburst import GeneratorSpec
-from bgpburst.synth import GeneratorSpec as direct
-assert GeneratorSpec is direct
-from bgpburst import *
-assert update_stream is bgpburst.synth.update_stream
+# What each import leaves loaded of the package, in a fresh interpreter: a
+# layer loads the layers it calls and no other.
+LOADS = {
+    "bgpburst": [],
+    "bgpburst.fields": ["fields"],
+    "bgpburst.events": ["events", "fields"],
+    "bgpburst.mrt": ["events", "fields", "mrt"],
+    "bgpburst.detector": ["detector", "events", "fields"],
+    "bgpburst.burstiness": ["burstiness", "detector", "events", "fields"],
+    "bgpburst.evaluation": ["evaluation", "events", "fields"],
+    "bgpburst.synth": ["events", "fields", "synth"],
+    "bgpburst.cli": ["burstiness", "cli", "detector", "evaluation", "events", "fields", "mrt"],
+}
+
+LOAD_PROBE = """
+import json, sys
+__import__(sys.argv[1])
+print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] == "bgpburst")))
 """
 
 
-def test_synth_loads_on_first_use():
+@pytest.mark.parametrize("module", LOADS)
+def test_import_loads_only_the_layers_it_calls(module):
     src = Path(bgpburst.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", LAZY_SYNTH_PROBE],
+        [sys.executable, "-c", LOAD_PROBE, module],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["bgpburst", *(f"bgpburst.{m}" for m in LOADS[module])]
