@@ -162,8 +162,11 @@ class Manifest:
         target = self.prefix + name  # every name is one path component
         if name in self.pending:
             raise CliError(f"two outputs would be written to {target}")
-        partial = f"{self.prefix}.{name}.{os.getpid()}.tmp"
+        # Named by the output's index: a name may fit with no room for more.
+        partial = f"{self.prefix}.{len(self.pending)}.{os.getpid()}.tmp"
         try:
+            with contextlib.suppress(FileNotFoundError):
+                os.lstat(target)  # a name too long fails here, not halfway through write()
             raw = open(partial, "wb")
             self.pending[name] = partial, target  # only once it is ours to remove
             digesting = _Digesting(raw)
@@ -445,12 +448,6 @@ def _check_null_overlap(
                 )
 
 
-def _series_of(groups: dict, asn: int, collector: str):
-    """A pair's series from timestamp-only read_groups columns; empty if the pair has none."""
-    (timestamps,) = groups.get((asn, collector), ((),))
-    return series_from_columns(asn, collector, timestamps)
-
-
 def cmd_analyze(args, manifest: Manifest) -> int:
     window = tuple(args.window)
     if window[0] >= window[1]:
@@ -484,6 +481,11 @@ def cmd_analyze(args, manifest: Manifest) -> int:
     if not collectors:
         raise CliError("no usable announcements in events file")
     collector = collectors[0]
+    series = {  # by AS, at the collector
+        asn: series_from_columns(asn, coll, timestamps)
+        for (asn, coll), (timestamps,) in groups.items()
+        if coll == collector
+    }
 
     # Every input is read and checked before the first output is written.
     if args.target_asn:
@@ -493,18 +495,21 @@ def cmd_analyze(args, manifest: Manifest) -> int:
         if args.incidents:
             _check_null_overlap(null_windows, load_incidents(Path(args.incidents), manifest.read))
         null_events_path = Path(args.null_events) if args.null_events else events_path
+        null_series = series
         if null_events_path != events_path:
             null_groups = _load_groups(manifest, null_events_path, prefixes=False)
-        else:
-            null_groups = groups
+            null_series = {
+                asn: series_from_columns(asn, collector, null_groups[asn, collector][0])
+                for asn in args.target_asn
+                if (asn, collector) in null_groups
+            }
+        for asn in args.target_asn:
+            for path, found in ((events_path, series), (null_events_path, null_series)):
+                if asn not in found:
+                    raise CliError(f"{path}: no announcements by AS{asn} at {reprlib.repr(collector)}")
 
-    corpus = [
-        series_from_columns(asn, coll, timestamps)
-        for (asn, coll), (timestamps,) in groups.items()
-        if coll == collector
-    ]
     try:
-        table = joint_distribution(corpus, window, min_events=min_events)
+        table = joint_distribution(list(series.values()), window, min_events=min_events)
     except DegenerateTableError as exc:
         raise CliError(f"joint distribution for {reprlib.repr(collector)}: {exc}") from exc
     with manifest.output(f"joint_{_safe_name(collector)}.csv") as fh:
@@ -513,11 +518,9 @@ def cmd_analyze(args, manifest: Manifest) -> int:
 
     if args.target_asn:
         for asn in args.target_asn:
-            base = _series_of(null_groups, asn, collector)
-            nulls = [base.restrict(start, end) for start, end in null_windows]
-            observed_series = _series_of(groups, asn, collector).restrict(*window)
+            nulls = [null_series[asn].restrict(start, end) for start, end in null_windows]
             try:
-                observed = series_burstiness(observed_series, min_events)
+                observed = series_burstiness(series[asn].restrict(*window), min_events)
                 result = monte_carlo_null_test(
                     nulls,
                     observed,

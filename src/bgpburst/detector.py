@@ -88,7 +88,8 @@ def _parse_scalar(text: str) -> int | float | str:
 
 
 def parse_config(text: str, where: str = "config") -> dict:
-    """Detector settings from the text of a config file: JSON or flat key=value lines.
+    """Detector settings from the text of a config file: JSON or flat key=value
+    lines, numbered by "\n" alone as the lines of an events file are.
 
     The keys are CONFIG_KEYS; the settings are checked with
     DetectorConfig.from_mapping before they are returned, and errors are
@@ -98,7 +99,7 @@ def parse_config(text: str, where: str = "config") -> dict:
         raw = read_json(text, where)
     else:
         raw = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

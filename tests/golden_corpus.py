@@ -19,6 +19,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 import tempfile
@@ -162,6 +163,7 @@ def pinned_outcomes(tmp: Path) -> dict[str, tuple[str, str]]:
 
 
 if __name__ == "__main__":
+    os.environ.pop("BGPBURST_CONFIG", None)  # the pinned runs read no config file
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         outcomes = pinned_outcomes(Path(tmp))
     bad = [name for name, (found, pinned) in outcomes.items() if found != pinned]

@@ -239,6 +239,33 @@ class TestIngest:
         assert main(["ingest", str(sim_events), "--asn", "99999", "--out", str(out)]) == 0
         assert (out / "events.jsonl").read_text() == ""
 
+    def test_messy_events_file_reads_as_the_clean_file(self, tmp_path):
+        # The golden corpus with a blank and a whitespace-only line in each of
+        # its first two ~64 KiB runs of lines, a key-reordered line and a
+        # "\r\n" line in the second, a blank line that opens the second run,
+        # and no "\n" after the last line.
+        inputs = gc.write_inputs(tmp_path)
+        clean = inputs["events"]
+        lines = clean.read_text().split("\n")[:-1]
+        at = 800
+        reordered = lines[at] = json.dumps(dict(reversed(json.loads(lines[at]).items())))
+        lines[at + 1] += "\r"
+        lines[at + 2:at + 2] = ["", " \t\x0c"]
+        lines[100:100] = ["", " \t\x0c"]
+        text = "".join(line + "\n" for line in lines)
+        second = text.find("\n", events._CHUNK_CHARS - 1) + 1
+        assert second < text.index(reordered) < 2 * events._CHUNK_CHARS
+        messy = tmp_path / "messy.jsonl"
+        messy.write_bytes((text[:second] + "\n" + text[second:-1]).encode())
+        for extra in ([], ["--asn", "64500"]):
+            assert gc.ingest_digest(tmp_path / "m", messy, *extra) == gc.ingest_digest(tmp_path / "c", clean, *extra)
+
+        def outputs(path):
+            out = tmp_path / path.stem
+            return gc.detect_digests(out / "detect", path), gc.analyze_digests(out / "analyze", path, inputs["nulls"])
+
+        assert outputs(messy) == outputs(clean)
+
     def test_identical_inputs_identical_digests(self, sim_events, tmp_path):
         out1, out2 = tmp_path / "i1", tmp_path / "i2"
         for out in (out1, out2):
@@ -555,11 +582,11 @@ class TestDetect:
     @pytest.mark.parametrize("field", ["collector", "prefix"])
     def test_huge_text_field_is_one_short_error(self, tmp_path, capsys, field):
         # No file system takes a report named after a 100,000-character
-        # collector, and no network is written in 100,000 characters.
+        # collector, and no network is written in 100,000 characters.  The
+        # reports of collector "c" are not published either.
         event = {"ts": 1, "collector": "c", "prefix": "10.0.0.0/8", "origin_asn": 1, "type": "A"}
-        event[field] = "x" * 100_000
         events = tmp_path / "events.jsonl"
-        events.write_text(json.dumps(event) + "\n")
+        events.write_text(json.dumps(event) + "\n" + json.dumps({**event, field: "x" * 100_000}) + "\n")
         out = tmp_path / "o"
         out.mkdir()
         (out / "kept").write_text("kept\n")
@@ -617,6 +644,7 @@ class TestDetect:
         ("c.json", '{"omega": 200.9}', "field 'omega' must be a whole number of at most 18 digits, got 200.9"),
         ("c.conf", "r = 1/0\n", "field 'r' must be a real number, got '1/0'"),
         ("c.conf", "omega\n", "line 1: expected key=value"),
+        ("c.conf", "r = 1/300\x0c\nomega 200\n", "line 2: expected key=value"),  # "\n" alone ends a line
         ("c.conf", "min_events = 1\n", "min_events must be >= 2"),
     ])
     def test_config_file_errors_name_the_file(self, sim_events, tmp_path, capsys, name, text, message):
@@ -976,6 +1004,29 @@ class TestAnalyze:
         sig = json.loads((out / "significance_AS64500.json").read_text())
         assert len(sig["null_samples"]) == 25
         assert 0.0 < sig["empirical_p"] <= 1.0
+
+    @pytest.mark.parametrize("case", ["events", "null-events", "null-collector"])
+    def test_target_asn_without_announcements_is_refused_before_writing(
+        self, corpus_events, tmp_path, capsys, case
+    ):
+        null_path = tmp_path / "nulls.json"
+        null_path.write_text(json.dumps([[START + k * 3600, START + (k + 1) * 3600] for k in range(25)]))
+        asn, path, extra = 99 if case == "events" else 64500, corpus_events, []
+        if case != "events":  # null events of AS64501 alone, or of AS64500 at another collector
+            held, collector = (64501, "synth-collector") if case == "null-events" else (64500, "other")
+            path = tmp_path / "null.jsonl"
+            path.write_text("".join(
+                AnnouncementEvent(START + ts, collector, "10.0.0.0/8", ANNOUNCEMENT, origin_asn=held).to_line()
+                + "\n" for ts in range(100)
+            ))
+            extra = ["--null-events", str(path)]
+        out = tmp_path / "o"
+        code = main([
+            "analyze", str(corpus_events), "--window", str(START), str(START + 86400), "--target-asn", str(asn),
+            "--null-windows", str(null_path), *extra, "--out", str(out),
+        ])
+        assert assert_input_error(code, capsys) == f"error: {path}: no announcements by AS{asn} at 'synth-collector'\n"
+        assert not out.exists()
 
     def test_missing_null_windows_fails(self, corpus_events, tmp_path):
         out = tmp_path / "analyze"
@@ -1509,6 +1560,22 @@ class TestManifest:
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["detect", "simulate"])
+    def test_output_whose_name_fits_is_written(self, tmp_path, command):
+        # Names of 246-247 bytes: no room for more under the common 255-byte limit.
+        if command == "detect":
+            events = tmp_path / "events.jsonl"
+            events.write_text("".join(
+                AnnouncementEvent(ts, "c" * 220, "10.0.0.0/8", ANNOUNCEMENT, origin_asn=1).to_line() + "\n"
+                for ts in (1, 2)
+            ))
+            argv, name = ["detect", str(events), "--detector", "burstiness"], f"report_burstiness_AS1_{'c' * 220}.json"
+        else:
+            argv, name = ["simulate", str(write_sim_spec(tmp_path / f"{'s' * 240}.json", n=10))], f"{'s' * 240}.jsonl"
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([name, "manifest.json"])
+
     def test_argv_is_the_one_main_was_given(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["host-program", "--host-flag"])
         argv = ["simulate", str(write_sim_spec(tmp_path / "s.json")), "--out", str(tmp_path / "o")]
@@ -1620,12 +1687,14 @@ class TestManifest:
             argv = ["detect", str(golden["events"]), "--trace"]
             assert main([*argv, "--out", str(out)]) == 0
             # The temporary file of the last output cannot be created.
-            last = Path(manifest_of(out)["outputs"][-1]["path"]).name
+            last = len(manifest_of(out)["outputs"]) - 1
             (out / f".{last}.{os.getpid()}.tmp").mkdir()
             return out, [*argv, "--delta", "3"]
         if case == "analyze":
             assert main([*self.analyze_argv(golden, 64500), "--out", str(out)]) == 0
-            return out, [*self.analyze_argv(golden, 64500, 1), "--alpha-sig", "0.01"]
+            # No announcement falls in these null windows: the test fails after the joint table.
+            golden["nulls"].write_text(json.dumps([[1, 2]] * 25))
+            return out, [*self.analyze_argv(golden, 64500), "--alpha-sig", "0.01"]
         detected = tmp_path / "detected"
         assert main(["detect", str(golden["events"]), "--out", str(detected)]) == 0
         reports = sorted(str(p) for p in detected.glob("report_*.json"))
