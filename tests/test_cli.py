@@ -1692,9 +1692,16 @@ class TestManifest:
             return out, [*argv, "--delta", "3"]
         if case == "analyze":
             assert main([*self.analyze_argv(golden, 64500), "--out", str(out)]) == 0
-            # No announcement falls in these null windows: the test fails after the joint table.
-            golden["nulls"].write_text(json.dumps([[1, 2]] * 25))
-            return out, [*self.analyze_argv(golden, 64500), "--alpha-sig", "0.01"]
+            # AS64501 keeps one null announcement: its test fails after AS64500's.
+            lines = golden["events"].read_text().splitlines(keepends=True)
+            first = next(line for line in lines if json.loads(line).get("origin_asn") == 64501)
+            null_events = tmp_path / "null_events.jsonl"
+            null_events.write_text("".join(
+                line for line in lines if line == first or json.loads(line).get("origin_asn") != 64501
+            ))
+            return out, [
+                *self.analyze_argv(golden, 64500, 64501), "--null-events", str(null_events), "--alpha-sig", "0.01",
+            ]
         detected = tmp_path / "detected"
         assert main(["detect", str(golden["events"]), "--out", str(detected)]) == 0
         reports = sorted(str(p) for p in detected.glob("report_*.json"))
