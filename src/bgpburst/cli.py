@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -18,6 +19,7 @@ import json
 import os
 import re
 import reprlib
+import stat
 import sys
 import time
 from pathlib import Path
@@ -90,11 +92,24 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-class _Digesting(io.BufferedIOBase):
-    """A binary file that hashes every byte written through it."""
+def _probe(target: str) -> None:
+    """Refuse a `target` that a staged file could not replace, before
+    anything is published: a name too long for the file system, or a
+    directory."""
+    try:
+        if stat.S_ISDIR(os.lstat(target).st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise CliError(f"cannot write {reprlib.repr(target)}: {exc.strerror or exc}") from exc
 
-    def __init__(self, raw: IO[bytes]):
-        self.raw = raw
+
+class _Digesting(io.BufferedIOBase):
+    """A binary file over a file descriptor that hashes every byte written."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
         self.sha256 = hashlib.sha256()
 
     def writable(self) -> bool:
@@ -102,11 +117,10 @@ class _Digesting(io.BufferedIOBase):
 
     def write(self, data) -> int:
         self.sha256.update(data)
-        return self.raw.write(data)
-
-    def close(self) -> None:
-        super().close()
-        self.raw.close()
+        view = memoryview(data)
+        while view:  # one os.write unless it writes less than asked
+            view = view[os.write(self.fd, view):]
+        return len(data)
 
 
 class Manifest:
@@ -157,37 +171,49 @@ class Manifest:
         return data
 
     @contextlib.contextmanager
-    def output(self, name: str) -> Iterator[IO[str]]:
-        """A UTF-8 text handle, with \\n line endings, for `name` under --out."""
+    def _staged(self, name: str) -> Iterator[_Digesting]:
+        """The temporary file of output `name`, whose digest is recorded when the body ends."""
         target = self.prefix + name  # every name is one path component
         if name in self.pending:
             raise CliError(f"two outputs would be written to {target}")
+        _probe(target)
         # Named by the output's index: a name may fit with no room for more.
         partial = f"{self.prefix}.{len(self.pending)}.{os.getpid()}.tmp"
         try:
-            with contextlib.suppress(FileNotFoundError):
-                os.lstat(target)  # a name too long fails here, not halfway through write()
-            raw = open(partial, "wb")
+            fd = os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
             self.pending[name] = partial, target  # only once it is ours to remove
-            digesting = _Digesting(raw)
-            with io.TextIOWrapper(digesting, encoding="utf-8", newline="\n") as fh:
-                yield fh
+            staged = _Digesting(fd)
+            try:
+                yield staged
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise CliError(f"cannot write {reprlib.repr(target)}: {exc.strerror or exc}") from exc
-        self.doc["outputs"].append({"path": target, "sha256": digesting.sha256.hexdigest()})
+        self.doc["outputs"].append({"path": target, "sha256": staged.sha256.hexdigest()})
 
-    def write_json(self, name: str, doc) -> None:
-        with self.output(name) as fh:
-            fh.write(_json_text(doc))
+    @contextlib.contextmanager
+    def output(self, name: str) -> Iterator[IO[str]]:
+        """A UTF-8 text handle, with \\n line endings, for `name` under --out."""
+        with self._staged(name) as staged:
+            with io.TextIOWrapper(staged, encoding="utf-8", newline="\n") as fh:
+                yield fh
+
+    def write_text(self, name: str, text: str) -> None:
+        """The whole of output `name`, encoded once and written in one call."""
+        data = text.encode("utf-8")
+        with self._staged(name) as staged:
+            staged.write(data)
 
     def write(self) -> None:
         """Publish the outputs in the order written, then manifest.json."""
+        path = self.prefix + "manifest.json"
+        _probe(path)  # before the first output replaces an earlier one
         try:
             for partial, target in self.pending.values():
                 os.replace(partial, target)
             self.pending.clear()
             self.doc["duration_s"] = round(time.time() - self.started, 3)
-            (self.out / "manifest.json").write_text(_json_text(self.doc), encoding="utf-8")
+            Path(path).write_text(_json_text(self.doc), encoding="utf-8")
             self.created.clear()  # they hold the outputs now
         except OSError as exc:
             raise CliError(
@@ -339,7 +365,7 @@ def cmd_ingest(args, manifest: Manifest) -> int:
         "records_skipped": sum(item["records_skipped"] for item in per_input),
         "inputs": per_input,
     }
-    manifest.write_json("ingest_summary.json", summary)
+    manifest.write_text("ingest_summary.json", _json_text(summary))
     manifest.write()
     print(
         f"ingest: wrote {written} events ({announcements} announcements, "
@@ -351,34 +377,53 @@ def cmd_ingest(args, manifest: Manifest) -> int:
 # ---------------------------------------------------------------- detect
 
 
+def _indented_ints(values) -> str:
+    """A list of integers as _json_text renders it as the value of a key."""
+    return "[\n    " + ",\n    ".join(map(str, values)) + "\n  ]" if values else "[]"
+
+
+def _value_text(doc) -> str:
+    """`doc` as _json_text renders it as the value of a key."""
+    return json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+def _report_text(detector: str, report: AnomalyReport, span: tuple[int, int], config_text: str) -> str:
+    """_json_text of a report's document, built for its one shape.
+
+    `config_text` is _value_text of the config snapshot, the same for every report."""
+    return (
+        f'{{\n  "anomalous_timestamps": {_indented_ints(report.anomalous_timestamps)},\n'
+        f'  "collector": {json.dumps(report.collector)},\n  "config": {config_text},\n'
+        f'  "detector": {json.dumps(detector)},\n  "origin_asn": {report.origin_asn},\n'
+        f'  "span": {_indented_ints(span)}\n}}\n'
+    )
+
+
 def _write_report(
-    manifest: Manifest, detector: str, report: AnomalyReport, span, config_snapshot: dict
+    manifest: Manifest, detector: str, report: AnomalyReport, stem: str, span, config_text: str
 ) -> None:
-    """Write report_<stem>.json, preceded by trace_<stem>.csv if the report has a trace."""
-    stem = f"{detector}_AS{report.origin_asn}_{_safe_name(report.collector)}"
+    """Write report_<detector>_<stem>.json, preceded by trace_<detector>_<stem>.csv
+    if the report has a trace."""
     if report.trace is not None:
-        with manifest.output(f"trace_{stem}.csv") as fh:
+        with manifest.output(f"trace_{detector}_{stem}.csv") as fh:
             write_trace_csv(report, fh)
-    manifest.write_json(f"report_{stem}.json", {
-        "detector": detector,
-        "origin_asn": report.origin_asn,
-        "collector": report.collector,
-        "span": list(span),
-        "anomalous_timestamps": list(report.anomalous_timestamps),
-        "config": config_snapshot,
-    })
+    manifest.write_text(f"report_{detector}_{stem}.json", _report_text(detector, report, span, config_text))
 
 
-def _check_report_names(keys: list[tuple[int, str]]) -> None:
-    """Refuse series whose report files would overwrite each other."""
+def _report_stems(keys: list[tuple[int, str]]) -> dict[tuple[int, str], str]:
+    """Each series' report file stem; refuse series whose reports would overwrite each other."""
+    stems: dict[tuple[int, str], str] = {}
     seen: dict[tuple[int, str], str] = {}
     for asn, collector in keys:
-        other = seen.setdefault((asn, _safe_name(collector)), collector)
+        name = _safe_name(collector)
+        other = seen.setdefault((asn, name), collector)
         if other != collector:
             raise CliError(
                 f"collectors {reprlib.repr(other)} and {reprlib.repr(collector)} share the report "
-                f"name {reprlib.repr(_safe_name(collector))} for AS{asn}; pick one with --collector"
+                f"name {reprlib.repr(name)} for AS{asn}; pick one with --collector"
             )
+        stems[asn, collector] = f"AS{asn}_{name}"
+    return stems
 
 
 def cmd_detect(args, manifest: Manifest) -> int:
@@ -395,19 +440,20 @@ def cmd_detect(args, manifest: Manifest) -> int:
         print("detect: warning: no matching series; nothing to do", file=sys.stderr)
         manifest.write()
         return 0
-    _check_report_names(keys)
+    stems = _report_stems(keys)
 
-    for asn, collector in keys:
+    config_text = _value_text(snapshot)  # encoded once for every report
+    for (asn, collector), stem in stems.items():
         timestamps, prefixes = groups[asn, collector]
         series = series_from_columns(asn, collector, timestamps)
         span = series.span
         if args.detector in ("both", "burstiness"):
             report = detect_events(series, config, collect_trace=args.trace)
-            _write_report(manifest, "burstiness", report, span, snapshot)
+            _write_report(manifest, "burstiness", report, stem, span, config_text)
         if args.detector in ("both", "volume"):
             volume = volume_from_columns(asn, collector, timestamps, prefixes)
             report = detect_volume(volume, config, collect_trace=args.trace)
-            _write_report(manifest, "volume", report, span, snapshot)
+            _write_report(manifest, "volume", report, stem, span, config_text)
     manifest.write()
     print(f"detect: processed {len(keys)} series into {manifest.out}")
     return 0
@@ -514,7 +560,7 @@ def cmd_analyze(args, manifest: Manifest) -> int:
         raise CliError(f"joint distribution for {reprlib.repr(collector)}: {exc}") from exc
     with manifest.output(f"joint_{_safe_name(collector)}.csv") as fh:
         write_joint_csv(table, fh)
-    manifest.write_json(f"joint_{_safe_name(collector)}.json", joint_sidecar(table))
+    manifest.write_text(f"joint_{_safe_name(collector)}.json", _json_text(joint_sidecar(table)))
 
     if args.target_asn:
         for asn in args.target_asn:

@@ -20,13 +20,13 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import golden_corpus as gc
 import mrt_golden as golden
 from bgpburst import events, mrt
-from bgpburst.cli import OPTION_KINDS, build_parser, main
-from bgpburst.detector import CONFIG_KEYS
+from bgpburst.cli import OPTION_KINDS, Manifest, _json_text, _report_text, _value_text, build_parser, main
+from bgpburst.detector import CONFIG_KEYS, AnomalyReport, DetectorConfig
 from bgpburst.events import (
     ANNOUNCEMENT,
     WITHDRAWAL,
@@ -579,18 +579,20 @@ class TestDetect:
         assert main(["detect", str(events), "--collector", "a b", "--out", str(out)]) == 0
         assert len(manifest_of(out)["outputs"]) == 2
 
-    @pytest.mark.parametrize("field", ["collector", "prefix"])
-    def test_huge_text_field_is_one_short_error(self, tmp_path, capsys, field):
+    @pytest.mark.parametrize("field, extra", [("collector", []), ("prefix", []), ("collector", ["--trace"])],
+                             ids=["collector", "prefix", "collector-trace"])
+    def test_huge_text_field_is_one_short_error(self, tmp_path, capsys, field, extra):
         # No file system takes a report named after a 100,000-character
         # collector, and no network is written in 100,000 characters.  The
-        # reports of collector "c" are not published either.
+        # reports of collector "c" are not published either.  A report is
+        # written whole; with --trace, its trace_*.csv is streamed first.
         event = {"ts": 1, "collector": "c", "prefix": "10.0.0.0/8", "origin_asn": 1, "type": "A"}
         events = tmp_path / "events.jsonl"
         events.write_text(json.dumps(event) + "\n" + json.dumps({**event, field: "x" * 100_000}) + "\n")
         out = tmp_path / "o"
         out.mkdir()
         (out / "kept").write_text("kept\n")
-        err = assert_input_error(main(["detect", str(events), "--out", str(out)]), capsys)
+        err = assert_input_error(main(["detect", str(events), *extra, "--out", str(out)]), capsys)
         assert len(err.encode()) < 300, err[:300]
         assert [p.name for p in out.iterdir()] == ["kept"]
 
@@ -684,6 +686,34 @@ class TestReportFiles:
         assert {name: hashlib.sha256(data).hexdigest() for name, data in reports.items()} == {
             name: digests[name] for name in reports
         }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        detector=st.sampled_from(["burstiness", "volume"]),
+        asn=st.integers(0, 2**32 - 1),
+        collector=st.text(st.sampled_from('"\\\x00\n\x1f\x7f\u2028é☃\U0001f600 a') | st.characters(), max_size=8),
+        flags=st.lists(st.integers(0, 10**18 - 1), max_size=6, unique=True).map(sorted),
+        span=st.lists(st.integers(0, 10**18 - 1), min_size=2, max_size=2).map(sorted).map(tuple),
+        config=st.fixed_dictionaries({}, optional={
+            "r": st.sampled_from([1 / 300, 1 / 7, 0.5, 1e-9]),
+            "omega": st.sampled_from([1, 200, 10**17]),
+            "delta": st.sampled_from([2.0, 0.25, 3]),
+            "warmup": st.integers(0, 10**6),
+            "variance_floor": st.sampled_from([0, 0.0, 1e-300, 2.5]),
+            "min_events": st.integers(2, 10),
+        }),
+    )
+    @example(detector="volume", asn=0, collector="", flags=[], span=(0, 0), config={})
+    @example(detector="burstiness", asn=1, collector='"\\', flags=[7], span=(7, 7),
+             config={"r": 1 / 300, "variance_floor": 0, "omega": 10**17})
+    def test_report_text_is_json_text_of_its_document(self, detector, asn, collector, flags, span, config):
+        snapshot = DetectorConfig.from_mapping(config).as_dict()
+        report = AnomalyReport(origin_asn=asn, collector=collector, anomalous_timestamps=tuple(flags))
+        doc = {
+            "detector": detector, "origin_asn": asn, "collector": collector, "span": list(span),
+            "anomalous_timestamps": flags, "config": snapshot,
+        }
+        assert _report_text(detector, report, span, _value_text(snapshot)) == _json_text(doc)
 
 
 class TestEvaluate:
@@ -1142,9 +1172,12 @@ class TestAnalyze:
         sidecar = json.loads((out / "joint_c.json").read_text())
         assert sidecar["skipped"] == [{"asn": 1, "count": 6}]
 
-    def test_unwritable_joint_table_is_one_short_error(self, tmp_path, capsys):
-        # joint_<collector>.csv cannot be named after a 100,000-character collector
-        collector = "x" * 100_000
+    @pytest.mark.parametrize("length", [100_000, None], ids=["table", "sidecar"])
+    def test_unwritable_joint_table_is_one_short_error(self, tmp_path, capsys, length):
+        # joint_<collector>.csv, streamed, cannot be named after a
+        # 100,000-character collector.  After a collector NAME_MAX - 10 long it
+        # can, and joint_<collector>.json, written whole, is one byte too long.
+        collector = "x" * (length or os.pathconf(tmp_path, "PC_NAME_MAX") - 10)
         events = tmp_path / "events.jsonl"
         events.write_text("".join(
             json.dumps({"ts": ts, "collector": collector, "prefix": "10.0.0.0/8",
@@ -1157,6 +1190,7 @@ class TestAnalyze:
         code = main(["analyze", str(events), "--window", "0", "1000", "--out", str(out)])
         err = assert_input_error(code, capsys)
         assert err.startswith("error: cannot write ") and len(err.encode()) < 300, err[:300]
+        assert (".csv'" if length else ".json'") in err, err
         assert [p.name for p in out.iterdir()] == ["kept"]
 
     def analyze_config(self, corpus_events, tmp_path, *extra):
@@ -1576,6 +1610,26 @@ class TestManifest:
         assert main([*argv, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == sorted([name, "manifest.json"])
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from("\r\n"), max_size=20))
+    @example("é☃\r\n" * 10_000)  # more than one chunk of the text stream
+    def test_both_routes_write_the_same_bytes_and_digest(self, text):
+        """One name and text, streamed through output() or written whole."""
+        published = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for route in ("output", "write_text"):
+                manifest = Manifest("detect", [], os.path.join(tmp, route))
+                if route == "output":
+                    with manifest.output("report.json") as fh:
+                        fh.write(text)
+                else:
+                    manifest.write_text("report.json", text)
+                manifest.write()
+                [entry] = manifest_of(Path(tmp, route))["outputs"]
+                published.append((Path(entry["path"]).read_bytes(), entry["sha256"]))
+        data = text.encode("utf-8")
+        assert published == [(data, hashlib.sha256(data).hexdigest())] * 2
+
     def test_argv_is_the_one_main_was_given(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["host-program", "--host-flag"])
         argv = ["simulate", str(write_sim_spec(tmp_path / "s.json")), "--out", str(tmp_path / "o")]
@@ -1683,12 +1737,19 @@ class TestManifest:
             bad = tmp_path / "bad.json"
             bad.write_text("[]")
             return out, ["simulate", str(golden["spec"]), str(bad)]
-        if case == "detect":
+        if case.startswith("detect"):
             argv = ["detect", str(golden["events"]), "--trace"]
             assert main([*argv, "--out", str(out)]) == 0
-            # The temporary file of the last output cannot be created.
-            last = len(manifest_of(out)["outputs"]) - 1
-            (out / f".{last}.{os.getpid()}.tmp").mkdir()
+            outputs = manifest_of(out)["outputs"]
+            if case == "detect":
+                # The temporary file of the last output cannot be created.
+                (out / f".{len(outputs) - 1}.{os.getpid()}.tmp").mkdir()
+            else:
+                # A directory holds the name of the last report, or of manifest.json.
+                blocked = Path(outputs[-1]["path"]) if case == "detect-report-directory" else out / "manifest.json"
+                blocked.unlink()
+                blocked.mkdir()
+                (blocked / "kept").write_text("kept\n")
             return out, [*argv, "--delta", "3"]
         if case == "analyze":
             assert main([*self.analyze_argv(golden, 64500), "--out", str(out)]) == 0
@@ -1711,14 +1772,18 @@ class TestManifest:
         bad.write_text('{"detector": 5}')
         return out, ["evaluate", *reports, str(bad), *incidents, "--m", "3600"]
 
-    @pytest.mark.parametrize("case", ["simulate", "detect", "analyze", "evaluate"])
+    @pytest.mark.parametrize("case", [
+        "simulate", "detect", "detect-report-directory", "detect-manifest-directory", "analyze", "evaluate",
+    ])
     def test_failed_command_keeps_earlier_outputs(self, golden, tmp_path, capsys, case):
         out, argv = self.failing_runs(case, golden, tmp_path)
         before = {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
-        assert_input_error(main([*argv, "--out", str(out)]), capsys)
+        err = assert_input_error(main([*argv, "--out", str(out)]), capsys)
         assert {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()} == before
         assert not [p for p in out.iterdir() if p.name.endswith(".tmp") and p.is_file()]
+        if case.endswith("directory"):  # refused before the first output is published
+            assert err.startswith("error: cannot write ") and err.endswith(": Is a directory\n"), err
 
 
 # Small JSON values, with the edges of the field kinds among them.  Numbers
