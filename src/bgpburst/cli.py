@@ -23,6 +23,7 @@ import stat
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING, Iterator
 
 from . import __version__
@@ -127,9 +128,10 @@ class Manifest:
     """Every file a command reads, and every file it writes under --out.
 
     Inputs are hashed from the bytes read, outputs from the bytes written.
-    An output goes to a temporary file under --out and takes its name only
-    in write(), once the command has succeeded; discard() removes the rest,
-    and the directories made for --out when nothing was published.
+    An output, manifest.json the last of them, goes to a temporary file
+    under --out and takes its name only in write(), once the command has
+    succeeded; discard() removes the rest, and the directories made for
+    --out when nothing was published.
     """
 
     def __init__(self, command: str, argv: list[str], out: str):
@@ -205,15 +207,14 @@ class Manifest:
             staged.write(data)
 
     def write(self) -> None:
-        """Publish the outputs in the order written, then manifest.json."""
-        path = self.prefix + "manifest.json"
-        _probe(path)  # before the first output replaces an earlier one
+        """Stage manifest.json as the last output, then publish every output
+        in the order written."""
+        self.doc["duration_s"] = round(time.time() - self.started, 3)
+        self.write_text("manifest.json", _json_text(self.doc))
         try:
             for partial, target in self.pending.values():
                 os.replace(partial, target)
             self.pending.clear()
-            self.doc["duration_s"] = round(time.time() - self.started, 3)
-            Path(path).write_text(_json_text(self.doc), encoding="utf-8")
             self.created.clear()  # they hold the outputs now
         except OSError as exc:
             raise CliError(
@@ -505,11 +506,13 @@ def cmd_analyze(args, manifest: Manifest) -> int:
         for option in ("--null-windows", "--null-events", "--incidents"):
             if getattr(args, option[2:].replace("-", "_")) is not None:
                 raise CliError(f"{option} is used only with --target-asn")
-    min_events = _resolve_detector_config(args, manifest)[0].min_events
+    elif not args.null_windows:
+        raise CliError("significance testing needs --null-windows")
     try:
         check_null_test_settings(args.k, args.alpha_sig)
     except ValueError as exc:
         raise CliError(f"bad Monte Carlo settings: {exc}") from exc
+    min_events = _resolve_detector_config(args, manifest)[0].min_events
     manifest.doc["config"] = {
         "window": list(window), "min_events": min_events, "k": args.k, "alpha_sig": args.alpha_sig,
     }
@@ -535,8 +538,6 @@ def cmd_analyze(args, manifest: Manifest) -> int:
 
     # Every input is read and checked before the first output is written.
     if args.target_asn:
-        if not args.null_windows:
-            raise CliError("significance testing needs --null-windows")
         null_windows = _load_null_windows(manifest, Path(args.null_windows))
         if args.incidents:
             _check_null_overlap(null_windows, load_incidents(Path(args.incidents), manifest.read))
@@ -592,21 +593,22 @@ REPORT_FIELDS = {  # with the settings detect ran with as `config`
 }
 
 
-def _load_reports(manifest: Manifest, paths: list[str]) -> list[dict]:
-    """Each report's fields; a second report of one detector and series is an error."""
-    docs = []
-    seen: dict[tuple, str] = {}
+def _load_reports(manifest: Manifest, paths: list[str]) -> dict[tuple[int, str], dict[str, SimpleNamespace]]:
+    """Each report's fields and its path, by (origin AS, collector) and then by
+    detector: the map evaluate_incident scores, whose reports it reads as it
+    reads an AnomalyReport.  A second report of one detector and series is an error."""
+    series: dict[tuple[int, str], dict[str, SimpleNamespace]] = {}
     for path in paths:
-        doc = read_record(read_json(manifest.read(Path(path)), path), REPORT_FIELDS, path)
-        key = doc["detector"], doc["origin_asn"], doc["collector"]
-        if key in seen:
+        make = functools.partial(SimpleNamespace, path=path)
+        report = read_record(read_json(manifest.read(Path(path)), path), REPORT_FIELDS, path, make)
+        reports = series.setdefault((report.origin_asn, report.collector), {})
+        earlier = reports.setdefault(report.detector, report)
+        if earlier is not report:
             raise CliError(
-                f"{seen[key]} and {path} are both {reprlib.repr(key[0])} reports "
-                f"for AS{key[1]} at {reprlib.repr(key[2])}"
+                f"{earlier.path} and {path} are both {reprlib.repr(report.detector)} reports "
+                f"for AS{report.origin_asn} at {reprlib.repr(report.collector)}"
             )
-        seen[key] = path
-        docs.append(doc)
-    return docs
+    return series
 
 
 def cmd_evaluate(args, manifest: Manifest) -> int:
@@ -617,35 +619,22 @@ def cmd_evaluate(args, manifest: Manifest) -> int:
     if args.t0 is not None and args.t0 >= args.t1:
         raise CliError(f"--t0 {args.t0}, --t1 {args.t1}: t0 must precede t1")
     manifest.doc["config"] = {"m": args.m}
-    docs = _load_reports(manifest, args.reports)
+    series = sorted(_load_reports(manifest, args.reports).items())
     incidents = load_incidents(Path(args.incidents), manifest.read)
     if args.t0 is not None:
         bounds = (args.t0, args.t1)
     else:
-        spans = [doc["span"] for doc in docs if doc["span"] != [0, 0]]
-        if not spans:
-            raise CliError("reports carry no data span; pass --t0/--t1")
+        spans = [report.span for _, reports in series for report in reports.values()]
         bounds = (min(s[0] for s in spans), max(s[1] for s in spans) + 1)
 
     rows = []
     for incident in incidents:
-        matching = [doc for doc in docs if doc["origin_asn"] == incident.perpetrator_asn]
-        if not matching:
-            continue
-        by_collector: dict[str, dict[str, AnomalyReport]] = {}
-        for doc in matching:
-            by_collector.setdefault(doc["collector"], {})[doc["detector"]] = AnomalyReport(
-                origin_asn=doc["origin_asn"],
-                collector=doc["collector"],
-                anomalous_timestamps=tuple(doc["anomalous_timestamps"]),
-            )
-        for collector in sorted(by_collector):
-            try:
-                rows.extend(
-                    evaluate_incident(by_collector[collector], incident, bounds, args.m)
-                )
-            except ValueError as exc:
-                raise CliError(f"AS{incident.perpetrator_asn} at {reprlib.repr(collector)}: {exc}") from exc
+        for (asn, collector), reports in series:
+            if asn == incident.perpetrator_asn:
+                try:
+                    rows.extend(evaluate_incident(reports, incident, bounds, args.m))
+                except ValueError as exc:
+                    raise CliError(f"AS{asn} at {reprlib.repr(collector)}: {exc}") from exc
     if not rows:
         raise CliError("no report matches any configured incident perpetrator")
     with manifest.output("results.csv") as fh:

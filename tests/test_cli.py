@@ -946,6 +946,27 @@ class TestEvaluate:
         assert main(["evaluate", *reports, "--incidents", str(incidents), "--out", str(out)]) == 0
         assert len((out / "results.csv").read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("beside, incident_end", [([], 1), ([100, 150, 175, 200], 60)], ids=["alone", "beside"])
+    def test_derived_bounds_cover_every_span(self, tmp_path, beside, incident_end):
+        """AS1's four announcements all fall in second 0, a span of [0, 0];
+        AS2's, if any, span [100, 200]."""
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            AnnouncementEvent(ts, "c", f"10.{n}.0.0/16", ANNOUNCEMENT, origin_asn=asn).to_line() + "\n"
+            for asn, stamps in ((1, [0, 0, 0, 0]), (2, beside)) for n, ts in enumerate(stamps)
+        ))
+        assert main(["detect", str(events), "--out", str(tmp_path / "detect")]) == 0
+        incidents = tmp_path / "incidents.json"
+        incidents.write_text(json.dumps([
+            {"name": "x", "asn": 1, "start_utc": iso(0), "end_utc": iso(incident_end), "kind": "large-scale"},
+        ]))
+        reports = sorted(map(str, (tmp_path / "detect").glob("report_*.json")))
+        assert len(reports) == 2 + 2 * bool(beside)
+        out = tmp_path / "eval"
+        assert main(["evaluate", *reports, "--incidents", str(incidents), "--out", str(out)]) == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:3] for row in rows] == [["x", "c", "burstiness"], ["x", "c", "volume"]]
+
     BAD_BIN_LENGTH = "error: --m must be a bin length of at least 1 second, got 0\n"
 
     @pytest.mark.parametrize("flag", ["--t0", "--t1"])
@@ -1228,29 +1249,35 @@ class TestAnalyze:
         assert capsys.readouterr().err == "error: --target-asn names AS64500 more than once\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("option", ["--null-windows", "--null-events", "--incidents"])
+    @pytest.mark.parametrize("option", ["--null-windows", "--null-events", "--incidents", "--target-asn"])
     def test_null_window_options_without_target_asn_fail_before_reading(
         self, tmp_path, capsys, option
     ):
+        """Each null-window option without --target-asn, and --target-asn without --null-windows."""
         out = tmp_path / "analyze"
         code = main([
             "analyze", str(tmp_path / "absent.jsonl"), "--window", "0", "100",
-            option, str(tmp_path / "absent"), "--out", str(out),
+            *([option, "1"] if option == "--target-asn" else [option, str(tmp_path / "absent")]),
+            "--out", str(out),
         ])
-        assert assert_input_error(code, capsys) == f"error: {option} is used only with --target-asn\n"
+        assert assert_input_error(code, capsys) == (
+            "error: significance testing needs --null-windows\n" if option == "--target-asn"
+            else f"error: {option} is used only with --target-asn\n"
+        )
         assert not out.exists()
 
     def test_k_below_the_usable_minimum_fails_before_reading(self, tmp_path, capsys):
         out = tmp_path / "analyze"
-        code = main([
-            "analyze", str(tmp_path / "absent.jsonl"), "--window", "0", "100",
-            "--target-asn", "64500", "--k", "5",
-            "--null-windows", str(tmp_path / "absent.json"), "--out", str(out),
-        ])
-        assert assert_input_error(code, capsys) == (
-            "error: bad Monte Carlo settings: null sample count k must be >= 20, got 5\n"
-        )
-        assert not out.exists()
+        for config in ([], ["--config", str(tmp_path / "absent.conf")]):  # before the config file too
+            code = main([
+                "analyze", str(tmp_path / "absent.jsonl"), "--window", "0", "100",
+                "--target-asn", "64500", "--k", "5", *config,
+                "--null-windows", str(tmp_path / "absent.json"), "--out", str(out),
+            ])
+            assert assert_input_error(code, capsys) == (
+                "error: bad Monte Carlo settings: null sample count k must be >= 20, got 5\n"
+            )
+            assert not out.exists()
 
     def test_long_collector_gives_a_short_error(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
@@ -1744,6 +1771,9 @@ class TestManifest:
             if case == "detect":
                 # The temporary file of the last output cannot be created.
                 (out / f".{len(outputs) - 1}.{os.getpid()}.tmp").mkdir()
+            elif case == "detect-manifest-staging":
+                # Nor that of manifest.json, staged after the last output.
+                (out / f".{len(outputs)}.{os.getpid()}.tmp").mkdir()
             else:
                 # A directory holds the name of the last report, or of manifest.json.
                 blocked = Path(outputs[-1]["path"]) if case == "detect-report-directory" else out / "manifest.json"
@@ -1773,7 +1803,8 @@ class TestManifest:
         return out, ["evaluate", *reports, str(bad), *incidents, "--m", "3600"]
 
     @pytest.mark.parametrize("case", [
-        "simulate", "detect", "detect-report-directory", "detect-manifest-directory", "analyze", "evaluate",
+        "simulate", "detect", "detect-manifest-staging", "detect-report-directory", "detect-manifest-directory",
+        "analyze", "evaluate",
     ])
     def test_failed_command_keeps_earlier_outputs(self, golden, tmp_path, capsys, case):
         out, argv = self.failing_runs(case, golden, tmp_path)
@@ -1784,6 +1815,19 @@ class TestManifest:
         assert not [p for p in out.iterdir() if p.name.endswith(".tmp") and p.is_file()]
         if case.endswith("directory"):  # refused before the first output is published
             assert err.startswith("error: cannot write ") and err.endswith(": Is a directory\n"), err
+
+    def test_symlink_at_manifest_is_replaced_not_followed(self, golden, tmp_path):
+        out = tmp_path / "out"
+        argv = ["detect", str(golden["events"]), "--out", str(out)]
+        assert main(argv) == 0
+        (out / "manifest.json").unlink()
+        (out / "manifest.json").symlink_to(tmp_path / "absent" / "manifest.json")
+        assert main([*argv, "--delta", "3"]) == 0
+        assert (out / "manifest.json").is_file() and not (out / "manifest.json").is_symlink()
+        manifest = manifest_of(out)
+        assert manifest["argv"][-2:] == ["--delta", "3"]
+        for entry in manifest["inputs"] + manifest["outputs"]:
+            assert hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest() == entry["sha256"], entry
 
 
 # Small JSON values, with the edges of the field kinds among them.  Numbers
